@@ -22,8 +22,9 @@ from .errors import (
     NeighborhoodTimeoutError,
     ShapeError,
 )
+from .netsim import MeshSimulator, SimTransport
 from .tensors import DTYPE, MlpSpec, mlp_forward
-from .wire import NeighborBuffer
+from .wire import MessageEnvelope, NeighborBuffer, encode_envelope
 
 REDUCTION_KINDS = ("sum", "mean", "max", "diff_sum")
 
@@ -219,8 +220,6 @@ def run_team_rounds(team, features: dict, config: AggregationConfig, aggregate_f
     current clock. Every agent advances in lockstep: all publish round l,
     the network settles, all aggregate round l.
     """
-    from .wire import MessageEnvelope, encode_envelope
-
     h = {aid: np.ascontiguousarray(features[aid], dtype=DTYPE) for aid in team}
     seq = {aid: 0 for aid in team}
     for l in range(config.rounds):
@@ -245,22 +244,20 @@ def run_team_rounds(team, features: dict, config: AggregationConfig, aggregate_f
 def build_sim_team(topology, medium=None, staleness_ns: int = 10**12):
     """Wire one buffer per agent into a fresh MeshSimulator.
 
-    Returns (sim, team, settle) where ``team`` feeds straight into
-    :func:`run_team_rounds` and ``settle`` drains in-flight deliveries.
+    This is the one place a team meets the simulator: each agent gets a
+    :class:`SimTransport` whose receive callback inserts into its buffer.
+    Returns (sim, team, settle) where ``team`` maps agent_id ->
+    (publish_fn, buffer) and feeds straight into :func:`run_team_rounds`;
+    ``publish_fn(env_bytes)`` sends to every neighbor in ascending id, and
+    ``settle`` drains in-flight deliveries.
     """
-    from .netsim import MeshSimulator
-
     sim = MeshSimulator(topology, medium)
     team = {}
     for aid in topology.agents:
+        transport = SimTransport(sim, aid)
         buf = NeighborBuffer(topology.neighbors(aid), staleness_ns=staleness_ns)
-        sim.register(aid, (lambda b: lambda data, now: b.insert_bytes(data, now))(buf))
-
-        def publish(data, _aid=aid):
-            for nb in topology.neighbors(_aid):
-                sim.send(_aid, nb, data)
-
-        team[aid] = (publish, buf)
+        transport.on_receive(buf.insert_bytes)
+        team[aid] = (transport.broadcast, buf)
 
     def settle():
         sim.drain()

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationConfig, resolve_neighborhood, ResolutionStatus
+from .aggregation import AggregationConfig, ResolutionStatus, build_sim_team, resolve_neighborhood
 from .errors import NeighborhoodTimeoutError, ShapeError
-from .netsim import MeshSimulator, MediumModel, Topology
+from .netsim import MediumModel, Topology
 from .tensors import (
     DTYPE,
     AttentionSpec,
@@ -29,7 +29,7 @@ from .tensors import (
     random_attention,
     random_mlp,
 )
-from .wire import MessageEnvelope, NeighborBuffer, encode_envelope
+from .wire import MessageEnvelope, encode_envelope
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -296,12 +296,7 @@ def run_assignment_scenario(
         raise ShapeError("learned mode needs an AssignmentModel")
     silenced = set(silenced)
 
-    sim = MeshSimulator(topology, medium)
-    buffers = {
-        a: NeighborBuffer(topology.neighbors(a), staleness_ns=10**12) for a in topology.agents
-    }
-    for a in topology.agents:
-        sim.register(a, (lambda buf: lambda data, now: buf.insert_bytes(data, now))(buffers[a]))
+    sim, team, settle = build_sim_team(topology, medium, staleness_ns=10**12)
 
     if mode == "expert":
         features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}
@@ -320,10 +315,9 @@ def run_assignment_scenario(
             payload, _ = quantize_message(vec, message_budget_bytes)
             vec = np.frombuffer(payload, dtype="<f4")
         env = MessageEnvelope(sender_id=a, seq=1, timestamp_ns=sim.now_ns, round=0, payload=vec)
-        data = encode_envelope(env)
-        for nb in topology.neighbors(a):
-            sim.send(a, nb, data)
-    sim.drain()  # one control tick: let the exchange land before aggregating
+        publish, _ = team[a]
+        publish(encode_envelope(env))
+    settle()  # one control tick: let the exchange land before aggregating
 
     cost_opt = hungarian_solve(cost).total_cost
     choices: list[int] = []
@@ -331,9 +325,10 @@ def run_assignment_scenario(
     try:
         gathered = {}
         for a in topology.agents:
+            _, buf = team[a]
             start = sim.now_ns
             while True:
-                res = resolve_neighborhood(agg_config, buffers[a], sim.now_ns, waiting_since_ns=start)
+                res = resolve_neighborhood(agg_config, buf, sim.now_ns, waiting_since_ns=start)
                 if res.status is not ResolutionStatus.PENDING:
                     break
                 sim.run_for(poll_ns)

@@ -33,12 +33,12 @@ SCHEMA_DOC = {
         "seed": "int link RNG seed (default 0)",
     },
     "aggregation": {
-        "paradigm": "'reduction' | 'broadcast' (default 'reduction')",
-        "kind": "'sum' | 'mean' | 'max' | 'diff_sum' (default 'mean')",
+        "paradigm": "'reduction' | 'broadcast' (default 'reduction'); rejected in assignment/control",
+        "kind": "'sum' | 'mean' | 'max' | 'diff_sum' (default 'mean'); rejected in assignment/control",
         "mode": "'blocking' | 'best_effort' (default 'best_effort')",
         "timeout_ms": "float > 0 blocking timeout (default 500)",
         "min_neighbors": "int >= 0 (default 0)",
-        "rounds": "int >= 1 communication rounds (default 1)",
+        "rounds": "int >= 1 communication rounds (default 1); rejected in assignment/control",
     },
     "assignment": {
         "n_tests": "int >= 1 instances to run (default 20)",
@@ -180,6 +180,10 @@ def validate_config(raw: dict) -> dict:
     _expect(cfg["aggregation"]["min_neighbors"] <= cfg["team_size"] - 1,
             "aggregation.min_neighbors",
             f"cannot exceed team_size - 1 = {cfg['team_size'] - 1}")
+    if task in ("assignment", "control"):  # each fixes its own aggregation chain
+        for key in ("paradigm", "kind", "rounds"):
+            _expect(key not in agg, f"aggregation.{key}",
+                    f"the {task} task never reads this field; remove it")
 
     section = raw.get(task, {})
     _expect(isinstance(section, dict), task, "expected an object")

@@ -15,11 +15,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregation import AggregationConfig, ResolutionStatus, resolve_neighborhood
+from .aggregation import (
+    AggregationConfig,
+    ResolutionStatus,
+    build_sim_team,
+    diff_sum_aggregate,
+    resolve_neighborhood,
+)
 from .errors import ShapeError
-from .netsim import MeshSimulator, MediumModel, Topology, derive_seed
+from .netsim import MediumModel, Topology, derive_seed
 from .tensors import DTYPE, MlpSpec, load_mlp, mlp_forward, random_mlp, softplus_shift
-from .wire import MessageEnvelope, NeighborBuffer, encode_envelope
+from .wire import MessageEnvelope, encode_envelope
 
 DEFAULT_V_BOUNDS = (0.0, 0.5)  # m/s
 DEFAULT_OMEGA_BOUNDS = (-1.0, 1.0)  # rad/s
@@ -128,22 +134,11 @@ class ControlPolicy:
 
 def policy_forward(policy: ControlPolicy, observation, neighbor_features) -> BetaParams:
     """Full chain: encode, difference-sum aggregate, decode, shifted softplus."""
-    from .aggregation import diff_sum_aggregate
-
-    f = mlp_forward(policy.encoder, observation)
-    h = diff_sum_aggregate(policy.pairwise, f, list(neighbor_features))
-    raw = mlp_forward(policy.decoder, h)
-    params = softplus_shift(raw)
-    return BetaParams(*(float(p) for p in params))
-
-
-def encode_feature(policy: ControlPolicy, observation) -> np.ndarray:
-    return mlp_forward(policy.encoder, observation)
+    return decode_from_feature(policy, mlp_forward(policy.encoder, observation), neighbor_features)
 
 
 def decode_from_feature(policy: ControlPolicy, self_feature, neighbor_features) -> BetaParams:
-    from .aggregation import diff_sum_aggregate
-
+    """The chain after encoding: difference-sum aggregate, decode, shifted softplus."""
     h = diff_sum_aggregate(policy.pairwise, self_feature, list(neighbor_features))
     raw = mlp_forward(policy.decoder, h)
     return BetaParams(*(float(p) for p in softplus_shift(raw)))
@@ -260,13 +255,7 @@ def run_navigation_scenario(
     topology = topology or Topology.full_mesh(agents)
     agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
 
-    sim = MeshSimulator(topology, medium)
-    buffers = {
-        a: NeighborBuffer(topology.neighbors(a), staleness_ns=500_000_000)
-        for a in agents
-    }
-    for a in agents:
-        sim.register(a, (lambda buf: lambda data, now: buf.insert_bytes(data, now))(buffers[a]))
+    sim, team, _ = build_sim_team(topology, medium, staleness_ns=500_000_000)
 
     states = {a: replace(initial_states[a]) for a in agents}
     goal_vecs = {a: np.ascontiguousarray(goals[a], dtype=np.float64) for a in agents}
@@ -289,18 +278,15 @@ def run_navigation_scenario(
         if not scripted:
             for a in agents:
                 obs = build_observation(states[a], goal_vecs[a])
-                features[a] = encode_feature(policy, obs)
+                features[a] = mlp_forward(policy.encoder, obs)
                 seq[a] += 1
                 env = MessageEnvelope(
                     sender_id=a, seq=seq[a], timestamp_ns=sim.now_ns, round=0,
                     payload=features[a],
                 )
-                data = encode_envelope(env)
-                for nb in topology.neighbors(a):
-                    sim.send(a, nb, data)
-            sim.run_for(tick_ns)
-        else:
-            sim.run_for(tick_ns)
+                publish, _ = team[a]
+                publish(encode_envelope(env))
+        sim.run_for(tick_ns)
 
         for a in agents:
             if reached[a]:
@@ -310,7 +296,8 @@ def run_navigation_scenario(
                     states[a], goal_vecs[a], params.v_bounds, params.omega_bounds
                 )
             else:
-                res = resolve_neighborhood(agg_config, buffers[a], sim.now_ns, waiting_since_ns=0)
+                _, buf = team[a]
+                res = resolve_neighborhood(agg_config, buf, sim.now_ns, waiting_since_ns=0)
                 neighbor_feats = (
                     [vec for _, vec in res.features]
                     if res.status is ResolutionStatus.READY

@@ -113,6 +113,11 @@ class Topology:
                 raise TopologyError(f"edge {key} listed twice")
             normalized[key] = link
         self.links = normalized
+        adjacency = {a: [] for a in self.agents}
+        for a, b in normalized:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        self._adjacency = {a: sorted(peers) for a, peers in adjacency.items()}
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.links
@@ -124,13 +129,8 @@ class Topology:
             raise TopologyError(f"no link between {a} and {b}") from None
 
     def neighbors(self, a: int) -> list[int]:
-        out = []
-        for (x, y) in self.links:
-            if x == a:
-                out.append(y)
-            elif y == a:
-                out.append(x)
-        return sorted(out)
+        """Peers of ``a`` in ascending id, as a fresh list the caller may mutate."""
+        return list(self._adjacency.get(a, ()))
 
 
 class MeshSimulator:
@@ -329,16 +329,15 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
 
             return cb
 
-        for a in agents:
-            sim.register(a, receiver(a))
+        transports = [SimTransport(sim, a) for a in agents]
+        for t in transports:
+            t.on_receive(receiver(t.agent_id))
         interval_ns = int(1e9 / offered_hz)
         ticks = int(duration_s * 1e9 / interval_ns)
         for k in range(ticks):
             sim.run_until(k * interval_ns)
-            for a in agents:
-                for b in agents:
-                    if a != b:
-                        sim.send(a, b, blob)
+            for t in transports:
+                t.broadcast(blob)
         sim.run_until(int(duration_s * 1e9))
         window_s = duration_s - measure_from_s
         links_per_agent = n - 1
@@ -358,7 +357,10 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
 
 
 class SimTransport:
-    """Per-agent view of a MeshSimulator with the common transport surface."""
+    """Per-agent view of a MeshSimulator with the common transport surface.
+
+    ``broadcast`` sends one message per neighbor, in ascending neighbor id.
+    """
 
     def __init__(self, sim: MeshSimulator, agent_id: int):
         self.sim = sim

@@ -205,10 +205,3 @@ class NeighborBuffer:
                     continue
                 out.append((nid, env.payload, now_ns - env.timestamp_ns))
             return out
-
-    def live_ids(self, now_ns: int, round_index: int | None = None) -> list[int]:
-        return [nid for nid, _, _ in self.snapshot(now_ns, round_index)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._slots.clear()

@@ -67,6 +67,20 @@ class TestConfigValidation:
                 "aggregation": {"min_neighbors": 3},
             })
 
+    @pytest.mark.parametrize("task", ["assignment", "control"])
+    @pytest.mark.parametrize("field,value", [
+        ("paradigm", "reduction"), ("kind", "max"), ("rounds", 2),
+    ])
+    def test_aggregation_field_the_task_never_reads_is_rejected(self, task, field, value):
+        with pytest.raises(ConfigError, match=f"aggregation.{field}"):
+            validate_config({"task": task, "aggregation": {field: value}})
+
+    @pytest.mark.parametrize("task", ["assignment", "control"])
+    def test_aggregation_defaults_still_validate(self, task):
+        cfg = validate_config({"task": task, "aggregation": {"mode": "blocking"}})
+        assert cfg["aggregation"]["kind"] == "mean"
+        assert cfg["aggregation"]["rounds"] == 1
+
 
 class TestCliRun:
     def test_malformed_config_exits_nonzero_with_diagnostic(self, tmp_path, capsys):

@@ -35,6 +35,18 @@ class TestTopology:
         assert topo.neighbors(2) == [1, 3]
         assert topo.has_edge(1, 3)
 
+    def test_sparse_neighbors_sorted_and_isolated_agent_empty(self):
+        # line 0-1-2-3 plus agent 4 with no edges
+        topo = Topology(agents=[4, 3, 2, 1, 0],
+                        links={(2, 3): LinkModel(), (1, 0): LinkModel(), (2, 1): LinkModel()})
+        assert [topo.neighbors(a) for a in topo.agents] == [[1], [0, 2], [1, 3], [2], []]
+        peers = topo.neighbors(1)
+        peers.append(4)
+        peers.sort(reverse=True)
+        assert topo.neighbors(1) == [0, 2]
+        topo.neighbors(4).append(0)
+        assert topo.neighbors(4) == []
+
     def test_self_edge_rejected(self):
         with pytest.raises(TopologyError, match="self-edge"):
             Topology(agents=[0, 1], links={(0, 0): LinkModel()})
