@@ -1,4 +1,4 @@
-"""Feature aggregation: reduction and broadcast paradigms plus the
+"""Feature aggregation: reduction and broadcast aggregate functions plus the
 neighborhood-resolution policy (blocking / best-effort / single-robot).
 
 Arithmetic convention: float32 features are accumulated in float64, rows in
@@ -26,23 +26,15 @@ from .netsim import MeshSimulator, SimTransport
 from .tensors import DTYPE, MlpSpec, mlp_forward
 from .wire import MessageEnvelope, NeighborBuffer, encode_envelope
 
-REDUCTION_KINDS = ("sum", "mean", "max", "diff_sum")
-
 
 @dataclass
 class AggregationConfig:
-    paradigm: str = "reduction"  # reduction | broadcast
-    kind: str = "mean"  # sum | mean | max | diff_sum
     mode: str = "best_effort"  # blocking | best_effort
     timeout_ns: int = 500_000_000
     min_neighbors: int = 0
     rounds: int = 1
 
     def __post_init__(self):
-        if self.paradigm not in ("reduction", "broadcast"):
-            raise ConfigError("aggregation.paradigm", f"unknown paradigm {self.paradigm!r}")
-        if self.paradigm == "reduction" and self.kind not in REDUCTION_KINDS:
-            raise ConfigError("aggregation.kind", f"unknown reduction kind {self.kind!r}")
         if self.mode not in ("blocking", "best_effort"):
             raise ConfigError("aggregation.mode", f"unknown mode {self.mode!r}")
         if self.mode == "blocking" and self.timeout_ns <= 0:
@@ -51,10 +43,6 @@ class AggregationConfig:
             raise ConfigError("aggregation.min_neighbors", "must be >= 0")
         if self.rounds < 1:
             raise ConfigError("aggregation.rounds", "at least one communication round")
-        if self.paradigm == "broadcast" and self.rounds != 1:
-            raise ConfigError(
-                "aggregation.rounds", "broadcast pairing is defined for a single round"
-            )
 
 
 def _vectors(self_feature, neighbors):

@@ -25,6 +25,7 @@ from .assignment import (
 from .config import (
     SCHEMA_DOC,
     build_aggregation,
+    build_link_model,
     build_medium,
     build_topology,
     load_config,
@@ -72,6 +73,7 @@ def _run_comms(cfg: dict, outdir: Path) -> list[Path]:
             offered_hz=section["offered_hz"],
             medium=medium,
             duration_s=section["duration_s"],
+            link=build_link_model(cfg["network"]),
         )
         csv_rows = [
             [r.team_size, f"{r.offered_hz:.2f}", f"{r.delivered_mean:.2f}",
@@ -250,9 +252,7 @@ def _cmd_sweep(cfg: dict) -> int:
         for budget in budgets:
             outputs += _run_assignment(cfg, outdir, budget=budget, tag=f"_budget{budget}")
     elif cfg["task"] == "comms":
-        sizes = sweep.get("team_sizes")
-        if sizes:
-            cfg["comms"]["team_sizes"] = sizes
+        cfg["comms"]["team_sizes"] = sweep.get("team_sizes", cfg["comms"]["team_sizes"])
         outputs += _run_comms(cfg, outdir)
     else:
         raise ConfigError("sweep", f"no sweep defined for task {cfg['task']!r}")

@@ -1,7 +1,7 @@
 """Scenario config parsing: JSON, fail-closed, field-path diagnostics.
 
-Unknown fields are errors so typos cannot silently change an experiment.
-``print-schema`` on the CLI dumps :data:`SCHEMA_DOC`.
+Unknown fields, and fields the task never reads (:data:`TASK_FIELDS`), are errors
+so typos cannot silently change an experiment. ``print-schema`` dumps :data:`SCHEMA_DOC`.
 """
 
 from __future__ import annotations
@@ -16,10 +16,19 @@ from .netsim import DEFAULT_BANDWIDTH_BPS, LinkModel, MediumModel, Topology
 
 ENV_SEED = "NEUROMESH_SEED"
 
-TASKS = ("assignment", "control", "timing", "comms")
+# Top-level fields each task reads besides COMMON_FIELDS, in validation order.
+TASK_FIELDS = {
+    "assignment": ("team_size", "network", "aggregation", "assignment", "sweep"),
+    "control": ("team_size", "network", "aggregation", "control"),
+    "timing": ("timing",),
+    "comms": ("network", "comms", "sweep"),
+}
+TASKS = tuple(TASK_FIELDS)
+COMMON_FIELDS = ("task", "seed", "output_dir")
 
 SCHEMA_DOC = {
-    "task": "assignment | control | timing | comms (required)",
+    "task": " | ".join(TASKS) + " (required); each task accepts only the fields it reads: "
+            + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items()),
     "seed": "int, master seed; overridable with the NEUROMESH_SEED env var (default 0)",
     "output_dir": "directory for CSV outputs and the run manifest (default 'results')",
     "team_size": "int >= 2, number of agents (default 5; control default 3)",
@@ -33,12 +42,9 @@ SCHEMA_DOC = {
         "seed": "int link RNG seed (default 0)",
     },
     "aggregation": {
-        "paradigm": "'reduction' | 'broadcast' (default 'reduction'); rejected in assignment/control",
-        "kind": "'sum' | 'mean' | 'max' | 'diff_sum' (default 'mean'); rejected in assignment/control",
         "mode": "'blocking' | 'best_effort' (default 'best_effort')",
         "timeout_ms": "float > 0 blocking timeout (default 500)",
         "min_neighbors": "int >= 0 (default 0)",
-        "rounds": "int >= 1 communication rounds (default 1); rejected in assignment/control",
     },
     "assignment": {
         "n_tests": "int >= 1 instances to run (default 20)",
@@ -71,14 +77,14 @@ SCHEMA_DOC = {
     },
     "comms": {
         "scenario": "'sweep' | 'quality' (default 'sweep')",
-        "team_sizes": "list of ints for the sweep (default [5, 10, 30, 50])",
+        "team_sizes": "non-empty list of ints >= 2 for the sweep (default [5, 10, 30, 50])",
         "payload_bytes": "int >= 8 (default 128)",
         "offered_hz": "float > 0 publish rate (default 200)",
         "duration_s": "float > 0 virtual seconds (default 0.6; quality default 60)",
     },
     "sweep": {
-        "message_budget_bytes": "assignment sweep: list of budgets",
-        "team_sizes": "comms sweep: list of team sizes",
+        "message_budget_bytes": "assignment sweep: non-empty list of ints >= 4",
+        "team_sizes": "comms sweep: non-empty list of ints >= 2",
     },
 }
 
@@ -88,10 +94,12 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _check_unknown(section: dict, allowed, path: str) -> None:
+def _check_unknown(section: dict, allowed, path: str, reads=None, task=None) -> None:
+    """Reject keys outside ``allowed``, and, given ``reads``, keys the task never reads."""
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+        where = f"{path}.{key}" if path else key
+        _expect(key in allowed, where, "unknown field")
+        _expect(reads is None or key in reads, where, f"the {task} task does not read this field")
 
 
 def _number(section, key, path, default, minimum=None, maximum=None, strict_min=False):
@@ -114,6 +122,14 @@ def _integer(section, key, path, default, minimum=None):
     return int(value)
 
 
+def _int_list(section, key, path, default, minimum):
+    value = section.get(key, default)
+    _expect(isinstance(value, list) and value
+            and all(isinstance(v, int) and v >= minimum for v in value),
+            f"{path}.{key}", f"expected a non-empty list of ints >= {minimum}, got {value!r}")
+    return value
+
+
 def _choice(section, key, path, default, options):
     value = section.get(key, default)
     _expect(value in options, f"{path}.{key}", f"expected one of {options}, got {value!r}")
@@ -134,8 +150,8 @@ def load_config(path) -> dict:
 
 def validate_config(raw: dict) -> dict:
     _expect(isinstance(raw, dict), "", "config root must be an object")
-    _check_unknown(raw, set(SCHEMA_DOC), "")
     task = _choice(raw, "task", "", None, TASKS)
+    _check_unknown(raw, SCHEMA_DOC, "", COMMON_FIELDS + TASK_FIELDS[task], task)
 
     cfg: dict = {"task": task}
     cfg["seed"] = _integer(raw, "seed", "", 0)
@@ -148,14 +164,21 @@ def validate_config(raw: dict) -> dict:
     out = raw.get("output_dir", "results")
     _expect(isinstance(out, str) and out, "output_dir", "expected a non-empty string")
     cfg["output_dir"] = out
-    default_team = 3 if task == "control" else 5
-    cfg["team_size"] = _integer(raw, "team_size", "", default_team, minimum=2)
 
-    net = raw.get("network", {})
-    _expect(isinstance(net, dict), "network", "expected an object")
+    for field in TASK_FIELDS[task]:
+        if field == "team_size":
+            cfg[field] = _integer(raw, field, "", 3 if task == "control" else 5, minimum=2)
+            continue
+        section = raw.get(field, {})
+        _expect(isinstance(section, dict), field, "expected an object")
+        cfg[field] = _SECTION_VALIDATORS[field](section, cfg)
+    return cfg
+
+
+def _validate_network(net: dict, cfg: dict) -> dict:
     _check_unknown(net, set(SCHEMA_DOC["network"]), "network")
     _choice(net, "topology", "network", "full_mesh", ("full_mesh",))
-    cfg["network"] = {
+    return {
         "base_latency_ms": _number(net, "base_latency_ms", "network", 0.0, minimum=0),
         "jitter_ms": _number(net, "jitter_ms", "network", 0.0, minimum=0),
         "loss_prob": _number(net, "loss_prob", "network", 0.0, minimum=0, maximum=1),
@@ -166,40 +189,27 @@ def validate_config(raw: dict) -> dict:
         "seed": _integer(net, "seed", "network", 0),
     }
 
-    agg = raw.get("aggregation", {})
-    _expect(isinstance(agg, dict), "aggregation", "expected an object")
+
+def _validate_aggregation(agg: dict, cfg: dict) -> dict:
     _check_unknown(agg, set(SCHEMA_DOC["aggregation"]), "aggregation")
-    cfg["aggregation"] = {
-        "paradigm": _choice(agg, "paradigm", "aggregation", "reduction", ("reduction", "broadcast")),
-        "kind": _choice(agg, "kind", "aggregation", "mean", ("sum", "mean", "max", "diff_sum")),
+    out = {
         "mode": _choice(agg, "mode", "aggregation", "best_effort", ("blocking", "best_effort")),
         "timeout_ms": _number(agg, "timeout_ms", "aggregation", 500.0, minimum=0, strict_min=True),
         "min_neighbors": _integer(agg, "min_neighbors", "aggregation", 0, minimum=0),
-        "rounds": _integer(agg, "rounds", "aggregation", 1, minimum=1),
     }
-    _expect(cfg["aggregation"]["min_neighbors"] <= cfg["team_size"] - 1,
+    _expect(out["min_neighbors"] <= cfg["team_size"] - 1,
             "aggregation.min_neighbors",
             f"cannot exceed team_size - 1 = {cfg['team_size'] - 1}")
-    if task in ("assignment", "control"):  # each fixes its own aggregation chain
-        for key in ("paradigm", "kind", "rounds"):
-            _expect(key not in agg, f"aggregation.{key}",
-                    f"the {task} task never reads this field; remove it")
+    return out
 
-    section = raw.get(task, {})
-    _expect(isinstance(section, dict), task, "expected an object")
-    parser = {
-        "assignment": _validate_assignment,
-        "control": _validate_control,
-        "timing": _validate_timing,
-        "comms": _validate_comms,
-    }[task]
-    cfg[task] = parser(section, cfg)
 
-    sweep = raw.get("sweep", {})
-    _expect(isinstance(sweep, dict), "sweep", "expected an object")
-    _check_unknown(sweep, set(SCHEMA_DOC["sweep"]), "sweep")
-    cfg["sweep"] = dict(sweep)
-    return cfg
+_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4), "comms": ("team_sizes", 2)}
+
+
+def _validate_sweep(sweep: dict, cfg: dict) -> dict:
+    key, minimum = _SWEEP_GRIDS[cfg["task"]]
+    _check_unknown(sweep, SCHEMA_DOC["sweep"], "sweep", (key,), cfg["task"])
+    return {key: _int_list(sweep, key, "sweep", None, minimum)} if key in sweep else {}
 
 
 def _validate_assignment(section: dict, cfg: dict) -> dict:
@@ -281,13 +291,9 @@ def _validate_timing(section: dict, cfg: dict) -> dict:
 def _validate_comms(section: dict, cfg: dict) -> dict:
     _check_unknown(section, set(SCHEMA_DOC["comms"]), "comms")
     scenario = _choice(section, "scenario", "comms", "sweep", ("sweep", "quality"))
-    sizes = section.get("team_sizes", [5, 10, 30, 50])
-    _expect(isinstance(sizes, list) and sizes
-            and all(isinstance(s, int) and s >= 2 for s in sizes),
-            "comms.team_sizes", f"expected a list of ints >= 2, got {sizes!r}")
     return {
         "scenario": scenario,
-        "team_sizes": sizes,
+        "team_sizes": _int_list(section, "team_sizes", "comms", [5, 10, 30, 50], minimum=2),
         "payload_bytes": _integer(section, "payload_bytes", "comms", 128, minimum=8),
         "offered_hz": _number(section, "offered_hz", "comms", 200.0, minimum=0, strict_min=True),
         "duration_s": _number(section, "duration_s", "comms",
@@ -316,6 +322,13 @@ def _validate_weights(section: dict, path: str, names, extras=None, required=Fal
     return out
 
 
+_SECTION_VALIDATORS = {
+    "network": _validate_network, "aggregation": _validate_aggregation,
+    "assignment": _validate_assignment, "control": _validate_control,
+    "timing": _validate_timing, "comms": _validate_comms, "sweep": _validate_sweep,
+}
+
+
 def build_link_model(network: dict) -> LinkModel:
     return LinkModel(
         base_latency_ns=int(network["base_latency_ms"] * 1e6),
@@ -338,10 +351,7 @@ def build_topology(team_size: int, network: dict) -> Topology:
 
 def build_aggregation(agg: dict) -> AggregationConfig:
     return AggregationConfig(
-        paradigm=agg["paradigm"],
-        kind=agg["kind"],
         mode=agg["mode"],
         timeout_ns=int(agg["timeout_ms"] * 1e6),
         min_neighbors=agg["min_neighbors"],
-        rounds=agg["rounds"],
     )

@@ -215,9 +215,9 @@ class MeshSimulator:
         self.run_until(self._now + int(dt_ns))
 
     def drain(self) -> None:
-        """Deliver everything still in flight."""
+        """Deliver everything still in flight: one ``run_until`` per batch of pending events."""
         while self._events:
-            self.run_until(self._events[0][0])
+            self.run_until(max(t for t, *_ in self._events))
 
 
 @dataclass
@@ -302,12 +302,13 @@ class SweepRow:
 
 def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 200.0,
                       medium: MediumModel | None = None, duration_s: float = 0.6,
-                      measure_from_s: float | None = None) -> list[SweepRow]:
+                      measure_from_s: float | None = None,
+                      link: LinkModel | None = None) -> list[SweepRow]:
     """Measure per-link throughput for full-mesh all-to-all publishing.
 
     Every agent publishes a payload to all peers at the offered rate; the
     measurement window covers the second half of the run (steady state).
-    The closed-form oracle value is attached to every row.
+    Every mesh link uses ``link``. The closed-form oracle value is attached to every row.
     """
     medium = medium or MediumModel()
     if measure_from_s is None:
@@ -317,7 +318,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     blob = bytes(wire_bytes)
     for n in team_sizes:
         agents = list(range(n))
-        topo = Topology.full_mesh(agents)
+        topo = Topology.full_mesh(agents, link)
         sim = MeshSimulator(topo, medium)
         counts = {a: 0 for a in agents}
         window_start_ns = int(measure_from_s * 1e9)

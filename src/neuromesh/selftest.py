@@ -105,8 +105,7 @@ def _check_rounds_equivalence():
         features = {a: rng.uniform(-1, 1, size=8).astype(np.float32) for a in adj}
         for kind in ("mean", "sum"):
             for rounds in (1, 2):
-                cfg = AggregationConfig(kind=kind, mode="blocking",
-                                        timeout_ns=10**9, rounds=rounds)
+                cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=rounds)
                 sim, team, settle = aggregation.build_sim_team(topo)
                 got = aggregation.run_team_rounds(
                     team, features, cfg,

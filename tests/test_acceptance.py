@@ -207,7 +207,7 @@ def test_criterion_4_decentralized_equals_centralized():
                         links={e: LinkModel(base_latency_ns=MS) for e in edges})
         for kind in ("mean", "sum"):
             for rounds in (1, 2, 3):
-                cfg = AggregationConfig(kind=kind, mode="blocking",
+                cfg = AggregationConfig(mode="blocking",
                                         timeout_ns=10**9, rounds=rounds)
                 sim, team, settle = build_sim_team(topo)
                 got = run_team_rounds(

@@ -208,8 +208,6 @@ class TestResolveNeighborhood:
             AggregationConfig(mode="blocking", timeout_ns=0)
         with pytest.raises(ConfigError):
             AggregationConfig(rounds=0)
-        with pytest.raises(ConfigError):
-            AggregationConfig(paradigm="broadcast", rounds=2)
 
 
 def mean_fn(h, feats):
@@ -241,7 +239,7 @@ class TestRunRounds:
         adjacency = {0: [1], 1: [0, 2], 2: [1]}
         features = {0: vec(1.0), 1: vec(0.0), 2: vec(0.0)}
         topo = Topology(agents=[0, 1, 2], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
-        cfg = AggregationConfig(kind="sum", mode="blocking", timeout_ns=10**9, rounds=2)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=2)
         sim, team, settle = build_sim_team(topo)
         got = run_team_rounds(team, features, cfg, sum_fn, settle,
                               now_fn=lambda: sim.now_ns)
@@ -323,7 +321,7 @@ class TestDecentralizedEqualsCentralized:
             found += 1
             topo = Topology(agents=list(range(n)),
                             links={e: LinkModel(base_latency_ns=1_000_000) for e in edges})
-            cfg = AggregationConfig(kind="sum", mode="blocking",
+            cfg = AggregationConfig(mode="blocking",
                                     timeout_ns=10**9, rounds=3)
             sim, team, settle = build_sim_team(topo)
             got = run_team_rounds(team, features, cfg, sum_fn, settle,
@@ -348,7 +346,7 @@ class TestDecentralizedEqualsCentralized:
                             links={e: LinkModel(base_latency_ns=2_000_000) for e in edges})
             for kind, fn in (("mean", mean_fn), ("sum", sum_fn)):
                 for rounds in (1, 2, 3):
-                    cfg = AggregationConfig(kind=kind, mode="blocking",
+                    cfg = AggregationConfig(mode="blocking",
                                             timeout_ns=10**9, rounds=rounds)
                     sim, team, settle = build_sim_team(topo)
                     got = run_team_rounds(team, features, cfg, fn, settle,

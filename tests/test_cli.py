@@ -5,7 +5,7 @@ import pytest
 
 import neuromesh.wire as wire_mod
 from neuromesh.cli import main
-from neuromesh.config import validate_config
+from neuromesh.config import COMMON_FIELDS, SCHEMA_DOC, TASK_FIELDS, validate_config
 from neuromesh.errors import ConfigError
 
 
@@ -78,8 +78,46 @@ class TestConfigValidation:
     @pytest.mark.parametrize("task", ["assignment", "control"])
     def test_aggregation_defaults_still_validate(self, task):
         cfg = validate_config({"task": task, "aggregation": {"mode": "blocking"}})
-        assert cfg["aggregation"]["kind"] == "mean"
-        assert cfg["aggregation"]["rounds"] == 1
+        assert cfg["aggregation"] == {"mode": "blocking", "timeout_ms": 500.0, "min_neighbors": 0}
+
+
+    @pytest.mark.parametrize("task,field", [
+        (task, field) for task, fields in {
+            "assignment": ("control", "timing", "comms"),
+            "control": ("assignment", "timing", "comms", "sweep"),
+            "timing": ("team_size", "network", "aggregation", "assignment", "control",
+                       "comms", "sweep"),
+            "comms": ("team_size", "aggregation", "assignment", "control", "timing"),
+        }.items() for field in fields
+    ])
+    def test_field_the_task_does_not_read_is_rejected(self, task, field):
+        # "x" is also a malformed value for every section: it must not get that far
+        with pytest.raises(ConfigError, match="does not read this field") as err:
+            validate_config({"task": task, field: "x"})
+        assert err.value.path == field
+
+    @pytest.mark.parametrize("task,grid", [
+        ("assignment", "team_sizes"), ("comms", "message_budget_bytes"),
+    ])
+    def test_other_tasks_sweep_grid_is_rejected(self, task, grid):
+        with pytest.raises(ConfigError, match="does not read this field") as err:
+            validate_config({"task": task, "sweep": {grid: [8]}})
+        assert err.value.path == f"sweep.{grid}"
+
+    def test_unknown_top_level_field_keeps_its_message(self):
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            validate_config({"task": "timing", "timeing": {}})
+        assert err.value.path == "timeing"
+
+    def test_task_config_holds_only_the_sections_it_reads(self):
+        assert set(validate_config({"task": "timing"})) == {"task", "seed", "output_dir", "timing"}
+
+    def test_field_table_and_schema_agree(self):
+        sections = set(SCHEMA_DOC) - set(COMMON_FIELDS)
+        read = {field for fields in TASK_FIELDS.values() for field in fields}
+        assert sections == read
+        for task, fields in TASK_FIELDS.items():
+            assert f"{task}: {', '.join(fields)}" in SCHEMA_DOC["task"]
 
 
 class TestCliRun:
@@ -209,6 +247,37 @@ class TestSweep:
         cfg = write_config(tmp_path, {"task": "assignment"})
         assert main(["sweep", cfg]) == 2
         assert "sweep.message_budget_bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,grid,values", [
+        ("comms", "team_sizes", ["a"]),
+        ("comms", "team_sizes", [1]),
+        ("assignment", "message_budget_bytes", "64"),
+        ("assignment", "message_budget_bytes", [2]),
+    ])
+    def test_malformed_grid_exits_2_with_its_path(self, tmp_path, capsys, task, grid, values):
+        cfg = write_config(tmp_path, {
+            "task": task,
+            "output_dir": str(tmp_path / "out"),
+            task: {"n_tests": 1} if task == "assignment" else {"duration_s": 0.1},
+            "sweep": {grid: values},
+        })
+        assert main(["sweep", cfg]) == 2
+        assert f"sweep.{grid}:" in capsys.readouterr().err
+
+    def test_comms_sweep_honors_link_loss(self, tmp_path):
+        def delivered_mean(loss_prob):
+            out = tmp_path / f"loss{loss_prob}"
+            cfg = write_config(tmp_path, {
+                "task": "comms",
+                "output_dir": str(out),
+                "network": {"loss_prob": loss_prob, "seed": 3},
+                "comms": {"duration_s": 0.2},
+                "sweep": {"team_sizes": [4]},
+            })
+            assert main(["sweep", cfg]) == 0
+            return float(read_csv_lines(out / "comms_sweep.csv")[2].split(",")[2])
+
+        assert delivered_mean(0.5) < delivered_mean(0.0)
 
 
 class TestSelftest:

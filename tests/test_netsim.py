@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -131,6 +133,54 @@ class TestSendModel:
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+
+
+DELIVERY_TRACE_SHA256 = "9ecc45eedb6fa78653f74748729241d2994633c32f7ec6853b94f0164ee8ccfc"
+
+
+def delivery_trace_digest():
+    """SHA-256 over every observable of a fixed send/run/drain schedule.
+
+    Covers a 6-agent full mesh and a sparse 6-agent line, lossless links and
+    lossy links with jitter, and both contention models. Each case records
+    the ``send`` return values, the in-order (agent, time, bytes) deliveries,
+    ``tx_log``, the sent/dropped/delivered counters and the final clock.
+    """
+    agents = list(range(6))
+    lossless = LinkModel(base_latency_ns=MS)
+    lossy = LinkModel(base_latency_ns=4 * MS, jitter_stddev_ns=0.6 * MS,
+                      loss_prob=0.3, seed=7)
+    digest = hashlib.sha256()
+    for shape, link, contention in itertools.product(
+        ("full_mesh", "line"), (lossless, lossy), ("none", "shared_medium")
+    ):
+        if shape == "full_mesh":
+            topo = Topology.full_mesh(agents, link)
+        else:
+            topo = Topology(agents, {(a, a + 1): link for a in agents[:-1]})
+        sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=200_000.0,
+                                              contention=contention), record_tx=True)
+        deliveries = []
+        for a in agents:
+            sim.register(a, lambda data, now, _a=a: deliveries.append((_a, now, data)))
+        returns = []
+        for rnd in range(4):
+            for a in agents:
+                for b in topo.neighbors(a):
+                    returns.append(sim.send(a, b, bytes([a, b, rnd]) * (8 + 5 * a + rnd)))
+            if rnd % 2:
+                sim.drain()
+            else:
+                sim.run_until(sim.now_ns + 2 * MS)
+        sim.drain()
+        digest.update(repr((shape, contention, returns, deliveries, sim.tx_log,
+                            sim.sent, sim.dropped, sim.delivered, sim.now_ns)).encode())
+    return digest.hexdigest()
+
+
+class TestDeliveryTrace:
+    def test_delivery_trace_is_pinned(self):
+        assert delivery_trace_digest() == DELIVERY_TRACE_SHA256
 
 
 class TestLinkQuality:
