@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,6 +120,7 @@ class ResolutionStatus(enum.Enum):
 class Resolution:
     status: ResolutionStatus
     features: list  # (neighbor_id, vector) pairs, ascending by id
+    missing: list = field(default_factory=list)  # silent neighbors while PENDING
 
 
 def resolve_neighborhood(
@@ -147,7 +148,7 @@ def resolve_neighborhood(
         waited = 0 if waiting_since_ns is None else now_ns - waiting_since_ns
         if waited >= config.timeout_ns:
             raise NeighborhoodTimeoutError(missing, waited)
-        return Resolution(ResolutionStatus.PENDING, [])
+        return Resolution(ResolutionStatus.PENDING, [], missing)
     if not features:
         if config.min_neighbors == 0:
             return Resolution(ResolutionStatus.SINGLE_ROBOT, [])
@@ -155,6 +156,41 @@ def resolve_neighborhood(
     if len(features) < config.min_neighbors:
         raise InsufficientNeighborsError(len(features), config.min_neighbors)
     return Resolution(ResolutionStatus.READY, features)
+
+
+SIM_POLL_NS = 1_000_000  # virtual time a blocking wait advances a simulator per poll
+
+
+def publish_features(team, features: dict, seq: int, stamp_ns: int, round_index: int) -> None:
+    """Send each agent in ``features`` its feature to its neighbors, in ascending id.
+
+    ``team`` is as :func:`build_sim_team` returns it. ``seq`` must grow with
+    every call, so that keep-latest buffers accept each new feature.
+    """
+    for aid in sorted(features):
+        env = MessageEnvelope(sender_id=aid, seq=seq, timestamp_ns=stamp_ns,
+                              round=round_index, payload=features[aid])
+        team[aid][0](encode_envelope(env))
+
+
+def await_neighborhood(config: AggregationConfig, buf: NeighborBuffer, now_fn,
+                       advance=None, round_index: int | None = None) -> list:
+    """The (neighbor_id, vector) pairs one aggregation step uses, ascending by id.
+
+    Blocking mode calls ``advance()`` while a neighbor is missing, until the
+    timeout; ``advance=None`` means nothing more can arrive, so a missing
+    neighbor times out at once. Raises NeighborhoodTimeoutError or
+    InsufficientNeighborsError; the task drivers record both as failures.
+    """
+    started = now_fn()
+    while True:
+        res = resolve_neighborhood(config, buf, now_fn(), waiting_since_ns=started,
+                                   round_index=round_index)
+        if res.status is not ResolutionStatus.PENDING:
+            return res.features
+        if advance is None:
+            raise NeighborhoodTimeoutError(res.missing, now_fn() - started)
+        advance()
 
 
 def run_rounds(
@@ -182,19 +218,12 @@ def run_rounds(
     """
     h = np.ascontiguousarray(self_feature, dtype=DTYPE)
     now_fn = now_fn or time.monotonic_ns
+    advance = advance or (lambda: None)  # concurrent peers deliver on their own
     for l in range(config.rounds):
         if publish is not None:
             publish(l, h)
-        started = now_fn()
-        while True:
-            res = resolve_neighborhood(
-                config, buffer, now_fn(), waiting_since_ns=started, round_index=l
-            )
-            if res.status is not ResolutionStatus.PENDING:
-                break
-            if advance is not None:
-                advance()
-        h = aggregate_fn(h, [vec for _, vec in res.features])
+        neighbors = await_neighborhood(config, buffer, now_fn, advance, round_index=l)
+        h = aggregate_fn(h, [vec for _, vec in neighbors])
     return h
 
 
@@ -206,25 +235,17 @@ def run_team_rounds(team, features: dict, config: AggregationConfig, aggregate_f
     fans the encoded envelope out to the agent's neighbors. ``settle()`` runs
     the transport until in-flight messages are delivered and returns the
     current clock. Every agent advances in lockstep: all publish round l,
-    the network settles, all aggregate round l.
+    the network settles, all aggregate round l. Nothing is in flight after
+    ``settle()``, so a blocking round times out at once on a missing neighbor.
     """
     h = {aid: np.ascontiguousarray(features[aid], dtype=DTYPE) for aid in team}
-    seq = {aid: 0 for aid in team}
     for l in range(config.rounds):
-        stamp = now_fn() if now_fn else 0
-        for aid in sorted(team):
-            publish_fn, _ = team[aid]
-            seq[aid] += 1
-            env = MessageEnvelope(
-                sender_id=aid, seq=seq[aid], timestamp_ns=stamp, round=l, payload=h[aid]
-            )
-            publish_fn(encode_envelope(env))
+        publish_features(team, h, l + 1, now_fn() if now_fn else 0, l)
         now = settle()
         new_h = {}
         for aid in sorted(team):
-            _, buf = team[aid]
-            res = resolve_neighborhood(config, buf, now, waiting_since_ns=0, round_index=l)
-            new_h[aid] = aggregate_fn(h[aid], [vec for _, vec in res.features])
+            neighbors = await_neighborhood(config, team[aid][1], lambda: now, round_index=l)
+            new_h[aid] = aggregate_fn(h[aid], [vec for _, vec in neighbors])
         h = new_h
     return h
 

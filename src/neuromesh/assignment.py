@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationConfig, ResolutionStatus, build_sim_team, resolve_neighborhood
-from .errors import NeighborhoodTimeoutError, ShapeError
+from .aggregation import (
+    SIM_POLL_NS,
+    AggregationConfig,
+    await_neighborhood,
+    build_sim_team,
+    publish_features,
+)
+from .errors import InsufficientNeighborsError, NeighborhoodTimeoutError, ShapeError
 from .netsim import MediumModel, Topology
 from .tensors import (
     DTYPE,
@@ -29,7 +35,6 @@ from .tensors import (
     random_attention,
     random_mlp,
 )
-from .wire import MessageEnvelope, encode_envelope
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -281,8 +286,8 @@ def run_assignment_scenario(
     expert mode the "aggregation" is assembling the full cost matrix and
     solving it; in learned mode the attention aggregator fuses neighbor
     embeddings and the decoder's argmax picks the goal. Conflicting picks
-    count as uncovered goals, never as errors; a blocking-mode timeout
-    marks the whole run failed.
+    count as uncovered goals, never as errors; a blocking-mode timeout or
+    too few live neighbors marks the whole run failed.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -307,33 +312,23 @@ def run_assignment_scenario(
         }
     dim = next(iter(features.values())).shape[0]
 
-    for a in topology.agents:
-        if a in silenced:
-            continue
-        vec = features[a]
-        if message_budget_bytes is not None:
+    sent = {a: features[a] for a in topology.agents if a not in silenced}
+    if message_budget_bytes is not None:
+        for a, vec in sent.items():
             payload, _ = quantize_message(vec, message_budget_bytes)
-            vec = np.frombuffer(payload, dtype="<f4")
-        env = MessageEnvelope(sender_id=a, seq=1, timestamp_ns=sim.now_ns, round=0, payload=vec)
-        publish, _ = team[a]
-        publish(encode_envelope(env))
+            sent[a] = np.frombuffer(payload, dtype="<f4")
+    publish_features(team, sent, 1, sim.now_ns, 0)
     settle()  # one control tick: let the exchange land before aggregating
 
     cost_opt = hungarian_solve(cost).total_cost
     choices: list[int] = []
-    poll_ns = 1_000_000
     try:
-        gathered = {}
-        for a in topology.agents:
-            _, buf = team[a]
-            start = sim.now_ns
-            while True:
-                res = resolve_neighborhood(agg_config, buf, sim.now_ns, waiting_since_ns=start)
-                if res.status is not ResolutionStatus.PENDING:
-                    break
-                sim.run_for(poll_ns)
-            gathered[a] = res.features
-    except NeighborhoodTimeoutError as exc:
+        gathered = {
+            a: await_neighborhood(agg_config, team[a][1], lambda: sim.now_ns,
+                                  lambda: sim.run_for(SIM_POLL_NS))
+            for a in topology.agents
+        }
+    except (NeighborhoodTimeoutError, InsufficientNeighborsError) as exc:
         return AssignmentOutcome(
             choices=[], covered_goals=0, cost_out=None, cost_opt=cost_opt,
             failed=True, failure=str(exc),

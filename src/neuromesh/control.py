@@ -16,16 +16,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import (
+    SIM_POLL_NS,
     AggregationConfig,
-    ResolutionStatus,
+    await_neighborhood,
     build_sim_team,
     diff_sum_aggregate,
-    resolve_neighborhood,
+    publish_features,
 )
-from .errors import ShapeError
+from .errors import InsufficientNeighborsError, NeighborhoodTimeoutError, ShapeError
 from .netsim import MediumModel, Topology, derive_seed
 from .tensors import DTYPE, MlpSpec, load_mlp, mlp_forward, random_mlp, softplus_shift
-from .wire import MessageEnvelope, encode_envelope
 
 DEFAULT_V_BOUNDS = (0.0, 0.5)  # m/s
 DEFAULT_OMEGA_BOUNDS = (-1.0, 1.0)  # rad/s
@@ -213,6 +213,8 @@ class NavigationOutcome:
     collided: bool
     reached: list[bool]
     trajectory: list = field(default_factory=list)  # (step, agent, x, y, heading)
+    failed: bool = False
+    failure: str = ""
 
 
 def _min_pairwise(positions) -> float:
@@ -240,8 +242,9 @@ def run_navigation_scenario(
 
     Success requires every robot to enter its goal radius within the step
     budget with no pairwise distance ever below the collision radius.
-    Failures are outcomes, not errors. Each agent samples actions from its
-    own generator seeded with run_seed XOR agent_id, so runs replay
+    Failures are outcomes, not errors: a blocking timeout or too few live
+    neighbors ends the run with ``failed`` set. Each agent samples actions
+    from its own generator seeded with run_seed XOR agent_id, so runs replay
     bit-for-bit.
     """
     if len(initial_states) < 2:
@@ -263,69 +266,61 @@ def run_navigation_scenario(
     reached = {a: False for a in agents}
     dt = 1.0 / params.control_rate_hz
     tick_ns = int(1e9 / params.control_rate_hz)
-    seq = {a: 0 for a in agents}
 
     trajectory: list = []
     min_distance = _min_pairwise({a: states[a].position for a in agents})
     collided = min_distance < params.collision_radius_m
     steps_taken = 0
 
-    for step in range(params.max_steps):
-        if collided or all(reached.values()):
-            break
-        steps_taken = step + 1
-        features = {}
-        if not scripted:
-            for a in agents:
-                obs = build_observation(states[a], goal_vecs[a])
-                features[a] = mlp_forward(policy.encoder, obs)
-                seq[a] += 1
-                env = MessageEnvelope(
-                    sender_id=a, seq=seq[a], timestamp_ns=sim.now_ns, round=0,
-                    payload=features[a],
-                )
-                publish, _ = team[a]
-                publish(encode_envelope(env))
-        sim.run_for(tick_ns)
+    failure = ""
+    try:
+        for step in range(params.max_steps):
+            if collided or all(reached.values()):
+                break
+            steps_taken = step + 1
+            features = {}
+            if not scripted:
+                for a in agents:
+                    obs = build_observation(states[a], goal_vecs[a])
+                    features[a] = mlp_forward(policy.encoder, obs)
+                publish_features(team, features, step + 1, sim.now_ns, 0)
+            sim.run_for(tick_ns)
 
-        for a in agents:
-            if reached[a]:
-                continue
-            if scripted:
-                v, omega = scripted_expert_action(
-                    states[a], goal_vecs[a], params.v_bounds, params.omega_bounds
-                )
-            else:
-                _, buf = team[a]
-                res = resolve_neighborhood(agg_config, buf, sim.now_ns, waiting_since_ns=0)
-                neighbor_feats = (
-                    [vec for _, vec in res.features]
-                    if res.status is ResolutionStatus.READY
-                    else []
-                )
-                beta = decode_from_feature(policy, features[a], neighbor_feats)
-                if params.deterministic_actions:
-                    v, omega = beta_mean_action(beta, params.v_bounds, params.omega_bounds)
+            for a in agents:
+                if reached[a]:
+                    continue
+                if scripted:
+                    v, omega = scripted_expert_action(
+                        states[a], goal_vecs[a], params.v_bounds, params.omega_bounds
+                    )
                 else:
-                    v, omega = beta_sample(beta, rngs[a], params.v_bounds, params.omega_bounds)
-            states[a] = unicycle_step(states[a], v, omega, dt)
+                    neighbors = await_neighborhood(agg_config, team[a][1], lambda: sim.now_ns,
+                                                   lambda: sim.run_for(SIM_POLL_NS))
+                    beta = decode_from_feature(policy, features[a], [vec for _, vec in neighbors])
+                    if params.deterministic_actions:
+                        v, omega = beta_mean_action(beta, params.v_bounds, params.omega_bounds)
+                    else:
+                        v, omega = beta_sample(beta, rngs[a], params.v_bounds, params.omega_bounds)
+                states[a] = unicycle_step(states[a], v, omega, dt)
 
-        positions = {a: states[a].position for a in agents}
-        d = _min_pairwise(positions)
-        min_distance = min(min_distance, d)
-        if d < params.collision_radius_m:
-            collided = True
-        for a in agents:
-            if np.hypot(*(positions[a] - goal_vecs[a])) <= params.success_radius_m:
-                reached[a] = True
-        if record_trajectory:
+            positions = {a: states[a].position for a in agents}
+            d = _min_pairwise(positions)
+            min_distance = min(min_distance, d)
+            if d < params.collision_radius_m:
+                collided = True
             for a in agents:
-                trajectory.append(
-                    (step, a, float(states[a].position[0]), float(states[a].position[1]),
-                     states[a].heading)
-                )
+                if np.hypot(*(positions[a] - goal_vecs[a])) <= params.success_radius_m:
+                    reached[a] = True
+            if record_trajectory:
+                for a in agents:
+                    trajectory.append(
+                        (step, a, float(states[a].position[0]), float(states[a].position[1]),
+                         states[a].heading)
+                    )
+    except (NeighborhoodTimeoutError, InsufficientNeighborsError) as exc:
+        failure = str(exc)
 
-    success = all(reached.values()) and not collided
+    success = all(reached.values()) and not collided and not failure
     return NavigationOutcome(
         success=success,
         steps=steps_taken,
@@ -333,4 +328,6 @@ def run_navigation_scenario(
         collided=collided,
         reached=[reached[a] for a in agents],
         trajectory=trajectory,
+        failed=bool(failure),
+        failure=failure,
     )

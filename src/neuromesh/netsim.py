@@ -307,10 +307,12 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     """Measure per-link throughput for full-mesh all-to-all publishing.
 
     Every agent publishes a payload to all peers at the offered rate; the
-    measurement window covers the second half of the run (steady state).
-    Every mesh link uses ``link``. The closed-form oracle value is attached to every row.
+    measurement window covers the second half of the run (steady state),
+    shifted by the link's base latency. Every mesh link uses ``link``. Each
+    row carries the closed-form oracle value times ``1 - loss_prob``.
     """
     medium = medium or MediumModel()
+    link = link or LinkModel()
     if measure_from_s is None:
         measure_from_s = duration_s / 2
     rows = []
@@ -321,7 +323,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
         topo = Topology.full_mesh(agents, link)
         sim = MeshSimulator(topo, medium)
         counts = {a: 0 for a in agents}
-        window_start_ns = int(measure_from_s * 1e9)
+        window_start_ns = int(measure_from_s * 1e9) + link.base_latency_ns
 
         def receiver(aid):
             def cb(data, now_ns, _aid=aid):
@@ -339,7 +341,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
             sim.run_until(k * interval_ns)
             for t in transports:
                 t.broadcast(blob)
-        sim.run_until(int(duration_s * 1e9))
+        sim.run_until(int(duration_s * 1e9) + link.base_latency_ns)
         window_s = duration_s - measure_from_s
         links_per_agent = n - 1
         per_agent_rates = [counts[a] / (links_per_agent * window_s) for a in agents]
@@ -351,7 +353,8 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
                 offered_hz=offered_hz,
                 delivered_mean=mean,
                 delivered_std=math.sqrt(var),
-                oracle_value=closed_form_link_throughput(n, payload_bytes, offered_hz, medium),
+                oracle_value=closed_form_link_throughput(n, payload_bytes, offered_hz, medium)
+                * (1.0 - link.loss_prob),
             )
         )
     return rows

@@ -14,7 +14,9 @@ keep-latest drop policy applies only at ingress, when a paced observation
 source outruns the encoder; those drops are counted and reported.
 
 A stage that raises poisons only its current item: the error is logged,
-the item is skipped, and the pipeline keeps running.
+the item is skipped, and the pipeline keeps running. A stage thread that
+dies of any other ``BaseException`` closes both handoffs, so its peers
+return at once and ``run_pipeline`` re-raises the error.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _SENTINEL = object()
 _COST_ALPHA = 0.4  # EWMA weight for new stage-cost samples
 
 WARMUP_ITEMS = 2
+_STAGE_NAMES = ("encoder", "aggregator", "decoder")
 
 
 def _sleep_until(target_ns: int) -> None:
@@ -68,26 +71,37 @@ class _StageCosts:
 
 
 class _Handoff:
-    """Depth-1 blocking handoff between two stages."""
+    """Depth-1 blocking handoff between two stages; closing it releases both sides."""
 
     def __init__(self):
         self._cv = threading.Condition()
         self._item = _SENTINEL
         self._full = False
+        self._closed = False
         self._last_take_ns = 0
         self._taker_waiting = False
 
-    def put(self, item) -> None:
+    def close(self) -> None:
         with self._cv:
-            while self._full:
+            self._closed = True
+            self._cv.notify_all()
+
+    def put(self, item) -> bool:
+        with self._cv:
+            while self._full and not self._closed:
                 self._cv.wait()
+            if self._closed:
+                return False
             self._item = item
             self._full = True
             self._cv.notify_all()
+            return True
 
     def take(self):
         with self._cv:
             while not self._full:
+                if self._closed:
+                    return _SENTINEL
                 self._taker_waiting = True
                 self._cv.wait()
             self._taker_waiting = False
@@ -266,14 +280,14 @@ def identity_stage(x):
 
 
 def _make_source(observations, cycles):
-    if isinstance(observations, PacedSource):
-        if cycles is not None and cycles != len(observations):
-            raise ConfigError("cycles", "cycle count must match the paced source length")
-        return observations, len(observations), True
-    items = list(observations)
-    if cycles is not None:
-        items = items[:cycles]
-    return _ListSource(items), len(items), False
+    """(source, paced) for ``observations``, truncated to ``cycles`` items."""
+    paced = isinstance(observations, PacedSource)
+    if paced and cycles is not None and cycles != len(observations):
+        raise ConfigError("cycles", "cycle count must match the paced source length")
+    items = observations if paced else list(observations)[:cycles]
+    if len(items) < 3:
+        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {len(items)}")
+    return (observations if paced else _ListSource(items)), paced
 
 
 def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
@@ -283,88 +297,58 @@ def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
     :class:`PacedSource` (pushed at a fixed rate, keep-latest at ingress).
     Outputs preserve observation order.
     """
-    source, total, paced = _make_source(observations, cycles)
-    if total < 3:
-        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {total}")
+    source, paced = _make_source(observations, cycles)
 
-    slot_a = _Handoff()
-    slot_b = _Handoff()
+    stages = (encoder, aggregator, decoder)
+    slots = [_Handoff() for _ in stages[1:]]
     costs = _StageCosts()
     outputs: list = []
     records: list = []
     errors = [0]
     failures: list = []
 
-    def encoder_loop():
+    def stage_loop(k):
+        inbox = source.next_item if k == 0 else slots[k - 1].take
+        outbox = slots[k] if k < len(slots) else None
         while True:
-            start_at = slot_a.next_start_ns(costs.period_ns(), costs.cost(0))
-            if start_at:
-                _sleep_until(start_at)
-            item = source.next_item()
-            if item is None:
-                slot_a.put(_SENTINEL)
+            if outbox is not None:
+                start_at = outbox.next_start_ns(costs.period_ns(), costs.cost(k))
+                if start_at:
+                    _sleep_until(start_at)
+            item = inbox()
+            if item is None or item is _SENTINEL:
+                if outbox is not None:
+                    outbox.put(_SENTINEL)
                 return
             t0 = time.monotonic_ns()
-            if not paced:
+            if k == 0 and not paced:
                 item.ingress_ns = t0
             try:
-                value = encoder(item.value)
+                value = stages[k](item.value)
             except Exception:
-                log.warning("encoder failed on item %d; skipping", item.index, exc_info=True)
-                errors[0] += 1
-                continue
-            costs.record(0, time.monotonic_ns() - t0)
-            slot_a.put(_Item(item.index, item.ingress_ns, value))
-
-    def middle_loop():
-        while True:
-            start_at = slot_b.next_start_ns(costs.period_ns(), costs.cost(1))
-            if start_at:
-                _sleep_until(start_at)
-            item = slot_a.take()
-            if item is _SENTINEL:
-                slot_b.put(_SENTINEL)
-                return
-            t0 = time.monotonic_ns()
-            try:
-                value = aggregator(item.value)
-            except Exception:
-                log.warning("aggregator failed on item %d; skipping", item.index, exc_info=True)
-                errors[0] += 1
-                continue
-            costs.record(1, time.monotonic_ns() - t0)
-            slot_b.put(_Item(item.index, item.ingress_ns, value))
-
-    def decoder_loop():
-        while True:
-            item = slot_b.take()
-            if item is _SENTINEL:
-                return
-            t0 = time.monotonic_ns()
-            try:
-                value = decoder(item.value)
-            except Exception:
-                log.warning("decoder failed on item %d; skipping", item.index, exc_info=True)
+                log.warning("%s failed on item %d; skipping", _STAGE_NAMES[k], item.index,
+                            exc_info=True)
                 errors[0] += 1
                 continue
             t_out = time.monotonic_ns()
-            costs.record(2, t_out - t0)
-            outputs.append(value)
-            records.append((item.index, item.ingress_ns, t_out))
+            costs.record(k, t_out - t0)
+            if outbox is None:
+                outputs.append(value)
+                records.append((item.index, item.ingress_ns, t_out))
+            elif not outbox.put(_Item(item.index, item.ingress_ns, value)):
+                return  # a peer died and closed the handoffs
 
-    def guarded(fn):
-        def runner():
-            try:
-                fn()
-            except BaseException as exc:  # pragma: no cover - internal bug guard
-                failures.append(exc)
-
-        return runner
+    def runner(k):
+        try:
+            stage_loop(k)
+        except BaseException as exc:
+            failures.append(exc)
+            for slot in slots:
+                slot.close()
 
     threads = [
-        threading.Thread(target=guarded(encoder_loop), name="stage-encoder"),
-        threading.Thread(target=guarded(middle_loop), name="stage-aggregator"),
-        threading.Thread(target=guarded(decoder_loop), name="stage-decoder"),
+        threading.Thread(target=runner, args=(k,), name=f"stage-{_STAGE_NAMES[k]}")
+        for k in range(len(stages))
     ]
     if paced:
         source.start()
@@ -383,9 +367,7 @@ def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
 
 def run_sequential(encoder, aggregator, decoder, observations, cycles=None):
     """Run the stages back to back per item; same stats as run_pipeline."""
-    source, total, paced = _make_source(observations, cycles)
-    if total < 3:
-        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {total}")
+    source, paced = _make_source(observations, cycles)
     if paced:
         source.start()
     outputs: list = []

@@ -158,17 +158,13 @@ def _check_fallbacks():
     sim, team, settle = aggregation.build_sim_team(topo)
     cfg = AggregationConfig(mode="blocking", timeout_ns=50_000_000)
     # agent 2 stays silent; 0 should time out naming it
-    for sender in (0, 1):
-        env = wire.MessageEnvelope(sender, 1, timestamp_ns=sim.now_ns, round=0,
-                                   payload=np.ones(2, dtype=np.float32))
-        team[sender][0](wire.encode_envelope(env))
+    ones = np.ones(2, dtype=np.float32)
+    aggregation.publish_features(team, {0: ones, 1: ones}, 1, sim.now_ns, 0)
     settle()
     try:
-        while True:
-            res = aggregation.resolve_neighborhood(cfg, team[0][1], sim.now_ns, waiting_since_ns=0)
-            if res.status is not aggregation.ResolutionStatus.PENDING:
-                return FAIL, "blocking resolve returned without neighbor 2"
-            sim.run_for(10_000_000)
+        aggregation.await_neighborhood(cfg, team[0][1], lambda: sim.now_ns,
+                                       lambda: sim.run_for(10_000_000))
+        return FAIL, "blocking wait returned without neighbor 2"
     except NeighborhoodTimeoutError as exc:
         if exc.missing != [2]:
             return FAIL, f"timeout names {exc.missing}, expected [2]"

@@ -283,6 +283,17 @@ class TestRunRounds:
                        advance=lambda: sim.run_for(1_000_000))
         assert np.array_equal(h, vec(3, 3))
 
+    def test_blocking_team_rounds_name_a_silent_agent(self):
+        # settle() leaves nothing in flight, so a missing neighbor times out at once
+        topo = Topology.full_mesh([0, 1, 2], LinkModel(base_latency_ns=1_000_000))
+        sim, team, settle = build_sim_team(topo)
+        team[2] = (lambda data: None, team[2][1])  # agent 2 never publishes
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
+        features = {a: vec(a, a) for a in team}
+        with pytest.raises(NeighborhoodTimeoutError) as err:
+            run_team_rounds(team, features, cfg, sum_fn, settle, now_fn=lambda: sim.now_ns)
+        assert err.value.missing == [2]
+
     def test_fallback_soundness_dropping_any_neighbor(self):
         # best-effort with min_neighbors 0 never errors, whatever subset is live
         cfg = AggregationConfig(mode="best_effort", min_neighbors=0)

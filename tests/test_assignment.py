@@ -15,6 +15,7 @@ from neuromesh.assignment import (
     tcp_metric,
 )
 from neuromesh.errors import ShapeError
+from neuromesh.netsim import LinkModel, Topology
 
 F32 = np.float32
 
@@ -217,6 +218,15 @@ class TestAssignmentScenario:
         out = run_assignment_scenario(costs, mode="expert", agg_config=agg, silenced={2})
         assert out.failed
         assert "2" in out.failure
+        assert out.choices == []
+
+    def test_too_few_live_neighbors_fails_the_run(self):
+        costs = np.random.default_rng(67).uniform(1, 10, size=(4, 4)).astype(F32)
+        agg = AggregationConfig(mode="best_effort", min_neighbors=1)
+        lossy = Topology.full_mesh(range(4), LinkModel(loss_prob=1.0))
+        out = run_assignment_scenario(costs, mode="expert", agg_config=agg, topology=lossy)
+        assert out.failed
+        assert "need at least 1" in out.failure
         assert out.choices == []
 
     def test_tcp_expert_vs_expert_is_zero(self):

@@ -230,6 +230,52 @@ class TestCliRun:
         assert "network" in schema
 
 
+class TestFailuresAreOutcomes:
+    POSES = [[-1, 0, 0], [1, 0, 3.14159], [0, 1.5, 0]]
+    GOALS = [[-1, 2], [1, 2], [0, -1.5]]
+
+    def write_policy(self, tmp_path):
+        from neuromesh.control import ControlPolicy
+        from neuromesh.tensors import save_mlp
+
+        policy = ControlPolicy.random(feature_dim=8, hidden=16, seed=6)
+        paths = {}
+        for name in ("encoder", "pairwise", "decoder"):
+            paths[name] = str(tmp_path / f"{name}.mwts")
+            save_mlp(paths[name], getattr(policy, name))
+        return paths
+
+    def run_rows(self, tmp_path, body, csv_name):
+        out = tmp_path / "out"
+        body = dict(body, output_dir=str(out), network={"loss_prob": 1.0})
+        assert main(["run", write_config(tmp_path, body)]) == 0
+        return [line.split(",") for line in read_csv_lines(out / csv_name)[2:]]
+
+    @pytest.mark.parametrize("aggregation", [
+        {"mode": "blocking"},
+        {"mode": "best_effort", "min_neighbors": 1},
+    ])
+    def test_learned_control_under_total_loss_fails_every_run(self, tmp_path, aggregation):
+        rows = self.run_rows(tmp_path, {
+            "task": "control",
+            "aggregation": aggregation,
+            "control": {"n_runs": 2, "max_steps": 20, "policy": "learned",
+                        "weights": self.write_policy(tmp_path),
+                        "initial_poses": self.POSES, "goals": self.GOALS},
+        }, "control_runs.csv")
+        assert len(rows) == 2
+        assert all(row[1] == "0" for row in rows)
+
+    def test_assignment_with_too_few_live_neighbors_fails_every_test(self, tmp_path):
+        rows = self.run_rows(tmp_path, {
+            "task": "assignment",
+            "aggregation": {"mode": "best_effort", "min_neighbors": 1},
+            "assignment": {"n_tests": 3},
+        }, "assignment.csv")
+        assert len(rows) == 3
+        assert all(row[-1] == "1" for row in rows)
+
+
 class TestSweep:
     def test_assignment_budget_grid(self, tmp_path):
         out = tmp_path / "out"

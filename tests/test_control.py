@@ -20,7 +20,9 @@ from neuromesh.control import (
     unicycle_step,
     wrap_angle,
 )
+from neuromesh.aggregation import AggregationConfig
 from neuromesh.errors import ShapeError
+from neuromesh.netsim import LinkModel, Topology
 from neuromesh.tensors import MlpSpec, random_mlp
 
 from oracles import naive_diff_sum, naive_mlp_forward
@@ -242,6 +244,35 @@ class TestNavigationScenario:
             if len(positions) == 2:
                 d = float(np.hypot(*(positions[0] - positions[1])))
                 assert d >= params.collision_radius_m
+
+    def learned_run(self, link, agg_config):
+        states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi), 2: state(0.0, 1.5)}
+        goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0]), 2: np.array([0.0, -1.5])}
+        return run_navigation_scenario(
+            states, goals, policy=ControlPolicy.random(feature_dim=8, hidden=16, seed=5),
+            params=NavigationParams(max_steps=10, deterministic_actions=True),
+            topology=Topology.full_mesh(states, link), agg_config=agg_config,
+            record_trajectory=True,
+        )
+
+    def test_blocking_waits_for_neighbors_slower_than_a_tick(self):
+        # 80 ms links against a 50 ms tick: best-effort starts alone, blocking waits
+        slow = LinkModel(base_latency_ns=80_000_000)
+        blocking = self.learned_run(slow, AggregationConfig(mode="blocking"))
+        best_effort = self.learned_run(slow, AggregationConfig(mode="best_effort"))
+        assert not blocking.failed and not best_effort.failed
+        assert blocking.trajectory != best_effort.trajectory
+
+    @pytest.mark.parametrize("agg_config", [
+        AggregationConfig(mode="blocking", timeout_ns=50_000_000),
+        AggregationConfig(mode="best_effort", min_neighbors=1),
+    ])
+    def test_total_loss_is_a_failed_outcome(self, agg_config):
+        out = self.learned_run(LinkModel(loss_prob=1.0), agg_config)
+        assert out.failed
+        assert not out.success
+        assert out.steps == 1
+        assert "neighbors" in out.failure
 
     def test_needs_at_least_two_robots(self):
         with pytest.raises(ShapeError, match="2"):

@@ -236,6 +236,19 @@ class TestScalabilitySweep:
         rates = [r.delivered_mean for r in rows]
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
+    def test_lossy_sweep_matches_the_loss_scaled_oracle(self):
+        [row] = scalability_sweep([4], duration_s=2.0, link=LinkModel(loss_prob=0.5, seed=3))
+        assert row.oracle_value == 100.0
+        assert row.delivered_mean == pytest.approx(row.oracle_value, rel=0.10)
+
+    def test_link_latency_shifts_the_window_instead_of_hiding_traffic(self):
+        def delivered_mean(latency_ns):
+            [row] = scalability_sweep([4], duration_s=0.2,
+                                      link=LinkModel(base_latency_ns=latency_ns))
+            return row.delivered_mean
+
+        assert delivered_mean(200 * MS) == delivered_mean(0) > 0
+
     def test_closed_form_oracle_shape(self):
         medium = MediumModel(contention="shared_medium")
         wire = 128 + medium.envelope_overhead_bytes

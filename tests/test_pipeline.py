@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,34 @@ class TestErrorPolicy:
         outputs, stats = run_sequential(identity_stage, flaky, identity_stage, tensors(6))
         assert stats.errors == 1
         assert [int(o[0]) for o in outputs] == [0, 1, 3, 4, 5]
+
+
+class TestStageDeath:
+    @pytest.mark.parametrize("dying", [0, 1, 2])
+    def test_dying_stage_is_raised_instead_of_stranding_its_peers(self, dying):
+        class StageDied(BaseException):
+            pass
+
+        def dies_on_item_3(x):
+            if int(x[0]) == 3:
+                raise StageDied
+            return x
+
+        stages = [identity_stage] * 3
+        stages[dying] = dies_on_item_3
+        raised = []
+
+        def run():
+            try:
+                run_pipeline(*stages, tensors(10))
+            except StageDied as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=5.0)
+        assert not runner.is_alive(), "run_pipeline still running 5 s after a stage died"
+        assert len(raised) == 1
 
 
 class TestIngressBackpressure:
