@@ -116,9 +116,6 @@ def _instance_costs(section: dict, n: int, seed: int, test_id: int) -> np.ndarra
 def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list[Path]:
     section = cfg["assignment"]
     n = cfg["team_size"]
-    if section["n_goals"] != n:
-        raise ConfigError("assignment.n_goals",
-                          f"one-to-one matching needs n_goals == team_size ({n})")
     model = _assignment_model(section)
     topo = build_topology(n, cfg["network"])
     medium = build_medium(cfg["network"])
@@ -252,6 +249,8 @@ def _cmd_sweep(cfg: dict) -> int:
         for budget in budgets:
             outputs += _run_assignment(cfg, outdir, budget=budget, tag=f"_budget{budget}")
     elif cfg["task"] == "comms":
+        if cfg["comms"]["scenario"] != "sweep":
+            raise ConfigError("comms.scenario", "a comms sweep needs scenario 'sweep'")
         cfg["comms"]["team_sizes"] = sweep.get("team_sizes", cfg["comms"]["team_sizes"])
         outputs += _run_comms(cfg, outdir)
     else:

@@ -33,7 +33,6 @@ SCHEMA_DOC = {
     "output_dir": "directory for CSV outputs and the run manifest (default 'results')",
     "team_size": "int >= 2, number of agents (default 5; control default 3)",
     "network": {
-        "topology": "'full_mesh' (default)",
         "base_latency_ms": "float >= 0 per-link latency (default 0)",
         "jitter_ms": "float >= 0 Gaussian delay stddev (default 0)",
         "loss_prob": "float in [0, 1] (default 0)",
@@ -48,7 +47,6 @@ SCHEMA_DOC = {
     },
     "assignment": {
         "n_tests": "int >= 1 instances to run (default 20)",
-        "n_goals": "int >= 2 cost-vector width (default = team_size)",
         "mode": "'expert' | 'learned' (default 'expert')",
         "message_budget_bytes": "int >= 4 payload cap, null = unlimited (default null)",
         "costs": "'random' or an inline n x n matrix (default 'random')",
@@ -177,7 +175,6 @@ def validate_config(raw: dict) -> dict:
 
 def _validate_network(net: dict, cfg: dict) -> dict:
     _check_unknown(net, set(SCHEMA_DOC["network"]), "network")
-    _choice(net, "topology", "network", "full_mesh", ("full_mesh",))
     return {
         "base_latency_ms": _number(net, "base_latency_ms", "network", 0.0, minimum=0),
         "jitter_ms": _number(net, "jitter_ms", "network", 0.0, minimum=0),
@@ -216,7 +213,6 @@ def _validate_assignment(section: dict, cfg: dict) -> dict:
     _check_unknown(section, set(SCHEMA_DOC["assignment"]), "assignment")
     out = {
         "n_tests": _integer(section, "n_tests", "assignment", 20, minimum=1),
-        "n_goals": _integer(section, "n_goals", "assignment", cfg["team_size"], minimum=2),
         "mode": _choice(section, "mode", "assignment", "expert", ("expert", "learned")),
     }
     budget = section.get("message_budget_bytes")

@@ -176,10 +176,10 @@ def unicycle_step(state: UnicycleState, forward_speed: float, angular_speed: flo
 
 
 def scripted_expert_action(state: UnicycleState, goal,
-                           v_bounds=DEFAULT_V_BOUNDS, omega_bounds=DEFAULT_OMEGA_BOUNDS,
-                           turn_gain: float = 2.0, speed_gain: float = 1.0):
+                           v_bounds=DEFAULT_V_BOUNDS, omega_bounds=DEFAULT_OMEGA_BOUNDS):
     """Straight-line go-to-goal stub: turn toward the goal, drive when aligned.
 
+    Turn rate 2 x heading error, speed distance x cos(heading error).
     Deliberately ignores other robots; used as a sanity baseline and to
     force collisions in geometry fixtures.
     """
@@ -187,9 +187,9 @@ def scripted_expert_action(state: UnicycleState, goal,
     distance = float(np.hypot(delta[0], delta[1]))
     bearing = math.atan2(delta[1], delta[0])
     heading_error = wrap_angle(bearing - state.heading)
-    omega = min(max(turn_gain * heading_error, omega_bounds[0]), omega_bounds[1])
+    omega = min(max(2.0 * heading_error, omega_bounds[0]), omega_bounds[1])
     aligned = max(0.0, math.cos(heading_error))
-    v = min(max(speed_gain * distance * aligned, v_bounds[0]), v_bounds[1])
+    v = min(max(distance * aligned, v_bounds[0]), v_bounds[1])
     return v, omega
 
 
@@ -243,7 +243,9 @@ def run_navigation_scenario(
     Success requires every robot to enter its goal radius within the step
     budget with no pairwise distance ever below the collision radius.
     Failures are outcomes, not errors: a blocking timeout or too few live
-    neighbors ends the run with ``failed`` set. Each agent samples actions
+    neighbors ends the run with ``failed`` set. Blocking waits for the
+    current step's envelopes (round = step mod 256, as the wire round is a
+    u8); best-effort takes the latest live ones. Each agent samples actions
     from its own generator seeded with run_seed XOR agent_id, so runs replay
     bit-for-bit.
     """
@@ -257,6 +259,7 @@ def run_navigation_scenario(
     agents = sorted(initial_states)
     topology = topology or Topology.full_mesh(agents)
     agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
+    blocking = agg_config.mode == "blocking"
 
     sim, team, _ = build_sim_team(topology, medium, staleness_ns=500_000_000)
 
@@ -278,12 +281,13 @@ def run_navigation_scenario(
             if collided or all(reached.values()):
                 break
             steps_taken = step + 1
+            round_tag = step % 256
             features = {}
             if not scripted:
                 for a in agents:
                     obs = build_observation(states[a], goal_vecs[a])
                     features[a] = mlp_forward(policy.encoder, obs)
-                publish_features(team, features, step + 1, sim.now_ns, 0)
+                publish_features(team, features, step + 1, sim.now_ns, round_tag)
             sim.run_for(tick_ns)
 
             for a in agents:
@@ -295,7 +299,8 @@ def run_navigation_scenario(
                     )
                 else:
                     neighbors = await_neighborhood(agg_config, team[a][1], lambda: sim.now_ns,
-                                                   lambda: sim.run_for(SIM_POLL_NS))
+                                                   lambda: sim.run_for(SIM_POLL_NS),
+                                                   round_tag if blocking else None)
                     beta = decode_from_feature(policy, features[a], [vec for _, vec in neighbors])
                     if params.deterministic_actions:
                         v, omega = beta_mean_action(beta, params.v_bounds, params.omega_bounds)

@@ -141,15 +141,20 @@ class MeshSimulator:
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
-                 start_ns: int = 0, record_tx: bool = False):
+                 record_tx: bool = False):
         self.topology = topology
         self.medium = medium or MediumModel()
-        self._now = int(start_ns)
+        self._bandwidth = self.medium.effective_bandwidth(len(topology.agents))
+        self._now = 0
         self._events: list = []
         self._counter = 0
-        self._tx_free = {a: int(start_ns) for a in topology.agents}
-        self._last_delivery: dict = {}
-        self._rngs: dict = {}
+        self._tx_free = {a: 0 for a in topology.agents}
+        # (frm, to) -> [LinkModel, RNG stream, last delivery time (FIFO clamp)]
+        self._links = {
+            (frm, to): [link, random.Random(derive_seed(link.seed, frm, to)), 0]
+            for (a, b), link in topology.links.items()
+            for frm, to in ((a, b), (b, a))
+        }
         self._receivers: dict = {}
         self.sent = 0
         self.dropped = 0
@@ -165,38 +170,29 @@ class MeshSimulator:
             raise TopologyError(f"agent {agent_id} not in topology")
         self._receivers[agent_id] = callback
 
-    def _rng(self, frm: int, to: int, link: LinkModel) -> random.Random:
-        key = (frm, to)
-        rng = self._rngs.get(key)
-        if rng is None:
-            rng = random.Random(derive_seed(link.seed, frm, to))
-            self._rngs[key] = rng
-        return rng
-
     def send(self, frm: int, to: int, data: bytes):
         """Schedule a delivery; returns the delivery time or None if lost.
 
         Transmission always consumes the sender's airtime; the Bernoulli
         loss draw then decides whether the receiver ever sees the message.
         """
-        link = self.topology.link(frm, to)
+        record = self._links.get((frm, to))
+        if record is None:
+            raise TopologyError(f"no link between {frm} and {to}")
+        link, rng, last_delivery = record
         self.sent += 1
-        bandwidth = self.medium.effective_bandwidth(len(self.topology.agents))
         tx_start = max(self._now, self._tx_free[frm])
-        tx_ns = int(round(len(data) * 1e9 / bandwidth))
+        tx_ns = int(round(len(data) * 1e9 / self._bandwidth))
         self._tx_free[frm] = tx_start + tx_ns
         if self.tx_log is not None:
             self.tx_log.append((frm, tx_start, tx_start + tx_ns, len(data)))
-        rng = self._rng(frm, to, link)
-        lost = rng.random() < link.loss_prob if link.loss_prob > 0 else False
-        if lost:
+        if link.loss_prob > 0 and rng.random() < link.loss_prob:
             self.dropped += 1
             return None
         jitter = rng.gauss(0.0, link.jitter_stddev_ns) if link.jitter_stddev_ns > 0 else 0.0
         delay = max(0.0, link.base_latency_ns + jitter)
-        t = tx_start + tx_ns + int(round(delay))
-        t = max(t, self._last_delivery.get((frm, to), 0))  # FIFO per directed link
-        self._last_delivery[(frm, to)] = t
+        t = max(tx_start + tx_ns + int(round(delay)), last_delivery)  # FIFO per directed link
+        record[2] = t
         self._counter += 1
         heapq.heappush(self._events, (t, self._counter, to, data))
         return t
@@ -302,7 +298,6 @@ class SweepRow:
 
 def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 200.0,
                       medium: MediumModel | None = None, duration_s: float = 0.6,
-                      measure_from_s: float | None = None,
                       link: LinkModel | None = None) -> list[SweepRow]:
     """Measure per-link throughput for full-mesh all-to-all publishing.
 
@@ -313,8 +308,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     """
     medium = medium or MediumModel()
     link = link or LinkModel()
-    if measure_from_s is None:
-        measure_from_s = duration_s / 2
+    window_s = duration_s / 2
     rows = []
     wire_bytes = payload_bytes + medium.envelope_overhead_bytes
     blob = bytes(wire_bytes)
@@ -323,18 +317,15 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
         topo = Topology.full_mesh(agents, link)
         sim = MeshSimulator(topo, medium)
         counts = {a: 0 for a in agents}
-        window_start_ns = int(measure_from_s * 1e9) + link.base_latency_ns
-
-        def receiver(aid):
-            def cb(data, now_ns, _aid=aid):
-                if now_ns >= window_start_ns:
-                    counts[_aid] += 1
-
-            return cb
+        window_start_ns = int(window_s * 1e9) + link.base_latency_ns
 
         transports = [SimTransport(sim, a) for a in agents]
         for t in transports:
-            t.on_receive(receiver(t.agent_id))
+            def cb(data, now_ns, aid=t.agent_id):
+                if now_ns >= window_start_ns:
+                    counts[aid] += 1
+
+            t.on_receive(cb)
         interval_ns = int(1e9 / offered_hz)
         ticks = int(duration_s * 1e9 / interval_ns)
         for k in range(ticks):
@@ -342,7 +333,6 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
             for t in transports:
                 t.broadcast(blob)
         sim.run_until(int(duration_s * 1e9) + link.base_latency_ns)
-        window_s = duration_s - measure_from_s
         links_per_agent = n - 1
         per_agent_rates = [counts[a] / (links_per_agent * window_s) for a in agents]
         mean = sum(per_agent_rates) / n
@@ -369,12 +359,13 @@ class SimTransport:
     def __init__(self, sim: MeshSimulator, agent_id: int):
         self.sim = sim
         self.agent_id = agent_id
+        self._peers = sim.topology.neighbors(agent_id)
 
     def send(self, to: int, data: bytes):
         return self.sim.send(self.agent_id, to, data)
 
     def broadcast(self, data: bytes) -> None:
-        for nb in self.sim.topology.neighbors(self.agent_id):
+        for nb in self._peers:
             self.sim.send(self.agent_id, nb, data)
 
     def on_receive(self, callback) -> None:

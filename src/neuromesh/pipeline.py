@@ -15,8 +15,8 @@ source outruns the encoder; those drops are counted and reported.
 
 A stage that raises poisons only its current item: the error is logged,
 the item is skipped, and the pipeline keeps running. A stage thread that
-dies of any other ``BaseException`` closes both handoffs, so its peers
-return at once and ``run_pipeline`` re-raises the error.
+dies of any other ``BaseException`` closes the handoffs and a paced source,
+so its peers return at once and ``run_pipeline`` re-raises the error.
 """
 
 from __future__ import annotations
@@ -163,14 +163,22 @@ class PacedSource:
 
     def _run(self) -> None:
         next_ns = time.monotonic_ns()
-        for index, obs in enumerate(self.observations):
-            _sleep_until(next_ns)
-            next_ns += self.interval_ns
-            with self._cv:
+        with self._cv:
+            for index, obs in enumerate(self.observations):
+                while not self._done and (wait_ns := next_ns - time.monotonic_ns()) > 0:
+                    self._cv.wait(wait_ns / 1e9)
+                if self._done:
+                    return
+                next_ns += self.interval_ns
                 if self._pending is not None:
                     self.drops += 1
                 self._pending = _Item(index, time.monotonic_ns(), obs)
                 self._cv.notify_all()
+            self._done = True
+            self._cv.notify_all()
+
+    def close(self) -> None:
+        """End the stream now: the wait for the next emission returns at once."""
         with self._cv:
             self._done = True
             self._cv.notify_all()
@@ -345,6 +353,8 @@ def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
             failures.append(exc)
             for slot in slots:
                 slot.close()
+            if paced:
+                source.close()
 
     threads = [
         threading.Thread(target=runner, args=(k,), name=f"stage-{_STAGE_NAMES[k]}")

@@ -86,10 +86,6 @@ class MlpSpec:
                 )
 
     @property
-    def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 

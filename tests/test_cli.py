@@ -310,6 +310,22 @@ class TestSweep:
         assert main(["sweep", cfg]) == 2
         assert f"sweep.{grid}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,body,message", [
+        ("run", {"task": "comms", "network": {"topology": "full_mesh"},
+                 "comms": {"team_sizes": [3], "duration_s": 0.1}},
+         "network.topology: unknown field"),
+        ("run", {"task": "assignment", "assignment": {"n_goals": 5, "n_tests": 1}},
+         "assignment.n_goals: unknown field"),
+        ("sweep", {"task": "comms", "comms": {"scenario": "quality", "duration_s": 1.0},
+                   "sweep": {"team_sizes": [4]}},
+         "comms.scenario:"),
+    ])
+    def test_setting_without_effect_exits_2_with_its_path(self, tmp_path, capsys, command,
+                                                          body, message):
+        cfg = write_config(tmp_path, dict(body, output_dir=str(tmp_path / "out")))
+        assert main([command, cfg]) == 2
+        assert message in capsys.readouterr().err
+
     def test_comms_sweep_honors_link_loss(self, tmp_path):
         def delivered_mean(loss_prob):
             out = tmp_path / f"loss{loss_prob}"

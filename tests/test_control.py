@@ -245,12 +245,12 @@ class TestNavigationScenario:
                 d = float(np.hypot(*(positions[0] - positions[1])))
                 assert d >= params.collision_radius_m
 
-    def learned_run(self, link, agg_config):
+    def learned_run(self, link, agg_config, max_steps=10):
         states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi), 2: state(0.0, 1.5)}
         goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0]), 2: np.array([0.0, -1.5])}
         return run_navigation_scenario(
             states, goals, policy=ControlPolicy.random(feature_dim=8, hidden=16, seed=5),
-            params=NavigationParams(max_steps=10, deterministic_actions=True),
+            params=NavigationParams(max_steps=max_steps, deterministic_actions=True),
             topology=Topology.full_mesh(states, link), agg_config=agg_config,
             record_trajectory=True,
         )
@@ -262,6 +262,17 @@ class TestNavigationScenario:
         best_effort = self.learned_run(slow, AggregationConfig(mode="best_effort"))
         assert not blocking.failed and not best_effort.failed
         assert blocking.trajectory != best_effort.trajectory
+
+    def test_blocking_waits_for_each_steps_features(self):
+        # every step waits for that step's features, so link latency cannot
+        # change what a blocking team computes
+        def blocking_run(latency_ns):
+            return self.learned_run(LinkModel(base_latency_ns=latency_ns),
+                                    AggregationConfig(mode="blocking"), max_steps=20)
+
+        slow, instant = blocking_run(80_000_000), blocking_run(0)
+        assert not slow.failed and slow.steps == 20
+        assert slow.trajectory == instant.trajectory
 
     @pytest.mark.parametrize("agg_config", [
         AggregationConfig(mode="blocking", timeout_ns=50_000_000),

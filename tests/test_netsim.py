@@ -178,9 +178,50 @@ def delivery_trace_digest():
     return digest.hexdigest()
 
 
+HETEROGENEOUS_TRACE_SHA256 = "08a2aeada2a94585c03a22f3e339523fe21f44f3997befd2a300b4a92525b273"
+
+
+def heterogeneous_trace_digest():
+    """SHA-256 over every observable of a 5-agent mesh whose edges differ.
+
+    Ground robots 0-2 share lossless 2 ms links; aerial robots 3 and 4 reach
+    ground robots over 9 ms links with 1.5 ms jitter and loss 0.2. Every edge
+    has its own seed, so a simulator that attached one edge's model or RNG
+    stream to another would change the trace. Every agent broadcasts 30
+    times under each contention model.
+    """
+    ground = {(0, 1): 2 * MS, (1, 2): 2 * MS}
+    air = [(3, 0), (3, 2), (4, 1), (4, 2)]
+    links = {edge: LinkModel(base_latency_ns=latency, seed=10 + k)
+             for k, (edge, latency) in enumerate(ground.items())}
+    for k, edge in enumerate(air):
+        links[edge] = LinkModel(base_latency_ns=9 * MS, jitter_stddev_ns=1.5 * MS,
+                                loss_prob=0.2, seed=20 + k)
+    digest = hashlib.sha256()
+    for contention in ("none", "shared_medium"):
+        topo = Topology(list(range(5)), dict(links))
+        sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=500_000.0,
+                                              contention=contention), record_tx=True)
+        deliveries = []
+        transports = [SimTransport(sim, a) for a in topo.agents]
+        for t in transports:
+            t.on_receive(lambda data, now, _a=t.agent_id: deliveries.append((_a, now, data)))
+        for rnd in range(30):
+            for t in transports:
+                t.broadcast(bytes([t.agent_id, rnd]) * (6 + 3 * t.agent_id))
+            sim.run_until(sim.now_ns + 3 * MS)
+        sim.drain()
+        digest.update(repr((contention, deliveries, sim.tx_log, sim.sent, sim.dropped,
+                            sim.delivered, sim.now_ns)).encode())
+    return digest.hexdigest()
+
+
 class TestDeliveryTrace:
     def test_delivery_trace_is_pinned(self):
         assert delivery_trace_digest() == DELIVERY_TRACE_SHA256
+
+    def test_heterogeneous_link_trace_is_pinned(self):
+        assert heterogeneous_trace_digest() == HETEROGENEOUS_TRACE_SHA256
 
 
 class TestLinkQuality:

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ class TestStageDeath:
         runner.join(timeout=5.0)
         assert not runner.is_alive(), "run_pipeline still running 5 s after a stage died"
         assert len(raised) == 1
+
+    def test_dying_stage_stops_a_paced_source(self):
+        # item 1 is emitted at 100 ms; the source's other 18 items would take 1.8 s more
+        class StageDied(BaseException):
+            pass
+
+        def dies_on_item_1(x):
+            if int(x[0]) == 1:
+                raise StageDied
+            return x
+
+        source = PacedSource(tensors(20), interval_ns=100_000_000)
+        started = time.monotonic()
+        with pytest.raises(StageDied):
+            run_pipeline(dies_on_item_1, identity_stage, identity_stage, source)
+        assert time.monotonic() - started < 0.5
 
 
 class TestIngressBackpressure:
