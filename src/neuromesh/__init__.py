@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 from .aggregation import (
     AggregationConfig,
     broadcast_aggregate,
+    build_team,
     centralized_rounds,
     diff_sum_aggregate,
     reduce_aggregate,
     resolve_neighborhood,
     run_rounds,
-    run_team_rounds,
 )
 from .assignment import (
     Assignment,

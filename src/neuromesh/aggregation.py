@@ -11,7 +11,6 @@ which is what makes decentralized and centralized outputs bit-identical.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,10 +160,33 @@ def resolve_neighborhood(
 SIM_POLL_NS = 1_000_000  # virtual time a blocking wait advances a simulator per poll
 
 
+def build_team(transports, staleness_ns: int) -> dict:
+    """Give each transport a keep-latest buffer that its ``on_receive`` feeds.
+
+    This is the one place a buffer meets a transport. Returns agent_id ->
+    (broadcast, buffer), the ``team`` that :func:`run_rounds` takes.
+    """
+    team = {}
+    for transport in transports:
+        buf = NeighborBuffer(transport.peers, staleness_ns=staleness_ns)
+        transport.on_receive(buf.insert_bytes)
+        team[transport.agent_id] = (transport.broadcast, buf)
+    return team
+
+
+def build_sim_team(topology, medium=None, staleness_ns: int = 10**12):
+    """A fresh MeshSimulator over ``topology``, one SimTransport per agent.
+
+    Returns (sim, team) with ``team`` as :func:`build_team` returns it.
+    """
+    sim = MeshSimulator(topology, medium)
+    return sim, build_team([SimTransport(sim, aid) for aid in topology.agents], staleness_ns)
+
+
 def publish_features(team, features: dict, seq: int, stamp_ns: int, round_index: int) -> None:
     """Send each agent in ``features`` its feature to its neighbors, in ascending id.
 
-    ``team`` is as :func:`build_sim_team` returns it. ``seq`` must grow with
+    ``team`` is as :func:`build_team` returns it. ``seq`` must grow with
     every call, so that keep-latest buffers accept each new feature.
     """
     for aid in sorted(features):
@@ -193,86 +215,26 @@ def await_neighborhood(config: AggregationConfig, buf: NeighborBuffer, now_fn,
         advance()
 
 
-def run_rounds(
-    config: AggregationConfig,
-    self_feature,
-    buffer: NeighborBuffer,
-    aggregate_fn,
-    publish=None,
-    now_fn=None,
-    advance=None,
-) -> np.ndarray:
-    """Drive one agent through L exchange-and-aggregate rounds.
+def run_rounds(team, features: dict, config: AggregationConfig, aggregate_fn, now_fn,
+               advance=None) -> dict:
+    """Drive the agents in ``features`` through L exchange-and-aggregate rounds.
 
-    ``aggregate_fn(h, features)`` folds the round's neighbor features
-    (ascending-id list of vectors) into the running feature. ``publish(l, h)``
-    sends the round-l feature to neighbors; ``advance()`` lets a surrounding
-    event loop make progress while a blocking round is pending. Each round
-    consumes only envelopes tagged with its own round index, so rounds can
-    never contaminate each other.
-
-    Peers must be making progress concurrently (worker threads, or an
-    ``advance`` hook pumping a simulator); for lockstep simulation across a
-    whole team use :func:`run_team_rounds`. The clock defaults to wall time
-    so a blocking round with a silent neighbor always reaches its timeout.
+    Each round publishes every driven agent's feature tagged with the round
+    index, then awaits each one's neighborhood for that round and folds it
+    in with ``aggregate_fn(h, vectors)``. ``advance`` is as in
+    :func:`await_neighborhood`: ``lambda: sim.run_for(SIM_POLL_NS)`` drives
+    a whole team in lockstep over the simulator, and one agent per thread
+    over a real transport passes one that sleeps. Returns agent_id -> feature.
     """
-    h = np.ascontiguousarray(self_feature, dtype=DTYPE)
-    now_fn = now_fn or time.monotonic_ns
-    advance = advance or (lambda: None)  # concurrent peers deliver on their own
+    h = {aid: np.ascontiguousarray(f, dtype=DTYPE) for aid, f in features.items()}
     for l in range(config.rounds):
-        if publish is not None:
-            publish(l, h)
-        neighbors = await_neighborhood(config, buffer, now_fn, advance, round_index=l)
-        h = aggregate_fn(h, [vec for _, vec in neighbors])
+        publish_features(team, h, l + 1, now_fn(), l)
+        h = {
+            aid: aggregate_fn(h[aid], [vec for _, vec in await_neighborhood(
+                config, team[aid][1], now_fn, advance, round_index=l)])
+            for aid in sorted(h)
+        }
     return h
-
-
-def run_team_rounds(team, features: dict, config: AggregationConfig, aggregate_fn,
-                    settle, now_fn=None):
-    """Synchronous L-round exchange for a whole team over a real transport.
-
-    ``team`` maps agent_id -> (publish_fn, buffer) where ``publish_fn(env_bytes)``
-    fans the encoded envelope out to the agent's neighbors. ``settle()`` runs
-    the transport until in-flight messages are delivered and returns the
-    current clock. Every agent advances in lockstep: all publish round l,
-    the network settles, all aggregate round l. Nothing is in flight after
-    ``settle()``, so a blocking round times out at once on a missing neighbor.
-    """
-    h = {aid: np.ascontiguousarray(features[aid], dtype=DTYPE) for aid in team}
-    for l in range(config.rounds):
-        publish_features(team, h, l + 1, now_fn() if now_fn else 0, l)
-        now = settle()
-        new_h = {}
-        for aid in sorted(team):
-            neighbors = await_neighborhood(config, team[aid][1], lambda: now, round_index=l)
-            new_h[aid] = aggregate_fn(h[aid], [vec for _, vec in neighbors])
-        h = new_h
-    return h
-
-
-def build_sim_team(topology, medium=None, staleness_ns: int = 10**12):
-    """Wire one buffer per agent into a fresh MeshSimulator.
-
-    This is the one place a team meets the simulator: each agent gets a
-    :class:`SimTransport` whose receive callback inserts into its buffer.
-    Returns (sim, team, settle) where ``team`` maps agent_id ->
-    (publish_fn, buffer) and feeds straight into :func:`run_team_rounds`;
-    ``publish_fn(env_bytes)`` sends to every neighbor in ascending id, and
-    ``settle`` drains in-flight deliveries.
-    """
-    sim = MeshSimulator(topology, medium)
-    team = {}
-    for aid in topology.agents:
-        transport = SimTransport(sim, aid)
-        buf = NeighborBuffer(topology.neighbors(aid), staleness_ns=staleness_ns)
-        transport.on_receive(buf.insert_bytes)
-        team[aid] = (transport.broadcast, buf)
-
-    def settle():
-        sim.drain()
-        return sim.now_ns
-
-    return sim, team, settle
 
 
 def centralized_rounds(adjacency: dict, features: dict, kind: str, rounds: int) -> dict:

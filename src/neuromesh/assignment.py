@@ -301,7 +301,7 @@ def run_assignment_scenario(
         raise ShapeError("learned mode needs an AssignmentModel")
     silenced = set(silenced)
 
-    sim, team, settle = build_sim_team(topology, medium, staleness_ns=10**12)
+    sim, team = build_sim_team(topology, medium, staleness_ns=10**12)
 
     if mode == "expert":
         features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}
@@ -318,7 +318,7 @@ def run_assignment_scenario(
             payload, _ = quantize_message(vec, message_budget_bytes)
             sent[a] = np.frombuffer(payload, dtype="<f4")
     publish_features(team, sent, 1, sim.now_ns, 0)
-    settle()  # one control tick: let the exchange land before aggregating
+    sim.drain()  # one control tick: let the exchange land before aggregating
 
     cost_opt = hungarian_solve(cost).total_cost
     choices: list[int] = []

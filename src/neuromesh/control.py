@@ -261,7 +261,7 @@ def run_navigation_scenario(
     agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
     blocking = agg_config.mode == "blocking"
 
-    sim, team, _ = build_sim_team(topology, medium, staleness_ns=500_000_000)
+    sim, team = build_sim_team(topology, medium, staleness_ns=500_000_000)
 
     states = {a: replace(initial_states[a]) for a in agents}
     goal_vecs = {a: np.ascontiguousarray(goals[a], dtype=np.float64) for a in agents}

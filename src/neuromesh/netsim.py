@@ -14,12 +14,13 @@ where tx_start serializes messages through the sender's outbound radio
 jitter is a zero-mean Gaussian sample; the total link delay is floored at
 zero. Deliveries on one directed link never reorder (FIFO clamp); across
 links they may. Under ``shared_medium`` contention every node's effective
-bandwidth is the per-node limit divided by the number of transmitting
-nodes in the mesh.
+bandwidth is the per-node limit divided by the number of agents that have
+at least one link (an agent with no link can never transmit).
 
-The loopback transport exposes the same send/receive-callback surface
-over UDP datagrams on 127.0.0.1 (port = base_port + agent_id) and runs on
-wall-clock time, so it is excluded from exact-value assertions.
+Both transports expose ``agent_id``, ``peers`` (ascending), ``broadcast``
+(one message per peer, in ascending id) and ``on_receive(cb)``. The loopback
+transport sends UDP datagrams on 127.0.0.1 (port = base_port + agent_id) and
+runs on wall-clock time, so it is excluded from exact-value assertions.
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ class Topology:
             adjacency[b].append(a)
         self._adjacency = {a: sorted(peers) for a, peers in adjacency.items()}
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.links
-
-    def link(self, a: int, b: int) -> LinkModel:
-        try:
-            return self.links[(min(a, b), max(a, b))]
-        except KeyError:
-            raise TopologyError(f"no link between {a} and {b}") from None
-
     def neighbors(self, a: int) -> list[int]:
         """Peers of ``a`` in ascending id, as a fresh list the caller may mutate."""
         return list(self._adjacency.get(a, ()))
@@ -144,7 +136,8 @@ class MeshSimulator:
                  record_tx: bool = False):
         self.topology = topology
         self.medium = medium or MediumModel()
-        self._bandwidth = self.medium.effective_bandwidth(len(topology.agents))
+        transmitters = {a for edge in topology.links for a in edge}  # agents with a link
+        self._bandwidth = self.medium.effective_bandwidth(len(transmitters))
         self._now = 0
         self._events: list = []
         self._counter = 0
@@ -359,13 +352,10 @@ class SimTransport:
     def __init__(self, sim: MeshSimulator, agent_id: int):
         self.sim = sim
         self.agent_id = agent_id
-        self._peers = sim.topology.neighbors(agent_id)
-
-    def send(self, to: int, data: bytes):
-        return self.sim.send(self.agent_id, to, data)
+        self.peers = sim.topology.neighbors(agent_id)
 
     def broadcast(self, data: bytes) -> None:
-        for nb in self._peers:
+        for nb in self.peers:
             self.sim.send(self.agent_id, nb, data)
 
     def on_receive(self, callback) -> None:
@@ -379,8 +369,10 @@ class LoopbackTransport:
     the registered callback.
     """
 
-    def __init__(self, agent_id: int, base_port: int = DEFAULT_BASE_PORT, host: str = "127.0.0.1"):
+    def __init__(self, agent_id: int, peers, base_port: int = DEFAULT_BASE_PORT,
+                 host: str = "127.0.0.1"):
         self.agent_id = agent_id
+        self.peers = sorted(int(p) for p in peers)
         self.base_port = base_port
         self.host = host
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -393,8 +385,9 @@ class LoopbackTransport:
         )
         self._thread.start()
 
-    def send(self, to: int, data: bytes) -> None:
-        self._sock.sendto(data, (self.host, self.base_port + to))
+    def broadcast(self, data: bytes) -> None:
+        for nb in self.peers:
+            self._sock.sendto(data, (self.host, self.base_port + nb))
 
     def on_receive(self, callback) -> None:
         self._callback = callback

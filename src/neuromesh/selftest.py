@@ -106,11 +106,11 @@ def _check_rounds_equivalence():
         for kind in ("mean", "sum"):
             for rounds in (1, 2):
                 cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=rounds)
-                sim, team, settle = aggregation.build_sim_team(topo)
-                got = aggregation.run_team_rounds(
+                sim, team = aggregation.build_sim_team(topo)
+                got = aggregation.run_rounds(
                     team, features, cfg,
                     lambda h, feats, k=kind: aggregation.reduce_aggregate(k, h, feats),
-                    settle, now_fn=lambda: sim.now_ns,
+                    lambda: sim.now_ns, lambda: sim.run_for(aggregation.SIM_POLL_NS),
                 )
                 want = aggregation.centralized_rounds(adj, features, kind, rounds)
                 for a in adj:
@@ -155,12 +155,12 @@ def _check_metrics():
 
 def _check_fallbacks():
     topo = netsim.Topology.full_mesh([0, 1, 2])
-    sim, team, settle = aggregation.build_sim_team(topo)
+    sim, team = aggregation.build_sim_team(topo)
     cfg = AggregationConfig(mode="blocking", timeout_ns=50_000_000)
     # agent 2 stays silent; 0 should time out naming it
     ones = np.ones(2, dtype=np.float32)
     aggregation.publish_features(team, {0: ones, 1: ones}, 1, sim.now_ns, 0)
-    settle()
+    sim.drain()
     try:
         aggregation.await_neighborhood(cfg, team[0][1], lambda: sim.now_ns,
                                        lambda: sim.run_for(10_000_000))
@@ -169,10 +169,11 @@ def _check_fallbacks():
         if exc.missing != [2]:
             return FAIL, f"timeout names {exc.missing}, expected [2]"
     best_effort = AggregationConfig(mode="best_effort", min_neighbors=0)
-    empty_buf = wire.NeighborBuffer([1, 2])
+    lone = {0: (lambda data: None, wire.NeighborBuffer([1, 2]))}
     f = np.array([2.0, -1.0], dtype=np.float32)
-    h = aggregation.run_rounds(best_effort, f, empty_buf,
-                               lambda h_, feats: aggregation.reduce_aggregate("mean", h_, feats))
+    h = aggregation.run_rounds(lone, {0: f}, best_effort,
+                               lambda h_, feats: aggregation.reduce_aggregate("mean", h_, feats),
+                               lambda: 0)[0]
     if h.tobytes() != f.tobytes():
         return FAIL, "single-robot fallback did not pass the feature through"
     return PASS, "blocking timeout names the silent neighbor; single-robot passthrough holds"

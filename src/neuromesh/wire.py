@@ -18,6 +18,9 @@ highest-sequence envelope accepted so far. Arrivals with a sequence index
 at or below the stored one are rejected (out of order or duplicate).
 Eviction removes envelopes whose sender timestamp is older than the
 staleness threshold; an envelope aged exactly the threshold is retained.
+A slot also keeps the envelope its latest one replaced, read only by a
+round-filtered snapshot: in blocking rounds a neighbor can be at most one
+round ahead of an agent still waiting, so two deep is enough.
 Staleness compares the sender timestamp against the local clock, so
 deployments over real links must synchronize clocks externally.
 """
@@ -153,7 +156,8 @@ class NeighborBuffer:
     def __init__(self, neighbor_ids, staleness_ns: int = DEFAULT_STALENESS_NS):
         self._neighbors = frozenset(int(n) for n in neighbor_ids)
         self.staleness_ns = int(staleness_ns)
-        self._slots: dict[int, tuple[MessageEnvelope, int]] = {}
+        # sender -> (latest envelope, the envelope it replaced or None)
+        self._slots: dict[int, tuple[MessageEnvelope, MessageEnvelope | None]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -168,7 +172,7 @@ class NeighborBuffer:
             held = self._slots.get(env.sender_id)
             if held is not None and env.seq <= held[0].seq:
                 return False
-            self._slots[env.sender_id] = (env, now_ns)
+            self._slots[env.sender_id] = (env, held[0] if held else None)
             return True
 
     def insert_bytes(self, data: bytes, now_ns: int) -> bool:
@@ -194,14 +198,18 @@ class NeighborBuffer:
         """Evict, then list live (neighbor_id, payload, age_ns) ascending by id.
 
         ``round_index`` restricts the view to envelopes tagged with that
-        communication round.
+        communication round, falling back to a slot's previous envelope
+        when that one carries the round and is not stale.
         """
         with self._lock:
             self._evict_locked(now_ns)
             out = []
             for nid in sorted(self._slots):
-                env, _ = self._slots[nid]
+                env, prev = self._slots[nid]
                 if round_index is not None and env.round != round_index:
-                    continue
+                    env = prev
+                    if (env is None or env.round != round_index
+                            or now_ns - env.timestamp_ns > self.staleness_ns):
+                        continue
                 out.append((nid, env.payload, now_ns - env.timestamp_ns))
             return out

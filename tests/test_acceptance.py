@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from neuromesh.aggregation import (
+    SIM_POLL_NS,
     AggregationConfig,
     ResolutionStatus,
     build_sim_team,
@@ -21,7 +22,6 @@ from neuromesh.aggregation import (
     reduce_aggregate,
     resolve_neighborhood,
     run_rounds,
-    run_team_rounds,
 )
 from neuromesh.assignment import (
     AssignmentModel,
@@ -209,11 +209,11 @@ def test_criterion_4_decentralized_equals_centralized():
             for rounds in (1, 2, 3):
                 cfg = AggregationConfig(mode="blocking",
                                         timeout_ns=10**9, rounds=rounds)
-                sim, team, settle = build_sim_team(topo)
-                got = run_team_rounds(
+                sim, team = build_sim_team(topo)
+                got = run_rounds(
                     team, features, cfg,
                     lambda h, feats, k=kind: reduce_aggregate(k, h, feats),
-                    settle, now_fn=lambda: sim.now_ns,
+                    lambda: sim.now_ns, lambda: sim.run_for(SIM_POLL_NS),
                 )
                 want = centralized_rounds(adjacency, features, kind, rounds)
                 for a in adjacency:
@@ -375,11 +375,11 @@ def test_criterion_8_control_chain_properties():
 def test_criterion_9_fallback_behavior():
     budget = Budget(5)
     topo = Topology.full_mesh([0, 1, 2], LinkModel(base_latency_ns=MS))
-    sim, team, settle = build_sim_team(topo)
+    sim, team = build_sim_team(topo)
     for sender in (0, 1):  # agent 2 stays silent
         env = MessageEnvelope(sender, 1, sim.now_ns, 0, np.ones(3, dtype=F32))
         team[sender][0](encode_envelope(env))
-    settle()
+    sim.drain()
     cfg = AggregationConfig(mode="blocking", timeout_ns=100 * MS)
     start = sim.now_ns
     with pytest.raises(NeighborhoodTimeoutError) as err:
@@ -393,8 +393,8 @@ def test_criterion_9_fallback_behavior():
     best_effort = AggregationConfig(mode="best_effort", min_neighbors=0)
     f = np.array([0.5, -2.0, 3.0], dtype=F32)
     empty = NeighborBuffer([1, 2])
-    h = run_rounds(best_effort, f, empty,
-                   lambda h_, feats: reduce_aggregate("mean", h_, feats))
+    h = run_rounds({0: (lambda data: None, empty)}, {0: f}, best_effort,
+                   lambda h_, feats: reduce_aggregate("mean", h_, feats), lambda: 0)[0]
     assert h.tobytes() == f.tobytes()
     budget.check()
     report(9, f"blocking timeout names neighbor 2; best-effort degrades to "

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromesh.aggregation import (
+    SIM_POLL_NS,
     AggregationConfig,
     ResolutionStatus,
     broadcast_aggregate,
@@ -15,7 +17,6 @@ from neuromesh.aggregation import (
     reduce_aggregate,
     resolve_neighborhood,
     run_rounds,
-    run_team_rounds,
 )
 from neuromesh.errors import (
     ConfigError,
@@ -25,7 +26,7 @@ from neuromesh.errors import (
 )
 from neuromesh.netsim import LinkModel, Topology
 from neuromesh.tensors import identity_mlp, random_mlp
-from neuromesh.wire import MessageEnvelope, NeighborBuffer, encode_envelope
+from neuromesh.wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
 
 from oracles import naive_diff_sum
 
@@ -223,14 +224,16 @@ class TestRunRounds:
         buf = NeighborBuffer([1, 2])
         fill_buffer(buf, [1, 2])
         cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=1)
-        h = run_rounds(cfg, vec(3, 3), buf, mean_fn, now_fn=lambda: 0)
+        h = run_rounds({0: (lambda data: None, buf)}, {0: vec(3, 3)}, cfg, mean_fn,
+                       lambda: 0)[0]
         assert np.array_equal(h, vec(2, 2))  # mean of (3,3), (1,1), (2,2)
 
     def test_no_neighbors_single_robot_identity(self):
         buf = NeighborBuffer([1, 2])
         cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=1)
         f = vec(4.5, -1.5)
-        assert np.array_equal(run_rounds(cfg, f, buf, mean_fn), f)
+        team = {0: (lambda data: None, buf)}
+        assert np.array_equal(run_rounds(team, {0: f}, cfg, mean_fn, lambda: 0)[0], f)
 
     def test_two_round_sum_on_line_graph_reaches_two_hops(self):
         # line a-b-c with scalar features (1, 0, 0): after two sum rounds
@@ -240,9 +243,9 @@ class TestRunRounds:
         features = {0: vec(1.0), 1: vec(0.0), 2: vec(0.0)}
         topo = Topology(agents=[0, 1, 2], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
         cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=2)
-        sim, team, settle = build_sim_team(topo)
-        got = run_team_rounds(team, features, cfg, sum_fn, settle,
-                              now_fn=lambda: sim.now_ns)
+        sim, team = build_sim_team(topo)
+        got = run_rounds(team, features, cfg, sum_fn, lambda: sim.now_ns,
+                         lambda: sim.run_for(SIM_POLL_NS))
         want = centralized_rounds(adjacency, features, "sum", 2)
         assert float(got[0][0]) == 2.0
         for a in adjacency:
@@ -260,38 +263,38 @@ class TestRunRounds:
         published = []
         buf = NeighborBuffer([1])
         cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=2)
-        run_rounds(cfg, vec(1, 1), buf, sum_fn,
-                   publish=lambda l, h: published.append((l, h.copy())))
-        assert [l for l, _ in published] == [0, 1]
+        run_rounds({0: (published.append, buf)}, {0: vec(1, 1)}, cfg, sum_fn, lambda: 0)
+        assert [decode_envelope(data).round for data in published] == [0, 1]
 
     def test_blocking_run_rounds_times_out_on_wall_clock_by_default(self):
         buf = NeighborBuffer([1, 2])
         cfg = AggregationConfig(mode="blocking", timeout_ns=20_000_000, rounds=1)
         with pytest.raises(NeighborhoodTimeoutError) as err:
-            run_rounds(cfg, vec(1, 1), buf, mean_fn)
+            run_rounds({0: (lambda data: None, buf)}, {0: vec(1, 1)}, cfg, mean_fn,
+                       time.monotonic_ns, lambda: time.sleep(0.001))
         assert err.value.missing == [1, 2]
 
     def test_blocking_run_rounds_with_advance_hook(self):
         # neighbor messages land only when the advance hook pumps the sim
         topo = Topology.full_mesh([0, 1], LinkModel(base_latency_ns=5_000_000))
-        sim, team, _ = build_sim_team(topo)
+        sim, team = build_sim_team(topo)
         env = MessageEnvelope(1, 1, 0, 0, vec(4, 4))
         team[1][0](encode_envelope(env))
         cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=1)
-        h = run_rounds(cfg, vec(2, 2), team[0][1], mean_fn,
-                       now_fn=lambda: sim.now_ns,
-                       advance=lambda: sim.run_for(1_000_000))
+        h = run_rounds(team, {0: vec(2, 2)}, cfg, mean_fn, lambda: sim.now_ns,
+                       advance=lambda: sim.run_for(1_000_000))[0]
         assert np.array_equal(h, vec(3, 3))
 
     def test_blocking_team_rounds_name_a_silent_agent(self):
-        # settle() leaves nothing in flight, so a missing neighbor times out at once
+        # the live neighbor's envelope lands; the silent one times out by name
         topo = Topology.full_mesh([0, 1, 2], LinkModel(base_latency_ns=1_000_000))
-        sim, team, settle = build_sim_team(topo)
+        sim, team = build_sim_team(topo)
         team[2] = (lambda data: None, team[2][1])  # agent 2 never publishes
         cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
         features = {a: vec(a, a) for a in team}
         with pytest.raises(NeighborhoodTimeoutError) as err:
-            run_team_rounds(team, features, cfg, sum_fn, settle, now_fn=lambda: sim.now_ns)
+            run_rounds(team, features, cfg, sum_fn, lambda: sim.now_ns,
+                       lambda: sim.run_for(SIM_POLL_NS))
         assert err.value.missing == [2]
 
     def test_fallback_soundness_dropping_any_neighbor(self):
@@ -334,9 +337,9 @@ class TestDecentralizedEqualsCentralized:
                             links={e: LinkModel(base_latency_ns=1_000_000) for e in edges})
             cfg = AggregationConfig(mode="blocking",
                                     timeout_ns=10**9, rounds=3)
-            sim, team, settle = build_sim_team(topo)
-            got = run_team_rounds(team, features, cfg, sum_fn, settle,
-                                  now_fn=lambda: sim.now_ns)
+            sim, team = build_sim_team(topo)
+            got = run_rounds(team, features, cfg, sum_fn, lambda: sim.now_ns,
+                             lambda: sim.run_for(SIM_POLL_NS))
             want = centralized_rounds(adjacency, features, "sum", 3)
             for a in adjacency:
                 assert got[a].tobytes() == want[a].tobytes()
@@ -359,9 +362,9 @@ class TestDecentralizedEqualsCentralized:
                 for rounds in (1, 2, 3):
                     cfg = AggregationConfig(mode="blocking",
                                             timeout_ns=10**9, rounds=rounds)
-                    sim, team, settle = build_sim_team(topo)
-                    got = run_team_rounds(team, features, cfg, fn, settle,
-                                          now_fn=lambda: sim.now_ns)
+                    sim, team = build_sim_team(topo)
+                    got = run_rounds(team, features, cfg, fn, lambda: sim.now_ns,
+                                     lambda: sim.run_for(SIM_POLL_NS))
                     want = centralized_rounds(adjacency, features, kind, rounds)
                     for a in adjacency:
                         assert got[a].tobytes() == want[a].tobytes()

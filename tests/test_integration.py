@@ -1,6 +1,7 @@
 """Cross-module wiring: task stages inside the threaded pipeline, and the
 full exchange loop over the UDP loopback transport."""
 
+import contextlib
 import threading
 import time
 
@@ -8,16 +9,17 @@ import numpy as np
 
 from neuromesh.aggregation import (
     AggregationConfig,
+    build_team,
+    centralized_rounds,
     diff_sum_aggregate,
     reduce_aggregate,
-    resolve_neighborhood,
     run_rounds,
 )
 from neuromesh.control import ControlPolicy, UnicycleState, build_observation
 from neuromesh.netsim import LoopbackTransport
 from neuromesh.pipeline import run_pipeline, run_sequential
 from neuromesh.tensors import mlp_forward, softplus_shift
-from neuromesh.wire import MessageEnvelope, NeighborBuffer, encode_envelope
+from neuromesh.wire import MessageEnvelope, NeighborBuffer
 
 F32 = np.float32
 
@@ -60,48 +62,66 @@ class TestPolicyStagesInsidePipeline:
             assert (a > 1.0).all()
 
 
+def run_threaded(team, features, cfg, aggregate_fn):
+    """One thread per agent, each driving its own rounds over the shared team."""
+    results = {}
+    errors = []
+
+    def agent(aid):
+        try:
+            results.update(run_rounds(team, {aid: features[aid]}, cfg, aggregate_fn,
+                                      time.monotonic_ns, lambda: time.sleep(0.001)))
+        except Exception as exc:  # surfaced to the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=agent, args=(aid,)) for aid in sorted(team)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    return results
+
+
 class TestLoopbackExchange:
     def test_two_agents_block_until_each_other_over_udp(self):
         # transport receive threads insert into the buffers while each
         # agent's aggregation blocks; both must converge on the same mean
         base_port = 47450
         features = {0: np.array([2.0, 0.0], dtype=F32), 1: np.array([0.0, 4.0], dtype=F32)}
-        results = {}
-        errors = []
-
-        def agent(aid, transport, buf):
-            try:
-                def publish(round_index, h):
-                    env = MessageEnvelope(aid, round_index + 1, time.monotonic_ns(),
-                                          round_index, h)
-                    transport.send(1 - aid, encode_envelope(env))
-
-                cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9, rounds=1)
-                results[aid] = run_rounds(
-                    cfg, features[aid], buf,
-                    lambda h, feats: reduce_aggregate("mean", h, feats),
-                    publish=publish,
-                )
-            except Exception as exc:  # surfaced to the main thread
-                errors.append(exc)
-
-        with LoopbackTransport(0, base_port=base_port) as t0, \
-             LoopbackTransport(1, base_port=base_port) as t1:
-            bufs = {a: NeighborBuffer([1 - a], staleness_ns=10**15) for a in (0, 1)}
-            t0.on_receive(lambda data, now: bufs[0].insert_bytes(data, now))
-            t1.on_receive(lambda data, now: bufs[1].insert_bytes(data, now))
-            threads = [
-                threading.Thread(target=agent, args=(0, t0, bufs[0])),
-                threading.Thread(target=agent, args=(1, t1, bufs[1])),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        assert not errors
+        cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9, rounds=1)
+        with LoopbackTransport(0, [1], base_port=base_port) as t0, \
+             LoopbackTransport(1, [0], base_port=base_port) as t1:
+            team = build_team([t0, t1], staleness_ns=10**15)
+            results = run_threaded(team, features, cfg,
+                                   lambda h, feats: reduce_aggregate("mean", h, feats))
         expected = np.array([1.0, 2.0], dtype=F32)  # mean of (2,0) and (0,4)
         assert np.array_equal(results[0], expected)
         assert np.array_equal(results[1], expected)
+
+    def test_multi_round_blocking_over_udp_equals_centralized(self):
+        # a neighbor one round ahead must not hide the round a slower agent
+        # still awaits; triangle 0-1-2 plus agent 3 hanging off 2
+        base_port = 47520
+        adjacency = {0: [1, 2], 1: [0, 2], 2: [0, 1, 3], 3: [2]}
+        rng = np.random.default_rng(11)
+        features = {a: rng.uniform(-1, 1, size=8).astype(F32) for a in adjacency}
+        with contextlib.ExitStack() as stack:
+            transports = [
+                stack.enter_context(LoopbackTransport(a, adjacency[a], base_port=base_port))
+                for a in adjacency
+            ]
+            for kind in ("mean", "sum", "max"):
+                for rounds in (1, 2, 3):
+                    cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9,
+                                            rounds=rounds)
+                    team = build_team(transports, staleness_ns=10**15)
+                    got = run_threaded(team, features, cfg,
+                                       lambda h, feats, k=kind: reduce_aggregate(k, h, feats))
+                    want = centralized_rounds(adjacency, features, kind, rounds)
+                    for a in adjacency:
+                        assert got[a].tobytes() == want[a].tobytes(), (kind, rounds, a)
 
     def test_concurrent_inserts_never_corrupt_snapshots(self):
         # hammer one buffer from two writer threads while a reader snapshots;

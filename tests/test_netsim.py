@@ -35,7 +35,7 @@ class TestTopology:
         topo = Topology.full_mesh([3, 1, 2])
         assert topo.agents == [1, 2, 3]
         assert topo.neighbors(2) == [1, 3]
-        assert topo.has_edge(1, 3)
+        assert (1, 3) in topo.links
 
     def test_sparse_neighbors_sorted_and_isolated_agent_empty(self):
         # line 0-1-2-3 plus agent 4 with no edges
@@ -59,8 +59,7 @@ class TestTopology:
 
     def test_reversed_edge_keys_are_normalized(self):
         topo = Topology(agents=[0, 1], links={(1, 0): LinkModel(base_latency_ns=MS)})
-        assert topo.has_edge(0, 1)
-        assert topo.link(0, 1).base_latency_ns == MS
+        assert topo.links[(0, 1)].base_latency_ns == MS
 
     def test_duplicate_edge_listed_both_ways_rejected(self):
         with pytest.raises(TopologyError, match="twice"):
@@ -89,6 +88,13 @@ class TestSendModel:
         at = sim.send(0, 1, bytes(100))
         serialization_ns = 100 / bandwidth * 1e9
         assert at == int(5 * MS + serialization_ns)
+
+    def test_shared_medium_divides_by_agents_with_a_link(self):
+        # agent 2 has no link and can never transmit: 0 and 1 split 1000 B/s
+        topo = Topology(agents=[0, 1, 2], links={(0, 1): LinkModel()})
+        sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=1000.0,
+                                              contention="shared_medium"))
+        assert sim.send(0, 1, bytes(100)) == 200 * MS
 
     def test_seeded_run_replays_identical_trace(self):
         def trace():
@@ -308,15 +314,15 @@ class TestMediumModel:
 
 
 class TestSimTransport:
-    def test_same_surface_as_loopback(self):
-        # both transports expose send(to, data) and on_receive(cb)
+    def test_broadcast_surface_shared_with_loopback(self):
+        # both transports expose agent_id, peers, broadcast(data) and on_receive(cb)
         sim = two_node_sim(LinkModel(base_latency_ns=MS))
         t0, t1 = SimTransport(sim, 0), SimTransport(sim, 1)
         buf = NeighborBuffer([0], staleness_ns=10**12)
         t1.on_receive(lambda data, now: buf.insert_bytes(data, now))
         env = MessageEnvelope(0, 1, timestamp_ns=0, round=0,
                               payload=np.array([7.0], dtype=np.float32))
-        t0.send(1, encode_envelope(env))
+        t0.broadcast(encode_envelope(env))
         sim.drain()
         [(nid, payload, _)] = buf.snapshot(sim.now_ns)
         assert (nid, payload[0]) == (0, 7.0)
@@ -337,12 +343,12 @@ class TestLoopbackTransport:
         received = []
         base_port = 47310
         buf = NeighborBuffer([0], staleness_ns=10**12)
-        with LoopbackTransport(0, base_port=base_port) as t0, \
-             LoopbackTransport(1, base_port=base_port) as t1:
+        with LoopbackTransport(0, [1], base_port=base_port) as t0, \
+             LoopbackTransport(1, [0], base_port=base_port) as t1:
             t1.on_receive(lambda data, now: received.append(buf.insert_bytes(data, now)))
             env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
                                   payload=np.array([1.5, 2.5], dtype=np.float32))
-            t0.send(1, encode_envelope(env))
+            t0.broadcast(encode_envelope(env))
             deadline = time.monotonic() + 5.0
             while not received and time.monotonic() < deadline:
                 time.sleep(0.01)

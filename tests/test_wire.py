@@ -206,6 +206,28 @@ class TestNeighborBuffer:
         buf.insert(make_env(sender=2, seq=1, round_=1), now_ns=0)
         assert [nid for nid, _, _ in buf.snapshot(0, round_index=1)] == [2]
 
+    def test_round_filter_falls_back_to_the_replaced_envelope(self):
+        # a neighbor one round ahead must not hide the round a slower agent awaits
+        buf = NeighborBuffer([1], staleness_ns=10**9)
+        round0 = np.array([1.0, 2.0], dtype=np.float32)
+        round1 = np.array([3.0, 4.0], dtype=np.float32)
+        assert buf.insert(make_env(seq=1, round_=0, payload=round0), now_ns=0)
+        assert buf.insert(make_env(seq=2, round_=1, payload=round1), now_ns=0)
+        [(nid, payload, _)] = buf.snapshot(0, round_index=0)
+        assert nid == 1 and payload.tobytes() == round0.tobytes()
+        [(_, payload, _)] = buf.snapshot(0, round_index=1)
+        assert payload.tobytes() == round1.tobytes()
+        [(_, payload, _)] = buf.snapshot(0)
+        assert payload.tobytes() == round1.tobytes()
+        assert buf.snapshot(0, round_index=2) == []
+
+    def test_stale_replaced_envelope_is_not_a_fallback(self):
+        buf = NeighborBuffer([1], staleness_ns=100)
+        buf.insert(make_env(seq=1, ts=0, round_=0), now_ns=0)
+        buf.insert(make_env(seq=2, ts=200, round_=1), now_ns=200)
+        assert buf.snapshot(200, round_index=0) == []
+        assert len(buf.snapshot(200, round_index=1)) == 1
+
     def test_snapshot_reports_age(self):
         buf = NeighborBuffer([1], staleness_ns=10**9)
         buf.insert(make_env(seq=1, ts=1000), now_ns=1000)
