@@ -2,10 +2,10 @@
 decentralized scenario wiring.
 
 The expert solver is an O(n^3) shortest-augmenting-path method with dual
-potentials. Ties between optimal assignments break deterministically to
-the lexicographically smallest assignment vector, found by restricting to
-the zero-reduced-cost arcs of the optimal duals (every optimal assignment
-lives there) and matching rows greedily in index order.
+potentials. Ties break to the lexicographically smallest goal vector: every
+optimal assignment lives on the tight (zero-reduced-cost) arcs of the
+optimal duals, so the solver's own matching there is repaired row by row,
+each row taking the smallest column an alternating path over later rows frees.
 """
 
 from __future__ import annotations
@@ -73,17 +73,18 @@ def _augmenting_path_duals(cost: np.ndarray):
     v = [0.0] * (n + 1)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
+    rows = cost.tolist()
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
         used = [False] * (n + 1)
-        while True:
+        while p[j0]:  # until the path reaches a free column
             used[j0] = True
             i0 = p[j0]
             delta = inf
             j1 = 0
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             for j in range(1, n + 1):
                 if not used[j]:
                     cur = row[j - 1] - u[i0] - v[j]
@@ -100,33 +101,33 @@ def _augmenting_path_duals(cost: np.ndarray):
                 else:
                     minv[j] -= delta
             j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return p, u, v
+        while j0:  # shift the matching back along the path
+            p[j0], j0 = p[way[j0]], way[j0]
+    return p, np.array(u), np.array(v)
 
 
-def _kuhn_feasible(tight: list[list[int]], rows: list[int], banned_cols: set) -> bool:
-    """Can every row in ``rows`` be matched to distinct non-banned tight columns?"""
-    match_col: dict[int, int] = {}
-
-    def try_row(r: int, seen: set) -> bool:
-        for c in tight[r]:
-            if c in banned_cols or c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or try_row(match_col[c], seen):
-                match_col[c] = r
+def _reroute(tight, goal: list[int], owner: list[int], i: int, start: int, via: dict) -> bool:
+    """Move row ``i`` onto ``start``'s column: flip an alternating path of tight
+    arcs from ``start`` over rows above ``i`` to row i's goal. ``via`` maps each
+    row reached to its predecessor, row ``i`` to -1; every try for one ``i``
+    shares it, since a row that a failed try reached stays a dead end.
+    """
+    via[start] = i
+    stack = [start]
+    while stack:
+        row = stack.pop()
+        for col in tight[row]:
+            nxt = owner[col]
+            if nxt == i:  # col is row i's goal: shift each row on the path
+                while row != -1:
+                    goal[row], col = col, goal[row]
+                    owner[goal[row]] = row
+                    row = via[row]
                 return True
-        return False
-
-    for r in rows:
-        if not try_row(r, set()):
-            return False
-    return True
+            if nxt > i and nxt not in via:
+                via[nxt] = row
+                stack.append(nxt)
+    return False
 
 
 def hungarian_solve(costs) -> Assignment:
@@ -136,27 +137,21 @@ def hungarian_solve(costs) -> Assignment:
     goal vector.
     """
     cost = _as_cost_matrix(costs)
-    n = cost.shape[0]
     p, u, v = _augmenting_path_duals(cost)
     tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
-    tight = [
-        [j for j in range(n) if cost[i, j] - u[i + 1] - v[j + 1] <= tol]
-        for i in range(n)
-    ]
-    chosen: list[int] = []
-    used: set = set()
-    for i in range(n):
-        rest = list(range(i + 1, n))
-        for j in tight[i]:
-            if j in used:
-                continue
-            if _kuhn_feasible(tight, rest, used | {j}):
-                chosen.append(j)
-                used.add(j)
+    tight = [np.flatnonzero(row).tolist()
+             for row in cost - u[1:, None] - v[None, 1:] <= tol]
+    owner = [r - 1 for r in p[1:]]  # start from the solver's own tight matching
+    goal = np.argsort(owner).tolist()
+    for i, cols in enumerate(tight):
+        via = {i: -1}
+        for j in cols:
+            if j >= goal[i]:
                 break
-        else:  # pragma: no cover - duals guarantee a tight perfect matching
-            raise RuntimeError("no tight matching found; potentials are inconsistent")
-    return Assignment(chosen, _total(cost, chosen))
+            r = owner[j]
+            if r > i and r not in via and _reroute(tight, goal, owner, i, r, via):
+                break
+    return Assignment(goal, _total(cost, goal))
 
 
 def brute_force_solve(costs) -> Assignment:

@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, MeasurementError, TopologyError
+from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
 
 DEFAULT_BANDWIDTH_BPS = 6_000_000
@@ -366,7 +366,8 @@ class LoopbackTransport:
     """UDP datagram transport on 127.0.0.1, one port per agent.
 
     Wall-clock timestamps; a daemon thread funnels received datagrams into
-    the registered callback.
+    the registered callback. A datagram that the callback rejects with a
+    ``NeuromeshError`` (malformed, unknown sender) only counts in ``rejected``.
     """
 
     def __init__(self, agent_id: int, peers, base_port: int = DEFAULT_BASE_PORT,
@@ -379,6 +380,7 @@ class LoopbackTransport:
         self._sock.bind((host, base_port + agent_id))
         self._sock.settimeout(0.1)
         self._callback = None
+        self.rejected = 0
         self._closing = threading.Event()
         self._thread = threading.Thread(
             target=self._recv_loop, name=f"loopback-{agent_id}", daemon=True
@@ -400,9 +402,11 @@ class LoopbackTransport:
                 continue
             except OSError:
                 return
-            cb = self._callback
-            if cb is not None:
-                cb(data, time.monotonic_ns())
+            try:
+                if self._callback is not None:
+                    self._callback(data, time.monotonic_ns())
+            except NeuromeshError:
+                self.rejected += 1
 
     def close(self) -> None:
         self._closing.set()

@@ -138,11 +138,11 @@ class _Item:
 
 
 class PacedSource:
-    """Emits observations at a fixed rate into a keep-latest ingress slot.
+    """Emits observations into a keep-latest ingress slot, one interval apart.
 
-    When the encoder cannot keep up, older pending observations are
-    overwritten and counted as drops. Each observation's ingress timestamp
-    is its generation time.
+    An interval counts from the previous emission, so the encoder always has
+    one to take an observation; when it cannot keep up, pending observations
+    are overwritten and counted as drops. Ingress time is generation time.
     """
 
     def __init__(self, observations, interval_ns: int):
@@ -169,10 +169,10 @@ class PacedSource:
                     self._cv.wait(wait_ns / 1e9)
                 if self._done:
                     return
-                next_ns += self.interval_ns
                 if self._pending is not None:
                     self.drops += 1
                 self._pending = _Item(index, time.monotonic_ns(), obs)
+                next_ns = self._pending.ingress_ns + self.interval_ns
                 self._cv.notify_all()
             self._done = True
             self._cv.notify_all()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,37 @@ class TestHungarianSolve:
         out = hungarian_solve(shifted)
         assert out.goals == base.goals
         assert out.total_cost == pytest.approx(base.total_cost + 7.5, abs=1e-9)
+
+
+# SHA-256 over the goal vectors of pin_matrices(), recorded with the
+# per-candidate Kuhn tie-break that the incremental repair replaced.
+SOLVER_PIN_SHA256 = "ea2ad006d8ddb8f190ded568007e3d4b095da8b70bc124e569127ab1dea84705"
+
+
+def pin_matrices():
+    """Seeded random, integer-tie (0-2) and all-equal matrices above brute-force size."""
+    rng = np.random.default_rng(20261018)
+    for n in (10, 20, 40, 80):
+        yield rng.uniform(0.0, 10.0, size=(n, n))
+        yield rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        yield np.ones((n, n))
+
+
+class TestSolverBeyondBruteForce:
+    def test_goal_vectors_match_pin(self):
+        h = hashlib.sha256()
+        for cost in pin_matrices():
+            h.update(np.asarray(hungarian_solve(cost).goals, dtype="<i4").tobytes())
+        assert h.hexdigest() == SOLVER_PIN_SHA256
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_total_cost_matches_scipy(self, n):
+        optimize = pytest.importorskip("scipy.optimize")
+        cost = np.random.default_rng(n).uniform(0.0, 10.0, size=(n, n))
+        rows, cols = optimize.linear_sum_assignment(cost)
+        ours = hungarian_solve(cost)
+        assert sorted(ours.goals) == list(range(n))
+        assert ours.total_cost == pytest.approx(float(cost[rows, cols].sum()), rel=1e-12)
 
 
 class TestBruteForce:

@@ -356,3 +356,22 @@ class TestLoopbackTransport:
         [(nid, payload, _)] = buf.snapshot(time.monotonic_ns())
         assert nid == 0
         assert np.array_equal(payload, np.array([1.5, 2.5], dtype=np.float32))
+
+    def test_malformed_datagram_is_counted_and_receiving_goes_on(self):
+        base_port = 47380
+        buf = NeighborBuffer([0], staleness_ns=10**12)
+        with LoopbackTransport(0, [1], base_port=base_port) as t0, \
+             LoopbackTransport(1, [0], base_port=base_port) as t1:
+            t1.on_receive(buf.insert_bytes)
+            t0.broadcast(b"junk")
+            env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
+                                  payload=np.array([3.5], dtype=np.float32))
+            t0.broadcast(encode_envelope(env))
+            deadline = time.monotonic() + 5.0
+            while not buf.snapshot(time.monotonic_ns()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert t1._thread.is_alive()
+            [(nid, payload, _)] = buf.snapshot(time.monotonic_ns())
+            assert t1.rejected == 1
+        assert nid == 0
+        assert np.array_equal(payload, np.array([3.5], dtype=np.float32))
