@@ -44,10 +44,15 @@ class AggregationConfig:
             raise ConfigError("aggregation.rounds", "at least one communication round")
 
 
-def _vectors(self_feature, neighbors):
+def _self_vector(self_feature) -> np.ndarray:
     f = np.ascontiguousarray(self_feature, dtype=DTYPE)
     if f.ndim != 1:
         raise ShapeError(f"self feature must be 1-D, got shape {f.shape}")
+    return f
+
+
+def _vectors(self_feature, neighbors):
+    f = _self_vector(self_feature)
     out = []
     for i, n in enumerate(neighbors):
         n = np.ascontiguousarray(n, dtype=DTYPE)
@@ -84,15 +89,27 @@ def reduce_aggregate(kind: str, self_feature, neighbors) -> np.ndarray:
 
 
 def diff_sum_aggregate(g: MlpSpec, self_feature, neighbors) -> np.ndarray:
-    """Sum of g(f_j - f_i) over neighbors j; zero vector when there are none."""
-    f, nbrs = _vectors(self_feature, neighbors)
+    """Sum of g(f_j - f_i) over neighbors j; zero vector when there are none.
+
+    One stacked ``g`` call covers every neighbor; its float32 rows are then
+    added into a +0.0 float64 vector in neighbor order.
+    """
+    f = _self_vector(self_feature)
     if g.input_dim != f.shape[0]:
         raise ShapeError(
             f"pairwise network expects {g.input_dim} inputs, features have {f.shape[0]}"
         )
     acc = np.zeros(g.output_dim, dtype=np.float64)
-    for n in nbrs:
-        acc += mlp_forward(g, n - f).astype(np.float64)
+    if len(neighbors) == 0:
+        return acc.astype(DTYPE)
+    try:
+        rows = np.stack(neighbors).astype(DTYPE, copy=False)
+    except ValueError as exc:
+        raise ShapeError(f"neighbor features differ in shape: {exc}") from None
+    if rows.shape[1:] != f.shape:
+        raise ShapeError(f"neighbors have shape {rows.shape[1:]}, self feature has {f.shape}")
+    for row in mlp_forward(g, rows - f):
+        acc += row
     return acc.astype(DTYPE)
 
 

@@ -301,10 +301,7 @@ def run_assignment_scenario(
     if mode == "expert":
         features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}
     else:
-        features = {
-            a: mlp_forward(model.encoder, cost[i].astype(DTYPE))
-            for i, a in enumerate(topology.agents)
-        }
+        features = dict(zip(topology.agents, mlp_forward(model.encoder, cost.astype(DTYPE))))
     dim = next(iter(features.values())).shape[0]
 
     sent = {a: features[a] for a in topology.agents if a not in silenced}

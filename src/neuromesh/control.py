@@ -218,13 +218,10 @@ class NavigationOutcome:
 
 
 def _min_pairwise(positions) -> float:
-    best = math.inf
-    ids = sorted(positions)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            d = float(np.hypot(*(positions[a] - positions[b])))
-            best = min(best, d)
-    return best
+    points = np.array([positions[a] for a in sorted(positions)]).reshape(-1, 2)
+    i, j = np.triu_indices(len(points), k=1)
+    delta = points[i] - points[j]
+    return float(np.hypot(delta[:, 0], delta[:, 1]).min(initial=math.inf))
 
 
 def run_navigation_scenario(
@@ -284,9 +281,8 @@ def run_navigation_scenario(
             round_tag = step % 256
             features = {}
             if not scripted:
-                for a in agents:
-                    obs = build_observation(states[a], goal_vecs[a])
-                    features[a] = mlp_forward(policy.encoder, obs)
+                obs = np.stack([build_observation(states[a], goal_vecs[a]) for a in agents])
+                features = dict(zip(agents, mlp_forward(policy.encoder, obs)))
                 publish_features(team, features, step + 1, sim.now_ns, round_tag)
             sim.run_for(tick_ns)
 

@@ -5,6 +5,17 @@ matrix arithmetic accumulates in float64 and rounds the result back to
 float32, so outputs are deterministic and reproducible bit-for-bit on a
 given platform.
 
+:func:`mlp_forward` is the one MLP kernel. It takes one input vector or an
+(M, in) stack of rows and returns the same rank; every layer runs
+``h = h @ w.T; h += b`` in float64. The float64 copies of a spec's weights
+are built once, on its first forward call, and from then on its float32
+arrays are read-only: an in-place edit raises instead of being silently
+ignored by the cache. :class:`AttentionSpec` caches its projections the
+same way. A stacked call is a matrix-matrix product whose float64 rows may
+differ from the matrix-vector product in the last bit; that its float32
+output equals stacking per-row calls is an empirical property of the
+rounding, pinned by tests (``tests/test_tensors.py``), not a guarantee.
+
 Also defines the flat binary weight-file format (magic ``MWTS``) used to
 ship trained parameters between processes:
 
@@ -18,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +49,13 @@ def as_tensor(values, dtype=DTYPE) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ShapeError("tensor contains non-finite values")
     return arr
+
+
+def _freeze_float64(arrays) -> list[np.ndarray]:
+    """Mark ``arrays`` read-only and return their float64 copies."""
+    for a in arrays:
+        a.flags.writeable = False
+    return [a.astype(np.float64) for a in arrays]
 
 
 def _as_vector(values, dim: int | None, what: str) -> np.ndarray:
@@ -93,14 +112,35 @@ class MlpSpec:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
+    @cached_property
+    def layers64(self) -> list:
+        """(transposed weight, bias) float64 pairs, built on first access.
+
+        That access also makes the float32 weights and biases read-only.
+        """
+        weights = _freeze_float64(self.weights)
+        return [(w.T, b) for w, b in zip(weights, _freeze_float64(self.biases))]
+
 
 def mlp_forward(spec: MlpSpec, x) -> np.ndarray:
-    """Run a 1-D input through the network; returns a float32 vector."""
-    h = _as_vector(x, spec.input_dim, "mlp input").astype(np.float64)
-    last = len(spec.weights) - 1
-    for l, (w, b) in enumerate(zip(spec.weights, spec.biases)):
-        h = w.astype(np.float64) @ h + b.astype(np.float64)
-        if l < last and spec.activation == "relu":
+    """Run one input vector, or an (M, in) stack of rows, through the network.
+
+    Returns float32 of the input's rank: a vector, or one output row per
+    input row.
+    """
+    h = as_tensor(x)
+    if h.ndim not in (1, 2):
+        raise ShapeError(f"mlp input must be 1-D or 2-D, got shape {h.shape}")
+    if h.shape[-1] != spec.input_dim:
+        raise ShapeError(f"mlp input has length {h.shape[-1]}, expected {spec.input_dim}")
+    h = h.astype(np.float64)
+    layers = spec.layers64
+    relu = spec.activation == "relu"
+    last = len(layers) - 1
+    for l, (wt, b) in enumerate(layers):
+        h = h @ wt
+        h += b
+        if relu and l < last:
             np.maximum(h, 0.0, out=h)
     return h.astype(DTYPE)
 
@@ -162,6 +202,15 @@ class AttentionSpec:
     def head_dim(self) -> int:
         return self.model_dim // self.heads
 
+    @cached_property
+    def layers64(self) -> list:
+        """Per layer, the float64 (wq, wk.T, wv.T, wo), built on first access.
+
+        That access also makes the float32 projections read-only.
+        """
+        wq, wk, wv, wo = (_freeze_float64(m) for m in (self.wq, self.wk, self.wv, self.wo))
+        return [(q, k.T, v.T, o) for q, k, v, o in zip(wq, wk, wv, wo)]
+
 
 def attention_forward(spec: AttentionSpec, query, context: list) -> np.ndarray:
     """Attend the query over a non-empty list of context vectors.
@@ -181,10 +230,10 @@ def attention_forward(spec: AttentionSpec, query, context: list) -> np.ndarray:
     hd = spec.head_dim
     scale = 1.0 / np.sqrt(hd)
     out = q
-    for l in range(spec.layers):
-        qp = spec.wq[l].astype(np.float64) @ out
-        kp = ctx @ spec.wk[l].astype(np.float64).T  # (M, d)
-        vp = ctx @ spec.wv[l].astype(np.float64).T
+    for wq, wkt, wvt, wo in spec.layers64:
+        qp = wq @ out
+        kp = ctx @ wkt  # (M, d)
+        vp = ctx @ wvt
         merged = np.empty(d)
         for head in range(h):
             sl = slice(head * hd, (head + 1) * hd)
@@ -193,7 +242,7 @@ def attention_forward(spec: AttentionSpec, query, context: list) -> np.ndarray:
             w = np.exp(scores)
             w /= w.sum()
             merged[sl] = w @ vp[:, sl]
-        out = spec.wo[l].astype(np.float64) @ merged
+        out = wo @ merged
     return out.astype(DTYPE)
 
 

@@ -25,7 +25,7 @@ from neuromesh.errors import (
     ShapeError,
 )
 from neuromesh.netsim import LinkModel, Topology
-from neuromesh.tensors import identity_mlp, random_mlp
+from neuromesh.tensors import identity_mlp, mlp_forward, random_mlp
 from neuromesh.wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
 
 from oracles import naive_diff_sum
@@ -84,6 +84,32 @@ class TestDiffSumAggregate:
         f = vec(1.0, -2.0, 0.5)
         out = diff_sum_aggregate(g, f, [f.copy(), f.copy()])
         assert np.array_equal(out, np.zeros(3, dtype=F32))
+
+    def test_identical_neighbors_with_zero_bias_gives_positive_zero_bytes(self):
+        g = random_mlp([3, 8, 3], seed=2)
+        for b in g.biases:
+            b[:] = 0.0
+        f = vec(1.0, -2.0, 0.5)
+        out = diff_sum_aggregate(g, f, [f.copy(), f.copy()])
+        assert out.tobytes() == np.zeros(3, dtype=F32).tobytes()
+
+    def test_stacked_rows_sum_in_neighbor_order(self):
+        g = random_mlp([16, 64, 64, 16], seed=3)
+        rng = np.random.default_rng(4)
+        f = rng.normal(size=16).astype(F32)
+        for m in range(1, 30):
+            neighbors = [rng.normal(size=16).astype(F32) for _ in range(m)]
+            acc = np.zeros(16)
+            for n in neighbors:
+                acc += mlp_forward(g, n - f)
+            assert diff_sum_aggregate(g, f, neighbors).tobytes() == acc.astype(F32).tobytes()
+
+    def test_neighbors_of_mixed_lengths_rejected(self):
+        g = identity_mlp(2)
+        with pytest.raises(ShapeError, match="shape"):
+            diff_sum_aggregate(g, vec(1, 2), [vec(3, 4), vec(1, 2, 3)])
+        with pytest.raises(ShapeError, match="shape"):
+            diff_sum_aggregate(g, vec(1, 2), [vec(1, 2, 3)])
 
     def test_identity_network_sums_differences(self):
         g = identity_mlp(2)

@@ -11,6 +11,7 @@ from neuromesh.control import (
     ControlPolicy,
     NavigationParams,
     UnicycleState,
+    _min_pairwise,
     beta_mean_action,
     beta_sample,
     build_observation,
@@ -188,6 +189,21 @@ class TestUnicycleStep:
         assert -math.pi < wrapped <= math.pi
         assert abs(math.sin(wrapped) - math.sin(theta)) < 1e-9
         assert abs(math.cos(wrapped) - math.cos(theta)) < 1e-9
+
+
+class TestMinPairwise:
+    def test_matches_double_loop_over_seeded_layouts(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            positions = {a: rng.uniform(-50.0, 50.0, size=2) for a in range(10)}
+            want = math.inf
+            for a in range(10):
+                for b in range(a + 1, 10):
+                    want = min(want, float(np.hypot(*(positions[a] - positions[b]))))
+            assert _min_pairwise(positions) == want
+
+    def test_single_robot_has_no_pair(self):
+        assert _min_pairwise({0: np.zeros(2)}) == math.inf
 
 
 class TestNavigationScenario:

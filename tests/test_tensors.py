@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromesh.aggregation import diff_sum_aggregate
+from neuromesh.control import ControlPolicy, policy_forward
 from neuromesh.errors import ShapeError, WeightFormatError
 from neuromesh.tensors import (
     AttentionSpec,
@@ -208,3 +211,105 @@ class TestWeightFiles:
         path.write_bytes(path.read_bytes() + b"\0\0")
         with pytest.raises(WeightFormatError, match="trailing"):
             load_matrices(path)
+
+
+# Layer shapes of the learned navigation policy (ControlPolicy.random defaults).
+NAV_SHAPES = {
+    "encoder": [8, 64, 64, 64, 16],
+    "pairwise": [16, 64, 64, 16],
+    "decoder": [16, 64, 64, 64, 4],
+}
+ODD_SHAPES = ([3, 5, 2], [7, 13, 1], [5, 33, 17, 9], [1, 1], [11, 2, 11])
+
+
+def _tensor_pin_digest() -> str:
+    """SHA-256 over the output bytes of seeded kernel calls.
+
+    Covers ``mlp_forward`` on one vector, ``diff_sum_aggregate`` with 0 to 29
+    neighbors, ``policy_forward`` and ``attention_forward``, on nav-shaped
+    and odd-shaped networks; inputs span several magnitudes.
+    """
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261018)
+    scales = (1e-3, 1.0, 50.0)
+    for k, dims in enumerate([*NAV_SHAPES.values(), *ODD_SHAPES]):
+        for activation in ("relu", "none"):
+            spec = random_mlp(dims, seed=100 + k, activation=activation)
+            for scale in scales:
+                for _ in range(10):
+                    x = (scale * rng.standard_normal(dims[0])).astype(np.float32)
+                    digest.update(mlp_forward(spec, x).tobytes())
+    square = [NAV_SHAPES["pairwise"], [3, 8, 3], [5, 33, 17, 5], [2, 2]]
+    for k, dims in enumerate(square):
+        g = random_mlp(dims, seed=200 + k)
+        for m in range(30):
+            for scale in scales:
+                f = (scale * rng.standard_normal(dims[0])).astype(np.float32)
+                nbrs = [(scale * rng.standard_normal(dims[0])).astype(np.float32)
+                        for _ in range(m)]
+                digest.update(diff_sum_aggregate(g, f, nbrs).tobytes())
+            digest.update(diff_sum_aggregate(g, f, [f.copy() for _ in range(m)]).tobytes())
+    for seed, (feature_dim, hidden) in enumerate(((16, 64), (16, 64), (5, 13))):
+        policy = ControlPolicy.random(feature_dim=feature_dim, hidden=hidden, seed=300 + seed)
+        for m in range(12):
+            obs = (50.0 * rng.standard_normal(8)).astype(np.float32)
+            nbrs = [rng.standard_normal(feature_dim).astype(np.float32) for _ in range(m)]
+            digest.update(policy_forward(policy, obs, nbrs).as_array().tobytes())
+    for k, (dim, heads, layers) in enumerate(((16, 4, 2), (12, 3, 1), (7, 1, 3), (8, 8, 1))):
+        spec = random_attention(model_dim=dim, heads=heads, layers=layers, seed=400 + k)
+        for m in range(1, 12):
+            query = rng.standard_normal(dim).astype(np.float32)
+            context = [rng.standard_normal(dim).astype(np.float32) for _ in range(m)]
+            digest.update(attention_forward(spec, query, context).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded before mlp_forward took stacked inputs and cached float64 weights.
+TENSOR_PIN_SHA256 = "55eaffc0e3f06022297e58fbfb2af375f6cd8ce63666e66dc02e82c6c01cd411"
+
+
+def test_tensor_outputs_match_pinned_digest():
+    assert _tensor_pin_digest() == TENSOR_PIN_SHA256
+
+
+class TestStackedMlpForward:
+    @pytest.mark.parametrize("shape", list(NAV_SHAPES))
+    def test_stacked_call_equals_stacked_per_row_calls(self, shape):
+        dims = NAV_SHAPES[shape]
+        for seed in range(6):
+            spec = random_mlp(dims, seed=500 + seed)
+            rng = np.random.default_rng(600 + seed)
+            for m in range(1, 50):
+                scale = (0.01, 1.0, 50.0)[m % 3]
+                x = (scale * rng.standard_normal((m, dims[0]))).astype(np.float32)
+                stacked = mlp_forward(spec, x)
+                per_row = np.stack([mlp_forward(spec, row) for row in x])
+                assert stacked.shape == (m, dims[-1])
+                assert stacked.tobytes() == per_row.tobytes(), (shape, seed, m)
+
+    def test_rank_and_width_validation(self):
+        spec = random_mlp([4, 8, 2], seed=0)
+        with pytest.raises(ShapeError, match="3.*4|4.*3"):
+            mlp_forward(spec, np.zeros((5, 3), dtype=np.float32))
+        with pytest.raises(ShapeError, match="1-D or 2-D"):
+            mlp_forward(spec, np.zeros((2, 2, 4), dtype=np.float32))
+
+
+class TestCachedWeights:
+    def test_weight_edit_after_first_forward_raises(self):
+        spec = random_mlp([4, 8, 2], seed=1)
+        spec.weights[0][0, 0] = 3.0  # before the first call an edit still counts
+        x = np.ones(4, dtype=np.float32)
+        mlp_forward(spec, x)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.weights[0][0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.biases[1][:] = 0.0
+
+    def test_attention_projection_edit_after_first_forward_raises(self):
+        spec = random_attention(model_dim=4, heads=2, layers=1, seed=2)
+        x = np.ones(4, dtype=np.float32)
+        attention_forward(spec, x, [x])
+        for mats in (spec.wq, spec.wk, spec.wv, spec.wo):
+            with pytest.raises(ValueError, match="read-only"):
+                mats[0][0, 0] = 1.0
