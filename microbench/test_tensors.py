@@ -38,6 +38,14 @@ def test_diff_sum_aggregate_nine_neighbors(benchmark):
     assert out.shape == (16,)
 
 
+def test_diff_sum_aggregate_ten_agents_stacked(benchmark):
+    # one navigation step: 10 agents, 9 neighbors each
+    selves = np.stack([SELF] + NEIGHBORS)
+    neighbor_lists = [[row for j, row in enumerate(selves) if j != i] for i in range(10)]
+    out = benchmark(diff_sum_aggregate, PAIRWISE, selves, neighbor_lists)
+    assert out.shape == (10, 16)
+
+
 def test_attention_forward_nine_context(benchmark):
     spec = random_attention(model_dim=24, heads=3, layers=2, seed=2)  # AssignmentModel.random
     query = RNG.standard_normal(24).astype(np.float32)

@@ -44,15 +44,10 @@ class AggregationConfig:
             raise ConfigError("aggregation.rounds", "at least one communication round")
 
 
-def _self_vector(self_feature) -> np.ndarray:
+def _vectors(self_feature, neighbors):
     f = np.ascontiguousarray(self_feature, dtype=DTYPE)
     if f.ndim != 1:
         raise ShapeError(f"self feature must be 1-D, got shape {f.shape}")
-    return f
-
-
-def _vectors(self_feature, neighbors):
-    f = _self_vector(self_feature)
     out = []
     for i, n in enumerate(neighbors):
         n = np.ascontiguousarray(n, dtype=DTYPE)
@@ -91,26 +86,46 @@ def reduce_aggregate(kind: str, self_feature, neighbors) -> np.ndarray:
 def diff_sum_aggregate(g: MlpSpec, self_feature, neighbors) -> np.ndarray:
     """Sum of g(f_j - f_i) over neighbors j; zero vector when there are none.
 
-    One stacked ``g`` call covers every neighbor; its float32 rows are then
-    added into a +0.0 float64 vector in neighbor order.
+    Takes one agent (a self vector and its neighbor list) or a stack of A
+    agents (an (A, D) self array and A neighbor lists) and returns float32
+    of the self feature's rank. One stacked ``g`` call covers every
+    difference row of every agent; each agent's float32 rows are then
+    added into its own +0.0 float64 accumulator in neighbor order.
     """
-    f = _self_vector(self_feature)
-    if g.input_dim != f.shape[0]:
+    f = np.ascontiguousarray(self_feature, dtype=DTYPE)
+    if f.ndim == 1:
+        selves, lists = f[None], [neighbors]
+    elif f.ndim == 2:
+        selves, lists = f, neighbors
+        if len(lists) != len(selves):
+            raise ShapeError(f"{len(selves)} self features but {len(lists)} neighbor lists")
+    else:
+        raise ShapeError(f"self feature must be 1-D or 2-D, got shape {f.shape}")
+    if g.input_dim != selves.shape[1]:
         raise ShapeError(
-            f"pairwise network expects {g.input_dim} inputs, features have {f.shape[0]}"
+            f"pairwise network expects {g.input_dim} inputs, features have {selves.shape[1]}"
         )
-    acc = np.zeros(g.output_dim, dtype=np.float64)
-    if len(neighbors) == 0:
-        return acc.astype(DTYPE)
-    try:
-        rows = np.stack(neighbors).astype(DTYPE, copy=False)
-    except ValueError as exc:
-        raise ShapeError(f"neighbor features differ in shape: {exc}") from None
-    if rows.shape[1:] != f.shape:
-        raise ShapeError(f"neighbors have shape {rows.shape[1:]}, self feature has {f.shape}")
-    for row in mlp_forward(g, rows - f):
-        acc += row
-    return acc.astype(DTYPE)
+    counts = np.array([len(n) for n in lists], dtype=np.intp)
+    width = counts.max(initial=0)
+    acc = np.zeros((len(selves), g.output_dim), dtype=np.float64)
+    if width:
+        try:
+            rows = np.array([n for agent in lists for n in agent], dtype=DTYPE)
+        except ValueError as exc:
+            raise ShapeError(f"neighbor features differ in shape: {exc}") from None
+        if rows.shape[1:] != selves.shape[1:]:
+            raise ShapeError(
+                f"neighbors have shape {rows.shape[1:]}, self feature has {selves.shape[1:]}"
+            )
+        out = mlp_forward(g, rows - np.repeat(selves, counts, axis=0))
+        # Agent i's rows fill its first counts[i] slots; the other slots keep
+        # +0.0, and adding +0.0 to an accumulator that starts at +0.0 never
+        # changes its bits.
+        slots = np.zeros((len(selves), width, g.output_dim), dtype=np.float64)
+        slots[np.arange(width) < counts[:, None]] = out
+        for k in range(width):
+            acc += slots[:, k]
+    return acc[0].astype(DTYPE) if f.ndim == 1 else acc.astype(DTYPE)
 
 
 def broadcast_aggregate(self_feature, neighbors) -> np.ndarray:

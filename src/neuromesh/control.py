@@ -1,10 +1,17 @@
 """Decentralized point-to-point navigation task on unicycle kinematics.
 
-The policy chain per agent: an 8-component observation runs through a
-four-layer encoder, neighbor feature differences run through a pairwise
-network and sum up, a four-layer decoder emits four raw values, and the
-shifted softplus maps them into Beta-distribution parameters for the
-forward and angular velocity channels.
+The policy chain: an 8-component observation runs through a four-layer
+encoder, neighbor feature differences run through a pairwise network and
+sum up, a four-layer decoder emits four raw values, and the shifted
+softplus maps them into Beta-distribution parameters for the forward and
+angular velocity channels.
+
+A control step runs that chain once for the whole team, stacked: one
+encoder call over every robot's observation, then, once each active robot
+has its neighborhood, one pairwise call over every feature difference, one
+decoder call and one softplus over the active robots. Each robot then
+draws its action from its own generator in ascending id, so the stacked
+step replays bit for bit what per-robot chains compute.
 """
 
 from __future__ import annotations
@@ -133,15 +140,21 @@ class ControlPolicy:
 
 
 def policy_forward(policy: ControlPolicy, observation, neighbor_features) -> BetaParams:
-    """Full chain: encode, difference-sum aggregate, decode, shifted softplus."""
-    return decode_from_feature(policy, mlp_forward(policy.encoder, observation), neighbor_features)
+    """Full chain for one agent: encode, then :func:`decode_team` with a team of one."""
+    feature = mlp_forward(policy.encoder, observation)
+    return decode_team(policy, [feature], [list(neighbor_features)])[0]
 
 
-def decode_from_feature(policy: ControlPolicy, self_feature, neighbor_features) -> BetaParams:
-    """The chain after encoding: difference-sum aggregate, decode, shifted softplus."""
-    h = diff_sum_aggregate(policy.pairwise, self_feature, list(neighbor_features))
+def decode_team(policy: ControlPolicy, self_features, neighbor_lists) -> list[BetaParams]:
+    """The chain after encoding, for a stack of agents: difference-sum
+    aggregate, decode and shifted softplus, one call each.
+
+    ``self_features`` is (A, D); ``neighbor_lists`` holds A lists of
+    neighbor features. Returns one BetaParams per agent, in stack order.
+    """
+    h = diff_sum_aggregate(policy.pairwise, self_features, neighbor_lists)
     raw = mlp_forward(policy.decoder, h)
-    return BetaParams(*(float(p) for p in softplus_shift(raw)))
+    return [BetaParams(*row) for row in softplus_shift(raw).tolist()]
 
 
 def _map_unit(b: float, bounds) -> float:
@@ -286,22 +299,26 @@ def run_navigation_scenario(
                 publish_features(team, features, step + 1, sim.now_ns, round_tag)
             sim.run_for(tick_ns)
 
-            for a in agents:
-                if reached[a]:
-                    continue
-                if scripted:
-                    v, omega = scripted_expert_action(
-                        states[a], goal_vecs[a], params.v_bounds, params.omega_bounds
-                    )
+            active = [a for a in agents if not reached[a]]
+            if scripted:
+                actions = [scripted_expert_action(states[a], goal_vecs[a], params.v_bounds,
+                                                  params.omega_bounds) for a in active]
+            else:
+                neighborhoods = [
+                    [vec for _, vec in await_neighborhood(
+                        agg_config, team[a][1], lambda: sim.now_ns,
+                        lambda: sim.run_for(SIM_POLL_NS), round_tag if blocking else None)]
+                    for a in active
+                ]
+                betas = decode_team(policy, np.stack([features[a] for a in active]),
+                                    neighborhoods)
+                if params.deterministic_actions:
+                    actions = [beta_mean_action(beta, params.v_bounds, params.omega_bounds)
+                               for beta in betas]
                 else:
-                    neighbors = await_neighborhood(agg_config, team[a][1], lambda: sim.now_ns,
-                                                   lambda: sim.run_for(SIM_POLL_NS),
-                                                   round_tag if blocking else None)
-                    beta = decode_from_feature(policy, features[a], [vec for _, vec in neighbors])
-                    if params.deterministic_actions:
-                        v, omega = beta_mean_action(beta, params.v_bounds, params.omega_bounds)
-                    else:
-                        v, omega = beta_sample(beta, rngs[a], params.v_bounds, params.omega_bounds)
+                    actions = [beta_sample(beta, rngs[a], params.v_bounds, params.omega_bounds)
+                               for a, beta in zip(active, betas)]
+            for a, (v, omega) in zip(active, actions):
                 states[a] = unicycle_step(states[a], v, omega, dt)
 
             positions = {a: states[a].position for a in agents}

@@ -142,6 +142,7 @@ class MeshSimulator:
         self._events: list = []
         self._counter = 0
         self._tx_free = {a: 0 for a in topology.agents}
+        self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
         # (frm, to) -> [LinkModel, RNG stream, last delivery time (FIFO clamp)]
         self._links = {
             (frm, to): [link, random.Random(derive_seed(link.seed, frm, to)), 0]
@@ -174,31 +175,41 @@ class MeshSimulator:
             raise TopologyError(f"no link between {frm} and {to}")
         link, rng, last_delivery = record
         self.sent += 1
-        tx_start = max(self._now, self._tx_free[frm])
-        tx_ns = int(round(len(data) * 1e9 / self._bandwidth))
-        self._tx_free[frm] = tx_start + tx_ns
+        tx_start = self._tx_free[frm]
+        if tx_start < self._now:
+            tx_start = self._now
+        size = len(data)
+        tx_ns = self._airtime.get(size)
+        if tx_ns is None:  # the bandwidth is fixed, so airtime depends on the size alone
+            tx_ns = self._airtime[size] = round(size * 1e9 / self._bandwidth)
+        tx_end = tx_start + tx_ns
+        self._tx_free[frm] = tx_end
         if self.tx_log is not None:
-            self.tx_log.append((frm, tx_start, tx_start + tx_ns, len(data)))
+            self.tx_log.append((frm, tx_start, tx_end, size))
         if link.loss_prob > 0 and rng.random() < link.loss_prob:
             self.dropped += 1
             return None
         jitter = rng.gauss(0.0, link.jitter_stddev_ns) if link.jitter_stddev_ns > 0 else 0.0
-        delay = max(0.0, link.base_latency_ns + jitter)
-        t = max(tx_start + tx_ns + int(round(delay)), last_delivery)  # FIFO per directed link
+        delay = link.base_latency_ns + jitter
+        t = tx_end + (round(delay) if delay > 0.0 else 0)
+        if t < last_delivery:  # FIFO per directed link
+            t = last_delivery
         record[2] = t
         self._counter += 1
         heapq.heappush(self._events, (t, self._counter, to, data))
         return t
 
     def run_until(self, t_ns: int) -> None:
-        while self._events and self._events[0][0] <= t_ns:
-            when, _, to, payload = heapq.heappop(self._events)
+        events, receivers = self._events, self._receivers
+        while events and events[0][0] <= t_ns:
+            when, _, to, payload = heapq.heappop(events)
             self._now = when
             self.delivered += 1
-            cb = self._receivers.get(to)
+            cb = receivers.get(to)
             if cb is not None:
                 cb(payload, when)
-        self._now = max(self._now, int(t_ns))
+        if self._now < t_ns:
+            self._now = int(t_ns)
 
     def run_for(self, dt_ns: int) -> None:
         self.run_until(self._now + int(dt_ns))

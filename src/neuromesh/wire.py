@@ -27,6 +27,7 @@ deployments over real links must synchronize clocks externally.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ MAX_DIMS = 8
 DEFAULT_STALENESS_NS = 500_000_000
 
 _HEADER = struct.Struct("<4sBHIQBB")  # magic, version, sender, seq, timestamp, round, ndims
+_F32 = np.dtype("<f4")
+_DIMS = [struct.Struct(f"<{n}I") for n in range(MAX_DIMS + 1)]  # indexed by ndims
 
 _U16 = 1 << 16
 _U32 = 1 << 32
@@ -107,41 +110,44 @@ def encode_envelope(env: MessageEnvelope) -> bytes:
         _HEADER.pack(
             MAGIC, VERSION, env.sender_id, env.seq, env.timestamp_ns, env.round, len(shape)
         ),
-        struct.pack(f"<{len(shape)}I", *shape),
+        _DIMS[len(shape)].pack(*shape),
         env.payload.tobytes(),
     ]
     return b"".join(parts)
 
 
 def decode_envelope(data: bytes) -> MessageEnvelope:
-    """Parse wire bytes; raises a distinct error kind per malformed field."""
-    if len(data) < 4:
-        raise TruncatedMessageError("magic", 4, len(data))
+    """Parse wire bytes; raises a distinct error kind per malformed field.
+
+    Fields are checked in wire order, so a buffer with several faults
+    reports the first one.
+    """
+    size = len(data)
+    if size < 4:
+        raise TruncatedMessageError("magic", 4, size)
     if data[:4] != MAGIC:
         raise BadMagicError(bytes(data[:4]))
-    if len(data) < 5:
-        raise TruncatedMessageError("version", 5, len(data))
+    if size < 5:
+        raise TruncatedMessageError("version", 5, size)
     if data[4] != VERSION:
         raise BadVersionError(data[4], VERSION)
-    if len(data) < _HEADER.size:
-        raise TruncatedMessageError("header", _HEADER.size, len(data))
+    if size < _HEADER.size:
+        raise TruncatedMessageError("header", _HEADER.size, size)
     _, _, sender_id, seq, timestamp_ns, round_, ndims = _HEADER.unpack_from(data)
     if ndims == 0 or ndims > MAX_DIMS:
         raise ProtocolLimitError("ndims", f"ndims {ndims} outside [1, {MAX_DIMS}]")
     dims_end = _HEADER.size + 4 * ndims
-    if len(data) < dims_end:
-        raise TruncatedMessageError("dims", dims_end, len(data))
-    shape = struct.unpack_from(f"<{ndims}I", data, _HEADER.size)
-    count = 1
-    for d in shape:
-        count *= d
-    expected = 4 * count
-    got = len(data) - dims_end
-    if got < expected:
-        raise TruncatedMessageError("payload", expected, got)
-    if got > expected:
+    if size < dims_end:
+        raise TruncatedMessageError("dims", dims_end, size)
+    shape = _DIMS[ndims].unpack_from(data, _HEADER.size)
+    count = math.prod(shape)
+    expected, got = 4 * count, size - dims_end
+    if got != expected:
+        if got < expected:
+            raise TruncatedMessageError("payload", expected, got)
         raise PayloadLengthError(expected, got)
-    payload = np.frombuffer(data, dtype="<f4", count=count, offset=dims_end).reshape(shape)
+    # Positional arguments: keyword parsing costs frombuffer more than the read.
+    payload = np.frombuffer(data, _F32, count, dims_end).reshape(shape)
     return MessageEnvelope(sender_id, seq, timestamp_ns, round_, payload.copy())
 
 

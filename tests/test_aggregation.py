@@ -146,6 +146,79 @@ class TestDiffSumAggregate:
             assert np.allclose(out, base, atol=1e-6)
 
 
+class TestStackedDiffSumAggregate:
+    def team_case(self, rng, g, team):
+        """(A, D) self features and A neighbor lists: random subsets of the
+        other agents' features, empty lists, and copies of the agent's own."""
+        scale = (0.01, 1.0, 50.0)[team % 3]
+        selves = (scale * rng.standard_normal((team, g.input_dim))).astype(F32)
+        lists = []
+        for i in range(team):
+            kind = rng.integers(3)
+            if kind == 0:
+                lists.append([])
+            elif kind == 1:
+                lists.append([selves[i].copy() for _ in range(rng.integers(1, 12))])
+            else:
+                others = [j for j in range(team) if j != i and rng.random() < 0.7]
+                lists.append([selves[j].copy() for j in others])
+        return selves, lists
+
+    def test_each_row_equals_the_one_agent_call_and_the_per_row_loop(self):
+        zero_bias = random_mlp([16, 64, 64, 16], seed=22)
+        for b in zero_bias.biases:
+            b[:] = 0.0
+        rng = np.random.default_rng(23)
+        for g in (random_mlp([16, 64, 64, 16], seed=21), zero_bias, random_mlp([5, 9, 3], seed=24)):
+            for team in range(1, 13):
+                for _ in range(5):
+                    selves, lists = self.team_case(rng, g, team)
+                    out = diff_sum_aggregate(g, selves, lists)
+                    assert out.shape == (team, g.output_dim) and out.dtype == F32
+                    for i in range(team):
+                        one = diff_sum_aggregate(g, selves[i], lists[i])
+                        assert out[i].tobytes() == one.tobytes(), (team, i)
+                        loop = np.zeros(g.output_dim)
+                        for n in lists[i]:
+                            loop += mlp_forward(g, n - selves[i])
+                        assert out[i].tobytes() == loop.astype(F32).tobytes(), (team, i)
+
+    def test_identical_neighbors_with_zero_bias_give_positive_zero_rows(self):
+        g = random_mlp([3, 8, 3], seed=2)
+        for b in g.biases:
+            b[:] = 0.0
+        selves = np.stack([vec(1.0, -2.0, 0.5), vec(-3.0, 0.25, 4.0)])
+        out = diff_sum_aggregate(g, selves, [[selves[0]] * 3, [selves[1]]])
+        assert out.tobytes() == np.zeros((2, 3), dtype=F32).tobytes()
+
+    def test_agents_without_neighbors_get_zero_rows(self):
+        g = random_mlp([3, 8, 5], seed=4)
+        out = diff_sum_aggregate(g, np.ones((3, 3), dtype=F32), [[], [vec(1, 0, 0)], []])
+        assert np.array_equal(out[[0, 2]], np.zeros((2, 5), dtype=F32))
+        assert np.array_equal(diff_sum_aggregate(g, np.ones((2, 3), dtype=F32), [[], []]),
+                              np.zeros((2, 5), dtype=F32))
+
+    def test_self_rank_must_be_one_or_two(self):
+        g = identity_mlp(2)
+        with pytest.raises(ShapeError, match="1-D or 2-D"):
+            diff_sum_aggregate(g, np.zeros((1, 2, 2), dtype=F32), [[]])
+        with pytest.raises(ShapeError, match="1-D or 2-D"):
+            diff_sum_aggregate(g, np.zeros((1, 1, 1, 2), dtype=F32), [[]])
+
+    def test_one_neighbor_list_per_agent(self):
+        g = identity_mlp(2)
+        with pytest.raises(ShapeError, match="3 self features but 2 neighbor lists"):
+            diff_sum_aggregate(g, np.zeros((3, 2), dtype=F32), [[vec(1, 2)], []])
+
+    def test_neighbors_of_mixed_lengths_across_agents_rejected(self):
+        g = identity_mlp(2)
+        selves = np.zeros((2, 2), dtype=F32)
+        with pytest.raises(ShapeError, match="shape"):
+            diff_sum_aggregate(g, selves, [[vec(1, 2)], [vec(1, 2, 3)]])
+        with pytest.raises(ShapeError, match="shape"):
+            diff_sum_aggregate(g, selves, [[vec(1, 2, 3)], [vec(1, 2, 3)]])
+
+
 class TestBroadcastAggregate:
     def test_output_shape_is_m_by_2d(self):
         f = np.zeros(4, dtype=F32)

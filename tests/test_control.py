@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -310,3 +311,76 @@ class TestNavigationScenario:
         assert omega > 0.9  # hard left toward +y
         v2, _ = scripted_expert_action(state(0, 0, heading=math.pi / 2), np.array([0.0, 5.0]))
         assert v2 > v  # aligned robot drives faster
+
+
+def _circle_team(n, radius_m, at_goal=()):
+    """n robots on a circle, each heading for the opposite point; robots in
+    ``at_goal`` start on their goal, so they reach it at the first step."""
+    states, goals = {}, {}
+    for a in range(n):
+        angle = 2.0 * math.pi * a / n
+        start = np.array([radius_m * math.cos(angle), radius_m * math.sin(angle)])
+        goals[a] = start.copy() if a in at_goal else -start
+        states[a] = state(*start, heading=angle + 0.5)
+    return states, goals
+
+
+JITTER_LOSSY = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0,
+                         loss_prob=0.3, seed=7)
+JITTER = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0, seed=3)
+SLOW = LinkModel(base_latency_ns=80_000_000)
+
+# name -> (robots, link, aggregation mode, deterministic actions, robots at goal)
+TRAJECTORY_CASES = {
+    "3-best-effort-sampled": (3, None, "best_effort", False, ()),
+    "3-blocking-slow-mean": (3, SLOW, "blocking", True, ()),
+    "3-blocking-early-reach-sampled": (3, JITTER, "blocking", False, (1,)),
+    "10-lossy-jitter-sampled": (10, JITTER_LOSSY, "best_effort", False, ()),
+    "10-lossy-jitter-mean": (10, JITTER_LOSSY, "best_effort", True, ()),
+    "10-blocking-jitter-sampled": (10, JITTER, "blocking", False, ()),
+    "10-lossy-early-reach-mean": (10, JITTER_LOSSY, "best_effort", True, (2, 7)),
+}
+
+# SHA-256 of each case's trajectory, steps and minimum distance, recorded
+# before the control loop decoded the team in one stacked pass.
+TRAJECTORY_PINS = {
+    "3-best-effort-sampled":
+        "2d9552ae028ccff54bdd438c254e2c1d39955a47db2ac2889ede020c65482f57",
+    "3-blocking-slow-mean":
+        "0041381b14031c2c50c4f03fa84cd7d8d4593c473ec3f147a0477e124e1eb99b",
+    "3-blocking-early-reach-sampled":
+        "5af165adbfe29a881dd8322aa0f79fd30c7d86a50d468661527a4d1a9bf76312",
+    "10-lossy-jitter-sampled":
+        "5a261e4fa2abbe3dc0471e75366af38fe9ffe97c2eeaeb5dccf5b387de0a5bc6",
+    "10-lossy-jitter-mean":
+        "3192063c891d4b6e2bf9445389c67996dde95f801ace478299a97e02b6be249f",
+    "10-blocking-jitter-sampled":
+        "8db494253e21d11ff8a0a5eef74443d471462977c683eded7854e0e3883b1203",
+    "10-lossy-early-reach-mean":
+        "1dc7d3acf0d5597705fab84aef83f34f8cdacf36d813962eb07e63a3280255a3",
+}
+
+
+def _trajectory_digest(case: str) -> str:
+    robots, link, mode, deterministic, at_goal = TRAJECTORY_CASES[case]
+    states, goals = _circle_team(robots, radius_m=3.0 if robots == 3 else 5.0, at_goal=at_goal)
+    policy = (ControlPolicy.random(feature_dim=8, hidden=16, seed=5) if robots == 3
+              else ControlPolicy.random(seed=11))
+    out = run_navigation_scenario(
+        states, goals, policy=policy,
+        params=NavigationParams(max_steps=60, deterministic_actions=deterministic, seed=23),
+        topology=Topology.full_mesh(states, link), agg_config=AggregationConfig(mode=mode),
+        record_trajectory=True,
+    )
+    assert not out.failed and not out.collided and out.steps == 60
+    assert out.reached == [a in at_goal for a in range(robots)]
+    digest = hashlib.sha256()
+    for step, agent, x, y, heading in out.trajectory:
+        digest.update(f"{step} {agent} {x.hex()} {y.hex()} {heading.hex()}\n".encode())
+    digest.update(f"{out.steps} {out.min_pairwise_distance_m.hex()}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+def test_learned_trajectories_match_pins(case):
+    assert _trajectory_digest(case) == TRAJECTORY_PINS[case]

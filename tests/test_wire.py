@@ -13,6 +13,7 @@ from neuromesh.errors import (
     ProtocolLimitError,
     TruncatedMessageError,
     UnknownSenderError,
+    WireError,
 )
 from neuromesh.wire import (
     MAX_DIMS,
@@ -123,6 +124,75 @@ class TestEncodeDecode:
                 rng.randrange(256), payload,
             )
             assert decode_envelope(encode_envelope(env)) == env
+
+
+FIXED_HEADER = 21  # magic 4 + version 1 + sender 2 + seq 4 + timestamp 8 + round 1 + ndims 1
+VALID_PAYLOADS = {
+    "1-D": np.arange(3, dtype=np.float32),
+    "3-D": np.arange(6, dtype=np.float32).reshape(2, 1, 3),
+}
+
+
+def decode_error(blob):
+    """(error class, field, message) that decoding ``blob`` raises."""
+    with pytest.raises(WireError) as err:
+        decode_envelope(blob)
+    return type(err.value), err.value.field, str(err.value)
+
+
+def as_error(exc):
+    return type(exc), exc.field, str(exc)
+
+
+@pytest.mark.parametrize("kind", list(VALID_PAYLOADS))
+class TestDecodeErrorTable:
+    """Which error each malformed buffer raises, checks in wire-field order."""
+
+    def blob(self, kind):
+        payload = VALID_PAYLOADS[kind]
+        return encode_envelope(make_env(sender=5, seq=9, ts=123, round_=4, payload=payload))
+
+    def test_every_prefix_names_the_first_missing_field(self, kind):
+        blob = self.blob(kind)
+        dims_end = FIXED_HEADER + 4 * VALID_PAYLOADS[kind].ndim
+        assert dims_end == header_size(VALID_PAYLOADS[kind].ndim)
+        for k in range(len(blob)):
+            if k < 4:
+                want = TruncatedMessageError("magic", 4, k)
+            elif k < 5:
+                want = TruncatedMessageError("version", 5, k)
+            elif k < FIXED_HEADER:
+                want = TruncatedMessageError("header", FIXED_HEADER, k)
+            elif k < dims_end:
+                want = TruncatedMessageError("dims", dims_end, k)
+            else:
+                want = TruncatedMessageError("payload", len(blob) - dims_end, k - dims_end)
+            assert decode_error(blob[:k]) == as_error(want), k
+
+    def test_one_trailing_byte_is_a_length_mismatch(self, kind):
+        blob = self.blob(kind)
+        expected = 4 * VALID_PAYLOADS[kind].size
+        assert decode_error(blob + b"\0") == as_error(PayloadLengthError(expected, expected + 1))
+
+    def test_bad_magic_wins_over_every_later_truncation(self, kind):
+        blob = b"NMSX" + self.blob(kind)[4:]
+        for k in range(4, len(blob) + 1):
+            assert decode_error(blob[:k]) == as_error(BadMagicError(b"NMSX")), k
+        assert decode_error(b"NM") == as_error(TruncatedMessageError("magic", 4, 2))
+
+    def test_bad_version_wins_over_every_later_truncation(self, kind):
+        blob = bytearray(self.blob(kind))
+        blob[4] = 2
+        for k in range(5, len(blob) + 1):
+            assert decode_error(bytes(blob[:k])) == as_error(BadVersionError(2, 1)), k
+
+    @pytest.mark.parametrize("ndims", [0, MAX_DIMS + 1])
+    def test_ndims_out_of_range_wins_over_dims_and_payload(self, kind, ndims):
+        blob = bytearray(self.blob(kind))
+        blob[FIXED_HEADER - 1] = ndims
+        want = ProtocolLimitError("ndims", f"ndims {ndims} outside [1, {MAX_DIMS}]")
+        for k in range(FIXED_HEADER, len(blob) + 1):
+            assert decode_error(bytes(blob[:k])) == as_error(want), k
 
 
 class TestNeighborBuffer:
