@@ -18,6 +18,8 @@ from neuromesh.assignment import hungarian_solve
 CASES = {f"random-{n}": np.random.default_rng(n).uniform(0.0, 10.0, size=(n, n))
          for n in (20, 50, 200)}
 CASES["all-equal-80"] = np.ones((80, 80))
+CASES["integer-ties-200"] = (
+    np.random.default_rng(200).integers(0, 3, size=(200, 200)).astype(np.float64))
 
 
 @pytest.mark.parametrize("case", list(CASES))

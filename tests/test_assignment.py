@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from neuromesh.aggregation import AggregationConfig
 from neuromesh.assignment import (
+    Assignment,
     AssignmentModel,
+    _augmenting_path_duals,
+    _dequantize_rows,
     brute_force_solve,
     dequantize_message,
     hungarian_solve,
@@ -66,6 +69,10 @@ class TestHungarianSolve:
             assert ours.total_cost == ref.total_cost
             assert ours.goals == ref.goals
 
+    def test_empty_matrix_matches_brute_force(self):
+        empty = np.zeros((0, 0))
+        assert hungarian_solve(empty) == brute_force_solve(empty) == Assignment([], 0.0)
+
     def test_row_shift_keeps_assignment_changes_cost_by_constant(self):
         rng = np.random.default_rng(31)
         costs = rng.uniform(0, 10, size=(5, 5))
@@ -75,6 +82,45 @@ class TestHungarianSolve:
         out = hungarian_solve(shifted)
         assert out.goals == base.goals
         assert out.total_cost == pytest.approx(base.total_cost + 7.5, abs=1e-9)
+
+
+def certificate_matrix(kind: str, n: int, seed: int) -> np.ndarray:
+    """One seeded n x n cost matrix of the named kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(0.0, 10.0, size=(n, n))
+    if kind == "integer-ties":
+        return rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    if kind == "negative":
+        return rng.uniform(-10.0, 0.0, size=(n, n))
+    if kind == "row-shift":
+        cost = rng.uniform(0.0, 10.0, size=(n, n))
+        cost[rng.integers(n)] += rng.uniform(-50.0, 50.0)
+        return cost
+    if kind == "all-equal":
+        return np.full((n, n), rng.uniform(-5.0, 5.0))
+    # float32-rounded, as the CLI draws its random instances
+    return rng.uniform(1.0, 10.0, size=(n, n)).astype(np.float32).astype(np.float64)
+
+
+class TestDualCertificate:
+    @given(
+        kind=st.sampled_from(["random", "integer-ties", "negative", "row-shift",
+                              "all-equal", "float32"]),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_duals_certify_the_matching(self, kind, n, seed):
+        cost = certificate_matrix(kind, n, seed)
+        p, u, v = _augmenting_path_duals(cost)
+        assert len(p) == len(u) == len(v) == n + 1
+        assert sorted(p[1:]) == list(range(1, n + 1))
+        tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
+        reduced = cost - u[1:, None] - v[None, 1:]
+        assert reduced.min() >= -tol
+        rows = np.asarray(p[1:]) - 1
+        assert np.abs(reduced[rows, np.arange(n)]).max() <= tol
 
 
 # SHA-256 over the goal vectors of pin_matrices(), recorded with the
@@ -91,14 +137,34 @@ def pin_matrices():
         yield np.ones((n, n))
 
 
+# SHA-256 over the goal vectors of large_pin_matrices(), recorded with the
+# e-maxx duals loop that the column-reduction start replaced.
+SOLVER_PIN_LARGE_SHA256 = "8647a66f1f7a6ebe22c954914d735b6457a3f8da1215765a7fbb9110e90c4b98"
+
+
+def large_pin_matrices():
+    """Seeded integer-tie (0-2) matrices at n = 120 and 200, and a random one at 120."""
+    rng = np.random.default_rng(20261019)
+    yield rng.integers(0, 3, size=(120, 120)).astype(np.float64)
+    yield rng.integers(0, 3, size=(200, 200)).astype(np.float64)
+    yield rng.uniform(0.0, 10.0, size=(120, 120))
+
+
+def goal_digest(matrices) -> str:
+    h = hashlib.sha256()
+    for cost in matrices:
+        h.update(np.asarray(hungarian_solve(cost).goals, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
 class TestSolverBeyondBruteForce:
     def test_goal_vectors_match_pin(self):
-        h = hashlib.sha256()
-        for cost in pin_matrices():
-            h.update(np.asarray(hungarian_solve(cost).goals, dtype="<i4").tobytes())
-        assert h.hexdigest() == SOLVER_PIN_SHA256
+        assert goal_digest(pin_matrices()) == SOLVER_PIN_SHA256
 
-    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_large_goal_vectors_match_pin(self):
+        assert goal_digest(large_pin_matrices()) == SOLVER_PIN_LARGE_SHA256
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 500])
     def test_total_cost_matches_scipy(self, n):
         optimize = pytest.importorskip("scipy.optimize")
         cost = np.random.default_rng(n).uniform(0.0, 10.0, size=(n, n))
@@ -201,6 +267,17 @@ class TestQuantizeMessage:
     def test_dequantize_rejects_oversized_payload(self):
         with pytest.raises(ShapeError):
             dequantize_message(bytes(16), dim=2)
+
+    def test_dequantize_rows_pads_each_row_into_one_block(self):
+        rows = [np.arange(1, 5, dtype=F32), np.arange(5, 7, dtype=F32), np.zeros(0, dtype=F32)]
+        block = _dequantize_rows(rows, dim=4)
+        assert block.dtype == F32
+        assert block.tolist() == [[1, 2, 3, 4], [5, 6, 0, 0], [0, 0, 0, 0]]
+        assert _dequantize_rows([], dim=4).shape == (0, 4)
+
+    def test_dequantize_rows_rejects_oversized_row(self):
+        with pytest.raises(ShapeError, match="feature dim is 2"):
+            _dequantize_rows([np.ones(2, dtype=F32), np.ones(4, dtype=F32)], dim=2)
 
 
 class TestAssignmentScenario:
