@@ -1,7 +1,8 @@
 """Microbenchmark of the assignment solver, one size per case.
 
-Lives outside ``testpaths``, so the tier-1 suite does not collect it. Run
-it from the root of a checkout:
+Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
+needs pytest-benchmark, the ``microbench`` extra (``pip install -e
+.[microbench]``). Run it from the root of a checkout:
 
     PYTHONPATH=src python -m pytest microbench -q --benchmark-columns=median,iqr,rounds
 

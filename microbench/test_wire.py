@@ -1,7 +1,8 @@
 """Microbenchmark of the wire codec on one navigation feature envelope.
 
-Lives outside ``testpaths``, so the tier-1 suite does not collect it. Run
-it from the root of a checkout:
+Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
+needs pytest-benchmark, the ``microbench`` extra (``pip install -e
+.[microbench]``). Run it from the root of a checkout:
 
     PYTHONPATH=src python -m pytest microbench/test_wire.py -q --benchmark-columns=median,iqr,rounds
 

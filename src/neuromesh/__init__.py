@@ -43,6 +43,7 @@ from .netsim import (
     MediumModel,
     MeshSimulator,
     Topology,
+    link_streams,
     measure_link_quality,
     scalability_sweep,
 )

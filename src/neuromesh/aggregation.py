@@ -206,12 +206,13 @@ def build_team(transports, staleness_ns: int) -> dict:
     return team
 
 
-def build_sim_team(topology, medium=None, staleness_ns: int = 10**12):
+def build_sim_team(topology, medium=None, staleness_ns: int = 10**12, streams=None):
     """A fresh MeshSimulator over ``topology``, one SimTransport per agent.
 
+    ``streams`` are the run's link RNG streams (see ``netsim.link_streams``).
     Returns (sim, team) with ``team`` as :func:`build_team` returns it.
     """
-    sim = MeshSimulator(topology, medium)
+    sim = MeshSimulator(topology, medium, streams=streams)
     return sim, build_team([SimTransport(sim, aid) for aid in topology.agents], staleness_ns)
 
 

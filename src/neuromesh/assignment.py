@@ -311,6 +311,7 @@ def run_assignment_scenario(
     medium: MediumModel | None = None,
     model: AssignmentModel | None = None,
     silenced=(),
+    streams: dict | None = None,
 ) -> AssignmentOutcome:
     """Run one decentralized assignment instance over the simulated mesh.
 
@@ -320,7 +321,8 @@ def run_assignment_scenario(
     solving it; in learned mode the attention aggregator fuses neighbor
     embeddings and the decoder's argmax picks the goal. Conflicting picks
     count as uncovered goals, never as errors; a blocking-mode timeout or
-    too few live neighbors marks the whole run failed.
+    too few live neighbors marks the whole run failed. ``streams`` are the
+    run's link RNG streams; without them the mesh seeds fresh ones.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -334,7 +336,7 @@ def run_assignment_scenario(
         raise ShapeError("learned mode needs an AssignmentModel")
     silenced = set(silenced)
 
-    sim, team = build_sim_team(topology, medium, staleness_ns=10**12)
+    sim, team = build_sim_team(topology, medium, staleness_ns=10**12, streams=streams)
 
     if mode == "expert":
         features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}

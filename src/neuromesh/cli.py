@@ -37,7 +37,7 @@ from .control import (
     run_navigation_scenario,
 )
 from .errors import ConfigError, NeuromeshError
-from .netsim import MeshSimulator, measure_link_quality, scalability_sweep
+from .netsim import MeshSimulator, link_streams, measure_link_quality, scalability_sweep
 from .pipeline import (
     PipelineStats,
     identity_stage,
@@ -45,7 +45,7 @@ from .pipeline import (
     run_sequential,
     with_delay,
 )
-from .reporting import write_csv, write_manifest
+from .reporting import share_with_interval, write_csv, write_manifest
 from .selftest import run_selftest
 
 
@@ -114,24 +114,32 @@ def _instance_costs(section: dict, n: int, seed: int, test_id: int) -> np.ndarra
 
 
 def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list[Path]:
+    """Run the config's tests over one set of link streams, built per call.
+
+    Test k continues the streams where test k - 1 stopped, so losses are
+    independent; each budget of a sweep starts fresh and sees the same draws.
+    """
     section = cfg["assignment"]
     n = cfg["team_size"]
     model = _assignment_model(section)
     topo = build_topology(n, cfg["network"])
+    streams = link_streams(topo)
     medium = build_medium(cfg["network"])
     agg = build_aggregation(cfg["aggregation"])
     if budget is None:
         budget = section["message_budget_bytes"]
     rows = []
     covered_total = 0
+    failed = 0
     pairs = []
     for test_id in range(section["n_tests"]):
         costs = _instance_costs(section, n, cfg["seed"], test_id)
         outcome = run_assignment_scenario(
             costs, mode=section["mode"], message_budget_bytes=budget,
-            agg_config=agg, topology=topo, medium=medium, model=model,
+            agg_config=agg, topology=topo, medium=medium, model=model, streams=streams,
         )
         covered_total += outcome.covered_goals
+        failed += outcome.failed
         if outcome.covered_goals == n and not outcome.failed:
             pairs.append((outcome.cost_out, outcome.cost_opt))
         rows.append([
@@ -143,7 +151,8 @@ def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list
         ])
     sr = sr_metric(covered_total, n, section["n_tests"])
     tcp = tcp_metric(pairs) if pairs else float("nan")
-    print(f"assignment{tag}: SR = {sr:.2f} %  TCP = {tcp:.4f} % over {len(pairs)} covered tests")
+    print(f"assignment{tag}: SR = {sr:.2f} %  TCP = {tcp:.4f} % over {len(pairs)} covered tests"
+          f"  failed {share_with_interval(failed, section['n_tests'])}")
     columns = ("test_id", "covered_goals", "C_out", "C_opt", "failed")
     name = f"assignment{tag}.csv"
     return [write_csv(outdir / name, "assignment", columns, rows)]
@@ -177,6 +186,7 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         w = section["weights"]
         policy = ControlPolicy.load(w["encoder"], w["pairwise"], w["decoder"])
     topo = build_topology(cfg["team_size"], cfg["network"])
+    streams = link_streams(topo)  # shared by every run, so their losses are independent
     medium = build_medium(cfg["network"])
     agg = build_aggregation(cfg["aggregation"])
     rows = []
@@ -197,7 +207,7 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         outcome = run_navigation_scenario(
             states, goals, policy=policy, params=params, topology=topo, medium=medium,
             agg_config=agg, scripted=section["policy"] == "scripted",
-            record_trajectory=section["write_trajectories"],
+            record_trajectory=section["write_trajectories"], streams=streams,
         )
         successes += outcome.success
         rows.append([
@@ -208,7 +218,7 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
             trajectory_rows.append(
                 [run_id, step, agent, f"{x:.4f}", f"{y:.4f}", f"{heading:.4f}"]
             )
-    print(f"control: {successes}/{section['n_runs']} runs succeeded")
+    print(f"control: succeeded {share_with_interval(successes, section['n_runs'])} of runs")
     outputs = [write_csv(
         outdir / "control_runs.csv", "control-runs",
         ("run_id", "success", "steps", "min_pairwise_distance_m"), rows,

@@ -5,6 +5,12 @@ clock. Every random draw (loss, jitter) comes from a per-directed-link
 generator seeded from the link seed and the endpoint ids, so identical
 configs and seeds replay identical delivery traces bit for bit.
 
+The streams belong to the run, not to one simulator: ``link_streams``
+builds them, and every simulator a run builds over them continues each
+link's draws where the previous simulator stopped, so the tests of a run
+see independent losses. Test k of a run therefore replays only after
+tests 0..k-1 have run. A simulator built without streams seeds fresh ones.
+
 Link model per message:
 
     delivery = tx_start + bytes / effective_bandwidth + max(0, latency + jitter)
@@ -44,11 +50,8 @@ DEFAULT_BASE_PORT = 47000
 
 def derive_seed(base: int, *parts: int) -> int:
     """Stable 64-bit seed derivation (platform- and run-independent)."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", base & (2**64 - 1)))
-    for p in parts:
-        h.update(struct.pack("<q", p))
-    return int.from_bytes(h.digest(), "little")
+    buf = struct.pack("<Q" + "q" * len(parts), base & (2**64 - 1), *parts)
+    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
 @dataclass
@@ -125,15 +128,31 @@ class Topology:
         return list(self._adjacency.get(a, ()))
 
 
+def link_streams(topology: Topology) -> dict:
+    """One RNG stream per directed link: (frm, to) -> ``random.Random``.
+
+    Each is seeded from ``derive_seed(link.seed, frm, to)``. Pass the dict to
+    every simulator of a run so that they share, and continue, the draws.
+    """
+    return {
+        (frm, to): random.Random(derive_seed(link.seed, frm, to))
+        for (a, b), link in topology.links.items()
+        for frm, to in ((a, b), (b, a))
+    }
+
+
 class MeshSimulator:
     """Event-driven mesh with bandwidth, latency, jitter, and loss.
 
     Receive callbacks are ``cb(data: bytes, now_ns: int)``; they run on the
     simulator loop when the virtual clock reaches the delivery time.
+    ``streams`` is a :func:`link_streams` dict that draws continue from;
+    without it the simulator seeds fresh streams. The FIFO clamp and the
+    radios' busy times always start fresh.
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
-                 record_tx: bool = False):
+                 record_tx: bool = False, streams: dict | None = None):
         self.topology = topology
         self.medium = medium or MediumModel()
         transmitters = {a for edge in topology.links for a in edge}  # agents with a link
@@ -143,12 +162,17 @@ class MeshSimulator:
         self._counter = 0
         self._tx_free = {a: 0 for a in topology.agents}
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
+        if streams is None:
+            streams = link_streams(topology)
         # (frm, to) -> [LinkModel, RNG stream, last delivery time (FIFO clamp)]
-        self._links = {
-            (frm, to): [link, random.Random(derive_seed(link.seed, frm, to)), 0]
-            for (a, b), link in topology.links.items()
-            for frm, to in ((a, b), (b, a))
-        }
+        try:
+            self._links = {
+                (frm, to): [link, streams[frm, to], 0]
+                for (a, b), link in topology.links.items()
+                for frm, to in ((a, b), (b, a))
+            }
+        except KeyError as exc:
+            raise TopologyError(f"no RNG stream for link {exc.args[0]}") from None
         self._receivers: dict = {}
         self.sent = 0
         self.dropped = 0

@@ -69,3 +69,20 @@ def naive_diff_sum(g, self_feature, neighbors):
 def binomial_three_sigma_pct(p: float, n: int) -> float:
     """3-sigma half-width, in percent, for an empirical loss estimate."""
     return 300.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def binomial_central_interval(n: int, p: float, level: float) -> tuple[int, int]:
+    """Counts (lo, hi) with P(X < lo) <= a and P(X > hi) <= a, a = (1 - level) / 2.
+
+    X ~ Binomial(n, p); the tails are summed term by term from the exact pmf.
+    """
+    alpha = (1.0 - level) / 2.0
+    cdf = 0.0
+    lo = None
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        if lo is None and cdf > alpha:
+            lo = k
+        if cdf >= 1.0 - alpha:
+            return lo, k
+    return lo, n

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import neuromesh.wire as wire_mod
 from neuromesh.cli import main
 from neuromesh.config import COMMON_FIELDS, SCHEMA_DOC, TASK_FIELDS, validate_config
 from neuromesh.errors import ConfigError
+
+from oracles import binomial_central_interval
 
 
 def write_config(tmp_path, body):
@@ -175,6 +178,7 @@ class TestCliRun:
         stdout = capsys.readouterr().out
         assert "SR = 100.00" in stdout
         assert "TCP = 0.0000" in stdout
+        assert "failed 0/4 = 0.0 % (95 % CI 0.0-49.0 %)" in stdout
         lines = read_csv_lines(out / "assignment.csv")
         assert len(lines) == 2 + 4
         manifest = json.loads((out / "run_manifest.json").read_text())
@@ -274,6 +278,61 @@ class TestFailuresAreOutcomes:
         }, "assignment.csv")
         assert len(rows) == 3
         assert all(row[-1] == "1" for row in rows)
+
+
+class TestIndependentLosses:
+    """The tests of one run continue its link streams, so their losses are independent."""
+
+    LOSS = 0.003
+    ROBOTS = 10
+    TESTS = 200
+
+    def test_blocking_failures_follow_the_binomial_law(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "assignment",
+            "output_dir": str(out),
+            "team_size": self.ROBOTS,
+            "network": {"loss_prob": self.LOSS},
+            "aggregation": {"mode": "blocking"},
+            "assignment": {"mode": "expert", "n_tests": self.TESTS},
+        })
+        assert main(["run", cfg]) == 0
+        failed = sum(int(line.split(",")[-1])
+                     for line in read_csv_lines(out / "assignment.csv")[2:])
+        # A blocking test fails if any of its n (n - 1) messages is lost.
+        p_fail = 1.0 - (1.0 - self.LOSS) ** (self.ROBOTS * (self.ROBOTS - 1))
+        lo, hi = binomial_central_interval(self.TESTS, p_fail, 0.99)
+        assert lo <= failed <= hi, f"{failed} of {self.TESTS} failed, expected {lo}..{hi}"
+        assert f"failed {failed}/{self.TESTS} = " in capsys.readouterr().out
+
+    def test_every_budget_of_a_sweep_sees_the_same_losses(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "assignment",
+            "output_dir": str(out),
+            "team_size": 6,
+            "network": {"loss_prob": 0.02},
+            "aggregation": {"mode": "blocking"},
+            "assignment": {"n_tests": 30},
+            "sweep": {"message_budget_bytes": [8, 64]},
+        })
+        assert main(["sweep", cfg]) == 0
+        failed = [[line.split(",")[-1] for line in read_csv_lines(out / name)[2:]]
+                  for name in ("assignment_budget8.csv", "assignment_budget64.csv")]
+        assert failed[0] == failed[1]
+        assert 0 < failed[0].count("1") < 30
+
+    def test_control_summary_reports_the_success_share(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "control",
+            "output_dir": str(tmp_path / "out"),
+            "control": {"n_runs": 1, "max_steps": 5},
+        })
+        assert main(["run", cfg]) == 0
+        line = re.search(r"control: succeeded (\d)/1 = .* \(95 % CI .*\) of runs",
+                         capsys.readouterr().out)
+        assert line is not None
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from neuromesh.netsim import (
     Topology,
     closed_form_link_throughput,
     derive_seed,
+    link_streams,
     measure_link_quality,
     scalability_sweep,
 )
@@ -139,6 +141,69 @@ class TestSendModel:
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+
+    @pytest.mark.parametrize("args, seed", [
+        ((0,), 1786884285633530058),
+        ((1, 2, 3), 13041116711478803063),
+        ((7, 0, 1), 13172581561268758288),
+        ((2**64 - 1, -1, 5), 4108309588686461564),
+        ((123456789, 20, 19), 6652634222012181401),
+    ])
+    def test_derive_seed_values_are_pinned(self, args, seed):
+        assert derive_seed(*args) == seed
+
+
+LOSSY_JITTER = LinkModel(base_latency_ns=MS, jitter_stddev_ns=0.5 * MS, loss_prob=0.5, seed=9)
+
+
+def send_pattern(sim, sends):
+    """``send`` return values for ``sends`` messages on each directed link of a 3-mesh."""
+    out = []
+    for _ in range(sends):
+        for frm, to in itertools.permutations(range(3), 2):
+            out.append(sim.send(frm, to, bytes(16)))
+    return out
+
+
+class TestLinkStreams:
+    def test_fresh_streams_use_the_per_link_derivation(self):
+        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
+        streams = link_streams(topo)
+        assert sorted(streams) == list(itertools.permutations(range(3), 2))
+        for (frm, to), rng in streams.items():
+            reference = random.Random(derive_seed(LOSSY_JITTER.seed, frm, to))
+            assert [rng.random() for _ in range(5)] == [reference.random() for _ in range(5)]
+
+    def test_simulator_without_streams_replays_fresh_streams(self):
+        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
+        default = send_pattern(MeshSimulator(topo), 50)
+        assert default == send_pattern(MeshSimulator(topo, streams=link_streams(topo)), 50)
+
+    def test_second_simulator_continues_the_first_ones_draws(self):
+        topo = Topology.full_mesh(range(3), LinkModel(loss_prob=0.5, seed=9))
+        streams = link_streams(topo)
+        first = send_pattern(MeshSimulator(topo, streams=streams), 50)
+        second = send_pattern(MeshSimulator(topo, streams=streams), 50)
+        # Lossless sends return their delivery time, which restarts with each
+        # simulator's clock; the loss pattern is what the streams carry on.
+        one_sim = send_pattern(MeshSimulator(topo), 100)
+        assert [t is None for t in first + second] == [t is None for t in one_sim]
+        assert [t is None for t in second] != [t is None for t in first]
+
+    def test_radio_state_stays_per_simulator(self):
+        topo = Topology.full_mesh(range(2), LinkModel(base_latency_ns=MS, seed=9))
+        streams = link_streams(topo)
+        first = MeshSimulator(topo, streams=streams)
+        times = [first.send(0, 1, bytes(100)) for _ in range(3)]
+        second = MeshSimulator(topo, streams=streams)
+        assert second.send(0, 1, bytes(100)) == times[0] < times[1]
+
+    def test_streams_missing_a_link_raise_topology_error(self):
+        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
+        streams = link_streams(topo)
+        del streams[(2, 0)]
+        with pytest.raises(TopologyError, match=r"\(2, 0\)"):
+            MeshSimulator(topo, streams=streams)
 
 
 DELIVERY_TRACE_SHA256 = "9ecc45eedb6fa78653f74748729241d2994633c32f7ec6853b94f0164ee8ccfc"
