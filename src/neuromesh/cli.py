@@ -104,10 +104,7 @@ def _assignment_model(section: dict) -> AssignmentModel | None:
 
 def _instance_costs(section: dict, n: int, seed: int, test_id: int) -> np.ndarray:
     if section["costs"] != "random":
-        costs = np.asarray(section["costs"], dtype=np.float32)
-        if costs.shape != (n, n):
-            raise ConfigError("assignment.costs", f"expected a {n}x{n} matrix, got {costs.shape}")
-        return costs
+        return np.asarray(section["costs"], dtype=np.float32)
     lo, hi = section["cost_range"]
     rng = np.random.default_rng((seed, test_id))
     return rng.uniform(lo, hi, size=(n, n)).astype(np.float32)

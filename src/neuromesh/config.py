@@ -29,7 +29,7 @@ COMMON_FIELDS = ("task", "seed", "output_dir")
 SCHEMA_DOC = {
     "task": " | ".join(TASKS) + " (required); each task accepts only the fields it reads: "
             + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items()),
-    "seed": "int, master seed; overridable with the NEUROMESH_SEED env var (default 0)",
+    "seed": "int >= 0, master seed; overridable with the NEUROMESH_SEED env var (default 0)",
     "output_dir": "directory for CSV outputs and the run manifest (default 'results')",
     "team_size": "int >= 2, number of agents (default 5; control default 3)",
     "network": {
@@ -49,7 +49,7 @@ SCHEMA_DOC = {
         "n_tests": "int >= 1 instances to run (default 20)",
         "mode": "'expert' | 'learned' (default 'expert')",
         "message_budget_bytes": "int >= 4 payload cap, null = unlimited (default null)",
-        "costs": "'random' or an inline n x n matrix (default 'random')",
+        "costs": "'random' or an inline team_size x team_size matrix (default 'random')",
         "cost_range": "[lo, hi] for random costs (default [1, 10])",
         "weights": "learned mode: {encoder, attention, decoder, heads, layers}",
     },
@@ -57,8 +57,8 @@ SCHEMA_DOC = {
         "n_runs": "int >= 1 (default 20)",
         "policy": "'scripted' | 'learned' (default 'scripted')",
         "weights": "learned mode: {encoder, pairwise, decoder}",
-        "initial_poses": "'random' or [[x, y, heading], ...] (default 'random')",
-        "goals": "'random' or [[x, y], ...] (default 'random')",
+        "initial_poses": "'random' or team_size [x, y, heading] entries (default 'random')",
+        "goals": "'random' or team_size [x, y] entries (default 'random')",
         "arena_half_extent_m": "float, random pose range (default 2.0)",
         "success_radius_m": "float > 0 (default 0.15)",
         "collision_radius_m": "float > 0 (default 0.30)",
@@ -92,31 +92,43 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _check_unknown(section: dict, allowed, path: str, reads=None, task=None) -> None:
     """Reject keys outside ``allowed``, and, given ``reads``, keys the task never reads."""
     for key in section:
-        where = f"{path}.{key}" if path else key
+        where = _field(path, key)
         _expect(key in allowed, where, "unknown field")
         _expect(reads is None or key in reads, where, f"the {task} task does not read this field")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_row(value, width: int) -> bool:
+    return isinstance(value, list) and len(value) == width and all(map(_is_number, value))
+
+
 def _number(section, key, path, default, minimum=None, maximum=None, strict_min=False):
     value = section.get(key, default)
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", f"expected a number, got {value!r}")
+    where = _field(path, key)
+    _expect(_is_number(value), where, f"expected a number, got {value!r}")
     if minimum is not None:
         if strict_min:
-            _expect(value > minimum, f"{path}.{key}", f"must be > {minimum}, got {value}")
+            _expect(value > minimum, where, f"must be > {minimum}, got {value}")
         else:
-            _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+            _expect(value >= minimum, where, f"must be >= {minimum}, got {value}")
     if maximum is not None:
-        _expect(value <= maximum, f"{path}.{key}", f"must be <= {maximum}, got {value}")
+        _expect(value <= maximum, where, f"must be <= {maximum}, got {value}")
     return value
 
 
 def _integer(section, key, path, default, minimum=None):
     value = _number(section, key, path, default, minimum)
-    _expect(float(value).is_integer(), f"{path}.{key}", f"expected an integer, got {value!r}")
+    _expect(float(value).is_integer(), _field(path, key), f"expected an integer, got {value!r}")
     return int(value)
 
 
@@ -152,13 +164,14 @@ def validate_config(raw: dict) -> dict:
     _check_unknown(raw, SCHEMA_DOC, "", COMMON_FIELDS + TASK_FIELDS[task], task)
 
     cfg: dict = {"task": task}
-    cfg["seed"] = _integer(raw, "seed", "", 0)
+    cfg["seed"] = _integer(raw, "seed", "", 0, minimum=0)
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(ENV_SEED, f"not an integer: {env_seed!r}") from exc
+        _expect(cfg["seed"] >= 0, ENV_SEED, f"must be >= 0, got {cfg['seed']}")
     out = raw.get("output_dir", "results")
     _expect(isinstance(out, str) and out, "output_dir", "expected a non-empty string")
     cfg["output_dir"] = out
@@ -222,7 +235,10 @@ def _validate_assignment(section: dict, cfg: dict) -> dict:
     out["message_budget_bytes"] = budget
     costs = section.get("costs", "random")
     if costs != "random":
-        _expect(isinstance(costs, list), "assignment.costs", "expected 'random' or a matrix")
+        n = cfg["team_size"]
+        _expect(isinstance(costs, list) and len(costs) == n
+                and all(_is_row(row, n) for row in costs),
+                "assignment.costs", f"expected 'random' or a {n}x{n} matrix of numbers")
     out["costs"] = costs
     rng = section.get("cost_range", [1.0, 10.0])
     _expect(isinstance(rng, list) and len(rng) == 2 and rng[0] < rng[1],
@@ -259,11 +275,13 @@ def _validate_control(section: dict, cfg: dict) -> dict:
         _expect(isinstance(bounds, list) and len(bounds) == 2 and bounds[0] < bounds[1],
                 f"control.{key}", f"expected [lo, hi] with lo < hi, got {bounds!r}")
         out[key] = (float(bounds[0]), float(bounds[1]))
-    for key in ("initial_poses", "goals"):
+    for key, width in (("initial_poses", 3), ("goals", 2)):
         value = section.get(key, "random")
         if value != "random":
-            _expect(isinstance(value, list) and len(value) == cfg["team_size"],
-                    f"control.{key}", f"expected 'random' or {cfg['team_size']} entries")
+            _expect(isinstance(value, list) and len(value) == cfg["team_size"]
+                    and all(_is_row(entry, width) for entry in value),
+                    f"control.{key}",
+                    f"expected 'random' or {cfg['team_size']} entries of {width} numbers")
         out[key] = value
     out["weights"] = _validate_weights(
         section, "control", ("encoder", "pairwise", "decoder"),
@@ -275,8 +293,7 @@ def _validate_control(section: dict, cfg: dict) -> dict:
 def _validate_timing(section: dict, cfg: dict) -> dict:
     _check_unknown(section, set(SCHEMA_DOC["timing"]), "timing")
     delays = section.get("delays_ms", [10.0, 30.0, 20.0])
-    _expect(isinstance(delays, list) and len(delays) == 3
-            and all(isinstance(d, (int, float)) and d >= 0 for d in delays),
+    _expect(_is_row(delays, 3) and all(d >= 0 for d in delays),
             "timing.delays_ms", f"expected three non-negative numbers, got {delays!r}")
     return {
         "delays_ms": [float(d) for d in delays],

@@ -1,26 +1,29 @@
 """Three-stage concurrent pipeline: encode, message-pass/aggregate, decode.
 
-Each stage runs on its own thread; stages hand items over through depth-1
-slots. A producer admits a new item just in time for its consumer's next
-pickup, predicted from the bottleneck period (the largest per-stage
-processing-time estimate). In steady state the output period therefore
-equals the slowest stage's duration while each item still flows through
-the stages without queueing: end-to-end latency stays at the sum of the
-stage durations.
+One stage loop serves both schedules. ``run_pipeline`` runs every stage but
+the last on its own thread, the last on the calling thread, and hands items
+over through depth-1 slots. A producer admits a new item just in time for
+its consumer's next pickup, predicted from the bottleneck period (the
+largest per-stage processing-time estimate). In steady state the output
+period therefore equals the slowest stage's duration while end-to-end
+latency stays at the sum of the stage durations. ``run_sequential`` is the
+one-stage case: the three stages composed, on the calling thread.
 
-Handoff slots never discard items, so parallel and sequential execution
-produce identical output sequences for deterministic stages. The
-keep-latest drop policy applies only at ingress, when a paced observation
-source outruns the encoder; those drops are counted and reported.
+Each source stamps its own ingress: a list source when the encoder pulls
+an item, a :class:`PacedSource` when it emits one. Handoff slots never
+discard items, so both schedules produce identical outputs for
+deterministic stages; only a paced source that outruns the encoder drops
+(keep-latest), and those drops are counted.
 
-A stage that raises poisons only its current item: the error is logged,
-the item is skipped, and the pipeline keeps running. A stage thread that
-dies of any other ``BaseException`` closes the handoffs and a paced source,
-so its peers return at once and ``run_pipeline`` re-raises the error.
+A stage that raises poisons only its current item: the error is logged
+and the item skipped. A stage that dies of any other ``BaseException``
+closes the handoffs and the source, so its peers and a paced emitter stop
+at once, and the runner re-raises the error after joining them.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
@@ -48,7 +51,7 @@ def _sleep_until(target_ns: int) -> None:
 
 
 class _StageCosts:
-    """Per-stage processing-time EWMAs shared by the three stage threads.
+    """Per-stage processing-time EWMAs shared by the stage threads.
 
     The bottleneck period is the maximum of the per-stage costs. Using
     processing times rather than observed handoff cadences keeps the
@@ -56,7 +59,7 @@ class _StageCosts:
     never feed back into the estimate.
     """
 
-    def __init__(self, n_stages: int = 3):
+    def __init__(self, n_stages: int):
         self._costs = [0.0] * n_stages
 
     def record(self, stage: int, cost_ns: int) -> None:
@@ -199,21 +202,21 @@ class PacedSource:
 
 
 class _ListSource:
-    """Pull-driven source: the encoder draws items on demand, nothing drops."""
+    """Pull-driven source: stamps ingress when the encoder pulls an item; nothing drops."""
+
+    drops = 0
 
     def __init__(self, observations):
-        self._iter = iter(observations)
-        self._index = 0
-        self.drops = 0
+        self._items = enumerate(observations)
+
+    def start(self) -> None:  # nothing runs behind a pulled source
+        pass
+
+    close = join = start
 
     def next_item(self):
-        try:
-            obs = next(self._iter)
-        except StopIteration:
-            return None
-        item = _Item(self._index, time.monotonic_ns(), obs)
-        self._index += 1
-        return item
+        pulled = next(self._items, None)
+        return None if pulled is None else _Item(pulled[0], time.monotonic_ns(), pulled[1])
 
 
 @dataclass
@@ -288,28 +291,33 @@ def identity_stage(x):
 
 
 def _make_source(observations, cycles):
-    """(source, paced) for ``observations``, truncated to ``cycles`` items."""
-    paced = isinstance(observations, PacedSource)
-    if paced and cycles is not None and cycles != len(observations):
-        raise ConfigError("cycles", "cycle count must match the paced source length")
-    items = observations if paced else list(observations)[:cycles]
-    if len(items) < 3:
-        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {len(items)}")
-    return (observations if paced else _ListSource(items)), paced
+    """The source for ``observations``, truncated to ``cycles`` items.
 
-
-def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
-    """Run the three stages concurrently; returns (outputs, PipelineStats).
-
-    ``observations`` is an iterable (pulled on demand, lossless) or a
-    :class:`PacedSource` (pushed at a fixed rate, keep-latest at ingress).
-    Outputs preserve observation order.
+    An iterable is pulled lazily; only its first three items are drawn up
+    front, to check that the pipeline can fill.
     """
-    source, paced = _make_source(observations, cycles)
+    if isinstance(observations, PacedSource):
+        if cycles is not None and cycles != len(observations):
+            raise ConfigError("cycles", "cycle count must match the paced source length")
+        source, ready = observations, len(observations)
+    else:
+        rest = itertools.islice(observations, cycles)
+        head = list(itertools.islice(rest, 3))
+        source, ready = _ListSource(itertools.chain(head, rest)), len(head)
+    if ready < 3:
+        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {ready}")
+    return source
 
-    stages = (encoder, aggregator, decoder)
+
+def _run_stages(stages, names, observations, cycles):
+    """Run ``stages`` in order over ``observations``; returns (outputs, PipelineStats).
+
+    Every stage but the last runs on its own thread; the last runs on the
+    calling thread and emits the outputs.
+    """
+    source = _make_source(observations, cycles)
     slots = [_Handoff() for _ in stages[1:]]
-    costs = _StageCosts()
+    costs = _StageCosts(len(stages))
     outputs: list = []
     records: list = []
     errors = [0]
@@ -329,13 +337,10 @@ def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
                     outbox.put(_SENTINEL)
                 return
             t0 = time.monotonic_ns()
-            if k == 0 and not paced:
-                item.ingress_ns = t0
             try:
                 value = stages[k](item.value)
             except Exception:
-                log.warning("%s failed on item %d; skipping", _STAGE_NAMES[k], item.index,
-                            exc_info=True)
+                log.warning("%s failed on item %d; skipping", names[k], item.index, exc_info=True)
                 errors[0] += 1
                 continue
             t_out = time.monotonic_ns()
@@ -353,50 +358,40 @@ def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
             failures.append(exc)
             for slot in slots:
                 slot.close()
-            if paced:
-                source.close()
+            source.close()
 
     threads = [
-        threading.Thread(target=runner, args=(k,), name=f"stage-{_STAGE_NAMES[k]}")
-        for k in range(len(stages))
+        threading.Thread(target=runner, args=(k,), name=f"stage-{names[k]}")
+        for k in range(len(slots))
     ]
-    if paced:
-        source.start()
+    source.start()
     for t in threads:
         t.start()
+    runner(len(slots))
     for t in threads:
         t.join(timeout=600.0)
         if t.is_alive():
             raise RuntimeError(f"pipeline thread {t.name} failed to finish")
-    if paced:
-        source.join()
+    source.join()
     if failures:
         raise failures[0]
-    return outputs, _compute_stats(records, getattr(source, "drops", 0), errors[0])
+    return outputs, _compute_stats(records, source.drops, errors[0])
+
+
+def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
+    """Run the three stages concurrently; returns (outputs, PipelineStats).
+
+    ``observations`` is an iterable (pulled on demand, lossless) or a
+    :class:`PacedSource` (pushed at a fixed rate, keep-latest at ingress).
+    Outputs preserve observation order.
+    """
+    return _run_stages((encoder, aggregator, decoder), _STAGE_NAMES, observations, cycles)
 
 
 def run_sequential(encoder, aggregator, decoder, observations, cycles=None):
-    """Run the stages back to back per item; same stats as run_pipeline."""
-    source, paced = _make_source(observations, cycles)
-    if paced:
-        source.start()
-    outputs: list = []
-    records: list = []
-    errors = 0
-    while True:
-        item = source.next_item()
-        if item is None:
-            break
-        t_in = item.ingress_ns if paced else time.monotonic_ns()
-        try:
-            value = decoder(aggregator(encoder(item.value)))
-        except Exception:
-            log.warning("stage failed on item %d; skipping", item.index, exc_info=True)
-            errors += 1
-            continue
-        t_out = time.monotonic_ns()
-        outputs.append(value)
-        records.append((item.index, t_in, t_out))
-    if paced:
-        source.join()
-    return outputs, _compute_stats(records, getattr(source, "drops", 0), errors)
+    """Run the stages back to back per item on the calling thread; same stats as run_pipeline."""
+
+    def chain(x):
+        return decoder(aggregator(encoder(x)))
+
+    return _run_stages((chain,), ("stage",), observations, cycles)

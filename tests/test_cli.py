@@ -132,6 +132,33 @@ class TestCliRun:
         assert main(["run", cfg]) == 2
         assert "network.per_node_bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,env_seed,path", [
+        ({"task": "assignment", "seed": -1}, None, "seed:"),
+        ({"task": "control"}, "-3", "NEUROMESH_SEED:"),
+        ({"task": "assignment", "assignment": {"costs": [[1, 2], [3]]}}, None, "assignment.costs:"),
+        ({"task": "assignment", "assignment": {"costs": [[1, "a"], [3, 4]]}}, None,
+         "assignment.costs:"),
+        ({"task": "control", "control": {"initial_poses": [[0, 0], [1, 1, 0]]}}, None,
+         "control.initial_poses:"),
+        ({"task": "control", "control": {"initial_poses": [[0, 0, "north"], [1, 1, 0]]}}, None,
+         "control.initial_poses:"),
+        ({"task": "control", "control": {"goals": [[0, 0, 0], [1, 1]]}}, None, "control.goals:"),
+        ({"task": "control", "control": {"goals": [[0, "a"], [1, 1]]}}, None, "control.goals:"),
+    ], ids=["negative-seed", "negative-env-seed", "ragged-costs", "non-numeric-costs",
+            "short-pose", "non-numeric-pose", "long-goal", "non-numeric-goal"])
+    def test_malformed_value_exits_2_at_load_with_its_path(self, tmp_path, capsys, monkeypatch,
+                                                           body, env_seed, path):
+        if env_seed is not None:
+            monkeypatch.setenv("NEUROMESH_SEED", env_seed)
+        task = body["task"]
+        section = {"assignment": {"n_tests": 1}, "control": {"n_runs": 1, "max_steps": 5}}[task]
+        section.update(body.get(task, {}))
+        cfg = write_config(tmp_path, dict(body, team_size=2, output_dir=str(tmp_path / "out"),
+                                          **{task: section}))
+        assert main(["run", cfg]) == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_timing_scenario_emits_parallel_and_sequential_rows(self, tmp_path):
         cfg = write_config(tmp_path, {
             "task": "timing",

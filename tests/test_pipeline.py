@@ -52,6 +52,38 @@ class TestOrderingAndEquivalence:
         )
         assert len(outputs) == 5
 
+    @pytest.mark.parametrize("runner", [run_pipeline, run_sequential],
+                             ids=["run_pipeline", "run_sequential"])
+    def test_cycle_count_pulls_only_that_many_observations(self, runner):
+        pulled = []
+
+        def observations():
+            for i in range(1000):
+                pulled.append(i)
+                yield np.full(3, i, dtype=F32)
+
+        outputs, _ = runner(identity_stage, identity_stage, identity_stage, observations(),
+                            cycles=5)
+        assert len(outputs) == 5
+        assert pulled == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("runner,on_caller", [
+        (run_pipeline, {2}),
+        (run_sequential, {0, 1, 2}),
+    ], ids=["run_pipeline", "run_sequential"])
+    def test_stages_that_run_on_the_calling_thread(self, runner, on_caller):
+        seen = [set(), set(), set()]
+
+        def recorded(k):
+            def stage(x):
+                seen[k].add(threading.current_thread())
+                return x
+            return stage
+
+        runner(recorded(0), recorded(1), recorded(2), tensors(6))
+        caller = {threading.current_thread()}
+        assert {k for k in range(3) if seen[k] == caller} == on_caller
+
     def test_fewer_than_three_items_rejected(self):
         with pytest.raises(ConfigError, match="3"):
             run_pipeline(identity_stage, identity_stage, identity_stage, tensors(2))
@@ -132,6 +164,8 @@ class TestErrorPolicy:
 
 
 class TestStageDeath:
+    runner = staticmethod(run_pipeline)
+
     @pytest.mark.parametrize("dying", [0, 1, 2])
     def test_dying_stage_is_raised_instead_of_stranding_its_peers(self, dying):
         class StageDied(BaseException):
@@ -148,14 +182,14 @@ class TestStageDeath:
 
         def run():
             try:
-                run_pipeline(*stages, tensors(10))
+                self.runner(*stages, tensors(10))
             except StageDied as exc:
                 raised.append(exc)
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=5.0)
-        assert not runner.is_alive(), "run_pipeline still running 5 s after a stage died"
+        assert not runner.is_alive(), "the run is still going 5 s after a stage died"
         assert len(raised) == 1
 
     def test_dying_stage_stops_a_paced_source(self):
@@ -171,8 +205,13 @@ class TestStageDeath:
         source = PacedSource(tensors(20), interval_ns=100_000_000)
         started = time.monotonic()
         with pytest.raises(StageDied):
-            run_pipeline(dies_on_item_1, identity_stage, identity_stage, source)
+            self.runner(dies_on_item_1, identity_stage, identity_stage, source)
         assert time.monotonic() - started < 0.5
+        assert not source._thread.is_alive(), "the paced source still emits after the raise"
+
+
+class TestSequentialStageDeath(TestStageDeath):
+    runner = staticmethod(run_sequential)
 
 
 class TestIngressBackpressure:
