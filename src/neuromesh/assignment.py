@@ -158,15 +158,29 @@ def _reroute(tight, goal: list[int], owner: list[int], i: int, start: int, via: 
     return False
 
 
-def hungarian_solve(costs) -> Assignment:
+def hungarian_solve(costs, *, memo: dict | None = None) -> Assignment:
     """Minimum-cost one-to-one assignment with a deterministic tie-break.
 
     Among all optimal assignments, returns the lexicographically smallest
-    goal vector.
+    goal vector. ``memo`` maps the float64 bytes of each matrix solved
+    through it to its answer, so a repeated matrix is not solved again.
     """
     cost = _as_cost_matrix(costs)
     if not cost.size:
         return Assignment([], 0.0)
+    if memo is None:
+        return _solve(cost)
+    key = cost.tobytes()
+    hit = memo.get(key)
+    if hit is None:
+        out = _solve(cost)
+        memo[key] = (tuple(out.goals), out.total_cost)
+        return out
+    return Assignment(list(hit[0]), hit[1])
+
+
+def _solve(cost: np.ndarray) -> Assignment:
+    """``hungarian_solve`` on a validated, non-empty matrix."""
     p, u, v = _augmenting_path_duals(cost)
     tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
     mask = cost - u[1:, None] - v[None, 1:] <= tol
@@ -323,6 +337,10 @@ def run_assignment_scenario(
     count as uncovered goals, never as errors; a blocking-mode timeout or
     too few live neighbors marks the whole run failed. ``streams`` are the
     run's link RNG streams; without them the mesh seeds fresh ones.
+
+    Within one call, robots that hold the same matrix share one solve: every
+    robot still calls ``hungarian_solve``, and all calls share one memo that
+    lives only as long as this call.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -352,7 +370,8 @@ def run_assignment_scenario(
     publish_features(team, sent, 1, sim.now_ns, 0)
     sim.drain()  # one control tick: let the exchange land before aggregating
 
-    cost_opt = hungarian_solve(cost).total_cost
+    memo: dict = {}
+    cost_opt = hungarian_solve(cost, memo=memo).total_cost
     choices: list[int] = []
     try:
         gathered = {
@@ -373,7 +392,7 @@ def run_assignment_scenario(
             local = np.zeros_like(cost)
             local[index_of[a]] = features[a]
             local[[index_of[nid] for nid, _ in gathered[a]]] = block
-            choices.append(hungarian_solve(local).goals[index_of[a]])
+            choices.append(hungarian_solve(local, memo=memo).goals[index_of[a]])
         else:
             if len(block):
                 h = attention_forward(model.attention, features[a], block)

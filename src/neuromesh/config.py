@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 from .aggregation import AggregationConfig
@@ -115,7 +116,9 @@ def _is_row(value, width: int) -> bool:
 def _number(section, key, path, default, minimum=None, maximum=None, strict_min=False):
     value = section.get(key, default)
     where = _field(path, key)
-    _expect(_is_number(value), where, f"expected a number, got {value!r}")
+    # abs() <= max rejects inf and nan, and ints too large for a float
+    _expect(_is_number(value) and abs(value) <= sys.float_info.max, where,
+            f"expected a finite number, got {value!r}")
     if minimum is not None:
         if strict_min:
             _expect(value > minimum, where, f"must be > {minimum}, got {value}")

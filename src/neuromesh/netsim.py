@@ -64,8 +64,10 @@ class LinkModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError("network.loss_prob", f"{self.loss_prob} outside [0, 1]")
-        if self.base_latency_ns < 0 or self.jitter_stddev_ns < 0:
-            raise ConfigError("network.base_latency_ms", "latency and jitter must be >= 0")
+        if not 0 <= self.base_latency_ns < math.inf:
+            raise ConfigError("network.base_latency_ms", "latency must be finite and >= 0")
+        if not 0 <= self.jitter_stddev_ns < math.inf:
+            raise ConfigError("network.jitter_ms", "jitter must be finite and >= 0")
 
 
 @dataclass

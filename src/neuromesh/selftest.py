@@ -79,6 +79,7 @@ def _check_buffer_semantics():
 
 def _check_solver_oracle():
     rng = np.random.default_rng(11)
+    memo: dict = {}
     for n in (3, 5, 6):
         for _ in range(100):
             costs = rng.uniform(0, 10, size=(n, n)).astype(np.float32)
@@ -86,7 +87,10 @@ def _check_solver_oracle():
             ref = assignment.brute_force_solve(costs)
             if ours.total_cost != ref.total_cost or ours.goals != ref.goals:
                 return FAIL, f"solver disagrees with brute force on an n={n} instance"
-    return PASS, "augmenting-path solver matches brute force (300 instances)"
+            memoized = [assignment.hungarian_solve(costs, memo=memo) for _ in range(2)]
+            if memoized != [ours, ours]:  # the first call misses, the second hits
+                return FAIL, f"memoized solve differs from the fresh one on an n={n} instance"
+    return PASS, "augmenting-path solver matches brute force, memoized or not (300 instances)"
 
 
 def _check_rounds_equivalence():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuromesh.assignment as assignment_mod
 from neuromesh.aggregation import AggregationConfig
 from neuromesh.assignment import (
     Assignment,
@@ -172,6 +173,65 @@ class TestSolverBeyondBruteForce:
         ours = hungarian_solve(cost)
         assert sorted(ours.goals) == list(range(n))
         assert ours.total_cost == pytest.approx(float(cost[rows, cols].sum()), rel=1e-12)
+
+
+def count_dual_solves(monkeypatch) -> list:
+    """Patch ``_augmenting_path_duals`` to log each run; returns the log."""
+    runs = []
+    duals = assignment_mod._augmenting_path_duals
+    monkeypatch.setattr(assignment_mod, "_augmenting_path_duals",
+                        lambda cost: runs.append(cost.shape) or duals(cost))
+    return runs
+
+
+class TestSolveMemo:
+    def test_memo_gives_the_fresh_answer(self):
+        rng = np.random.default_rng(5)
+        ties = [rng.integers(0, 3, size=(5, 5)).astype(np.float64) for _ in range(50)]
+        memo = {}
+        for cost in [*pin_matrices(), *ties]:
+            want = hungarian_solve(cost)
+            assert hungarian_solve(cost, memo=memo) == want  # a miss, or a tie seen before
+            assert hungarian_solve(cost, memo=memo) == want  # a hit
+
+    def test_repeated_matrix_is_solved_once(self, monkeypatch):
+        runs = count_dual_solves(monkeypatch)
+        cost = np.random.default_rng(3).uniform(0.0, 10.0, size=(8, 8))
+        memo = {}
+        outs = [hungarian_solve(cost, memo=memo) for _ in range(4)]
+        outs.append(hungarian_solve(cost.tolist(), memo=memo))  # the same bytes from lists
+        assert len(runs) == 1 and len(memo) == 1
+        assert all(out == outs[0] for out in outs)
+
+    def test_editing_an_answer_leaves_the_memo_intact(self):
+        cost = np.random.default_rng(4).uniform(0.0, 10.0, size=(6, 6))
+        memo = {}
+        miss = hungarian_solve(cost, memo=memo)
+        want = list(miss.goals)
+        miss.goals.reverse()
+        hit = hungarian_solve(cost, memo=memo)
+        assert hit.goals == want
+        hit.goals[0] = -1
+        assert hungarian_solve(cost, memo=memo).goals == want
+
+    def test_matrix_one_ulp_away_is_solved_fresh(self, monkeypatch):
+        runs = count_dual_solves(monkeypatch)
+        cost = np.random.default_rng(6).uniform(0.0, 10.0, size=(6, 6))
+        near = cost.copy()
+        near[2, 3] = np.nextafter(near[2, 3], np.inf)
+        memo = {}
+        hungarian_solve(cost, memo=memo)
+        assert hungarian_solve(near, memo=memo) == hungarian_solve(near)
+        assert len(runs) == 3 and len(memo) == 2
+
+    def test_validation_comes_before_the_lookup(self):
+        memo = {}
+        with pytest.raises(ShapeError, match="non-finite"):
+            hungarian_solve([[np.inf, 1.0], [1.0, 2.0]], memo=memo)
+        with pytest.raises(ShapeError, match="square"):
+            hungarian_solve(np.ones((2, 3)), memo=memo)
+        assert hungarian_solve(np.zeros((0, 0)), memo=memo) == Assignment([], 0.0)
+        assert memo == {}
 
 
 class TestBruteForce:
@@ -347,3 +407,74 @@ class TestAssignmentScenario:
             out = run_assignment_scenario(costs, mode="expert")
             pairs.append((out.cost_out, out.cost_opt))
         assert tcp_metric(pairs) == 0.0
+
+
+class SolveLog:
+    """Wraps the module attribute ``hungarian_solve`` as the benchmark tracer
+    does, logging each call's float64 matrix bytes, and logs the dual solves
+    behind it. With ``drop_memo`` the wrapper solves every call fresh.
+    """
+
+    def __init__(self, monkeypatch, drop_memo=False):
+        self.matrices = []
+        self.duals = count_dual_solves(monkeypatch)
+        solve = assignment_mod.hungarian_solve
+
+        def wrapped(costs, **kwargs):
+            self.matrices.append(np.asarray(costs, dtype=np.float64).tobytes())
+            if drop_memo:
+                kwargs.pop("memo", None)
+            return solve(costs, **kwargs)
+
+        monkeypatch.setattr(assignment_mod, "hungarian_solve", wrapped)
+
+
+def lossy_best_effort(n):
+    agg = AggregationConfig(mode="best_effort")
+    return {"agg_config": agg,
+            "topology": Topology.full_mesh(range(n), LinkModel(loss_prob=0.05, seed=3))}
+
+
+class TestScenarioSolveMemo:
+    def test_lossless_expert_test_makes_every_call_and_one_dual_solve(self, monkeypatch):
+        n = 20
+        log = SolveLog(monkeypatch)
+        costs = np.random.default_rng(71).uniform(1, 10, size=(n, n)).astype(F32)
+        out = run_assignment_scenario(costs, mode="expert")
+        assert out.covered_goals == n and out.cost_out == out.cost_opt
+        assert len(log.matrices) == n + 1
+        assert len(log.duals) == 1
+
+    @pytest.mark.parametrize("case", ["truncating-budget", "lossy-best-effort",
+                                      "silenced-best-effort", "silenced-blocking"])
+    def test_outcome_equals_a_run_without_the_memo(self, monkeypatch, case):
+        n = 8
+        kwargs = {
+            "truncating-budget": {"message_budget_bytes": 8},
+            "lossy-best-effort": lossy_best_effort(n),
+            "silenced-best-effort": {"agg_config": AggregationConfig(mode="best_effort"),
+                                     "silenced": {5}},
+            "silenced-blocking": {"agg_config": AggregationConfig(timeout_ns=50_000_000,
+                                                                  mode="blocking"),
+                                  "silenced": {5}},
+        }[case]
+        rng = np.random.default_rng(73)
+        for _ in range(3):
+            costs = rng.uniform(1, 10, size=(n, n)).astype(F32)
+            with monkeypatch.context() as patch:
+                fresh = SolveLog(patch, drop_memo=True)
+                want = run_assignment_scenario(costs, mode="expert", **kwargs)
+            with monkeypatch.context() as patch:
+                log = SolveLog(patch)
+                got = run_assignment_scenario(costs, mode="expert", **kwargs)
+            assert got == want
+            assert log.matrices == fresh.matrices
+            assert len(log.duals) == len(set(log.matrices))
+
+    def test_lossy_links_share_solves_between_robots_with_the_same_matrix(self, monkeypatch):
+        n = 8
+        log = SolveLog(monkeypatch)
+        costs = np.random.default_rng(79).uniform(1, 10, size=(n, n)).astype(F32)
+        run_assignment_scenario(costs, mode="expert", **lossy_best_effort(n))
+        assert len(log.matrices) == n + 1
+        assert 1 < len(log.duals) == len(set(log.matrices)) < n + 1

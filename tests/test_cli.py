@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -144,8 +145,13 @@ class TestCliRun:
          "control.initial_poses:"),
         ({"task": "control", "control": {"goals": [[0, 0, 0], [1, 1]]}}, None, "control.goals:"),
         ({"task": "control", "control": {"goals": [[0, "a"], [1, 1]]}}, None, "control.goals:"),
+        ({"task": "assignment", "network": {"base_latency_ms": math.inf}}, None,
+         "network.base_latency_ms:"),
+        ({"task": "assignment", "network": {"jitter_ms": math.inf}}, None, "network.jitter_ms:"),
+        ({"task": "assignment", "network": {"jitter_ms": 10**400}}, None, "network.jitter_ms:"),
     ], ids=["negative-seed", "negative-env-seed", "ragged-costs", "non-numeric-costs",
-            "short-pose", "non-numeric-pose", "long-goal", "non-numeric-goal"])
+            "short-pose", "non-numeric-pose", "long-goal", "non-numeric-goal",
+            "infinite-latency", "infinite-jitter", "jitter-beyond-float"])
     def test_malformed_value_exits_2_at_load_with_its_path(self, tmp_path, capsys, monkeypatch,
                                                            body, env_seed, path):
         if env_seed is not None:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -376,6 +377,18 @@ class TestMediumModel:
     def test_loss_prob_range_checked(self):
         with pytest.raises(ConfigError, match="loss_prob"):
             LinkModel(loss_prob=1.5)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"base_latency_ns": -1}, "network.base_latency_ms"),
+        ({"base_latency_ns": math.inf}, "network.base_latency_ms"),
+        ({"jitter_stddev_ns": -1}, "network.jitter_ms"),
+        ({"jitter_stddev_ns": math.inf}, "network.jitter_ms"),
+        ({"jitter_stddev_ns": math.nan}, "network.jitter_ms"),
+    ])
+    def test_bad_delay_names_its_own_field(self, kwargs, field):
+        with pytest.raises(ConfigError) as info:
+            LinkModel(**kwargs)
+        assert info.value.path == field
 
 
 class TestSimTransport:
