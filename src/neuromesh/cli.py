@@ -27,15 +27,11 @@ from .config import (
     build_aggregation,
     build_link_model,
     build_medium,
+    build_navigation_params,
     build_topology,
     load_config,
 )
-from .control import (
-    ControlPolicy,
-    NavigationParams,
-    UnicycleState,
-    run_navigation_scenario,
-)
+from .control import ControlPolicy, UnicycleState, run_navigation_scenario
 from .errors import ConfigError, NeuromeshError
 from .netsim import MeshSimulator, link_streams, measure_link_quality, scalability_sweep
 from .pipeline import (
@@ -191,16 +187,7 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
     successes = 0
     for run_id in range(section["n_runs"]):
         states, goals = _control_team(cfg, run_id)
-        params = NavigationParams(
-            success_radius_m=section["success_radius_m"],
-            collision_radius_m=section["collision_radius_m"],
-            control_rate_hz=section["control_rate_hz"],
-            max_steps=section["max_steps"],
-            v_bounds=section["v_bounds"],
-            omega_bounds=section["omega_bounds"],
-            deterministic_actions=section["deterministic_actions"],
-            seed=cfg["seed"] + run_id,
-        )
+        params = build_navigation_params(section, seed=cfg["seed"] + run_id)
         outcome = run_navigation_scenario(
             states, goals, policy=policy, params=params, topology=topo, medium=medium,
             agg_config=agg, scripted=section["policy"] == "scripted",

@@ -1,19 +1,25 @@
 """Scenario config parsing: JSON, fail-closed, field-path diagnostics.
 
-Unknown fields, and fields the task never reads (:data:`TASK_FIELDS`), are errors
-so typos cannot silently change an experiment. ``print-schema`` dumps :data:`SCHEMA_DOC`.
+Unknown fields, and fields the task never reads (:data:`TASK_FIELDS`), are errors so
+typos cannot silently change an experiment. :data:`TOP_LEVEL` and :data:`SECTIONS` declare
+each field once as ``(default, check, description)``, where a check maps (value, field
+path, config so far) to the normalized value; :data:`SCHEMA_DOC` is built from them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .aggregation import AggregationConfig
+from .control import NavigationParams
 from .errors import ConfigError
-from .netsim import DEFAULT_BANDWIDTH_BPS, LinkModel, MediumModel, Topology
+from .netsim import LinkModel, MediumModel, Topology
 
 ENV_SEED = "NEUROMESH_SEED"
 
@@ -27,80 +33,26 @@ TASK_FIELDS = {
 TASKS = tuple(TASK_FIELDS)
 COMMON_FIELDS = ("task", "seed", "output_dir")
 
-SCHEMA_DOC = {
-    "task": " | ".join(TASKS) + " (required); each task accepts only the fields it reads: "
-            + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items()),
-    "seed": "int >= 0, master seed; overridable with the NEUROMESH_SEED env var (default 0)",
-    "output_dir": "directory for CSV outputs and the run manifest (default 'results')",
-    "team_size": "int >= 2, number of agents (default 5; control default 3)",
-    "network": {
-        "base_latency_ms": "float >= 0 per-link latency (default 0)",
-        "jitter_ms": "float >= 0 Gaussian delay stddev (default 0)",
-        "loss_prob": "float in [0, 1] (default 0)",
-        "per_node_bandwidth": "bytes/s > 0 outbound cap per node (default 6000000)",
-        "contention": "'none' | 'shared_medium' (default 'none')",
-        "seed": "int link RNG seed (default 0)",
-    },
-    "aggregation": {
-        "mode": "'blocking' | 'best_effort' (default 'best_effort')",
-        "timeout_ms": "float > 0 blocking timeout (default 500)",
-        "min_neighbors": "int >= 0 (default 0)",
-    },
-    "assignment": {
-        "n_tests": "int >= 1 instances to run (default 20)",
-        "mode": "'expert' | 'learned' (default 'expert')",
-        "message_budget_bytes": "int >= 4 payload cap, null = unlimited (default null)",
-        "costs": "'random' or an inline team_size x team_size matrix (default 'random')",
-        "cost_range": "[lo, hi] for random costs (default [1, 10])",
-        "weights": "learned mode: {encoder, attention, decoder, heads, layers}",
-    },
-    "control": {
-        "n_runs": "int >= 1 (default 20)",
-        "policy": "'scripted' | 'learned' (default 'scripted')",
-        "weights": "learned mode: {encoder, pairwise, decoder}",
-        "initial_poses": "'random' or team_size [x, y, heading] entries (default 'random')",
-        "goals": "'random' or team_size [x, y] entries (default 'random')",
-        "arena_half_extent_m": "float, random pose range (default 2.0)",
-        "success_radius_m": "float > 0 (default 0.15)",
-        "collision_radius_m": "float > 0 (default 0.30)",
-        "control_rate_hz": "float > 0 (default 20)",
-        "max_steps": "int >= 1 (default 400)",
-        "v_bounds": "[lo, hi] m/s (default [0.0, 0.5])",
-        "omega_bounds": "[lo, hi] rad/s (default [-1.0, 1.0])",
-        "deterministic_actions": "bool, use Beta mean instead of sampling (default false)",
-        "write_trajectories": "bool, emit per-step trajectory CSV (default false)",
-    },
-    "timing": {
-        "delays_ms": "[encoder, aggregator, decoder] injected stage delays (default [10, 30, 20])",
-        "items": "int >= 3 observations per run (default 50)",
-    },
-    "comms": {
-        "scenario": "'sweep' | 'quality' (default 'sweep')",
-        "team_sizes": "non-empty list of ints >= 2 for the sweep (default [5, 10, 30, 50])",
-        "payload_bytes": "int >= 8 (default 128)",
-        "offered_hz": "float > 0 publish rate (default 200)",
-        "duration_s": "float > 0 virtual seconds (default 0.6; quality default 60)",
-    },
-    "sweep": {
-        "message_budget_bytes": "assignment sweep: non-empty list of ints >= 4",
-        "team_sizes": "comms sweep: non-empty list of ints >= 2",
-    },
-}
+_NAV = NavigationParams()
+_AGG = AggregationConfig()
+_LINK = LinkModel()
+_MEDIUM = MediumModel()
+_NAV_FIELDS = tuple(f.name for f in dataclasses.fields(NavigationParams) if f.name != "seed")
+_CONTROL_TEAM_SIZE = 3  # the control task's team_size default
+_QUALITY_DURATION_S = 60.0  # the quality scenario's comms.duration_s default
+_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4), "comms": ("team_sizes", 2)}
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
+def _expect(cond: bool, path: str, message: str, *args) -> None:
+    """Raise at ``path`` unless ``cond``; ``args``, if any, fill the ``message`` template."""
     if not cond:
-        raise ConfigError(path, message)
-
-
-def _field(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+        raise ConfigError(path, message.format(*args) if args else message)
 
 
 def _check_unknown(section: dict, allowed, path: str, reads=None, task=None) -> None:
     """Reject keys outside ``allowed``, and, given ``reads``, keys the task never reads."""
     for key in section:
-        where = _field(path, key)
+        where = f"{path}.{key}" if path else key
         _expect(key in allowed, where, "unknown field")
         _expect(reads is None or key in reads, where, f"the {task} task does not read this field")
 
@@ -109,53 +61,191 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_row(value, width: int) -> bool:
-    return isinstance(value, list) and len(value) == width and all(map(_is_number, value))
+def _is_finite(value) -> bool:  # abs() <= max rejects inf, nan and ints beyond float range
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _number(section, key, path, default, minimum=None, maximum=None, strict_min=False):
-    value = section.get(key, default)
-    where = _field(path, key)
-    # abs() <= max rejects inf and nan, and ints too large for a float
-    _expect(_is_number(value) and abs(value) <= sys.float_info.max, where,
-            f"expected a finite number, got {value!r}")
-    if minimum is not None:
-        if strict_min:
-            _expect(value > minimum, where, f"must be > {minimum}, got {value}")
-        else:
-            _expect(value >= minimum, where, f"must be >= {minimum}, got {value}")
-    if maximum is not None:
-        _expect(value <= maximum, where, f"must be <= {maximum}, got {value}")
-    return value
+def _number(minimum=None, maximum=None, above=None, integer=False, rate=False):
+    """A finite number in bounds; ``rate``: Hz whose ``int(1e9 / rate)`` ns fits an int64."""
+    def check(value, where, cfg):
+        _expect(_is_finite(value), where, "expected a finite number, got {!r}", value)
+        _expect(above is None or value > above, where, "must be > {}, got {}", above, value)
+        _expect(minimum is None or value >= minimum, where, "must be >= {}, got {}", minimum, value)
+        _expect(maximum is None or value <= maximum, where, "must be <= {}, got {}", maximum, value)
+        _expect(not integer or float(value).is_integer(), where,
+                "expected an integer, got {!r}", value)
+        _expect(not rate or 1 <= 1e9 / value < 2**63, where,
+                "period 1e9 / rate must lie in [1, 2**63) ns, got {} Hz", value)
+        return int(value) if integer else value
+    return check
 
 
-def _integer(section, key, path, default, minimum=None):
-    value = _number(section, key, path, default, minimum)
-    _expect(float(value).is_integer(), _field(path, key), f"expected an integer, got {value!r}")
-    return int(value)
+_integer = functools.partial(_number, integer=True)
+_positive = _number(above=0)
+_rate = _number(above=0, rate=True)
 
 
-def _int_list(section, key, path, default, minimum):
-    value = section.get(key, default)
-    _expect(isinstance(value, list) and value
-            and all(isinstance(v, int) and v >= minimum for v in value),
-            f"{path}.{key}", f"expected a non-empty list of ints >= {minimum}, got {value!r}")
-    return value
+def _seed(value, where, cfg):
+    """The master seed: the config's, unless the NEUROMESH_SEED env var overrides it."""
+    seed, env = _integer(0)(value, where, cfg), os.environ.get(ENV_SEED)
+    if env is not None:
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ConfigError(ENV_SEED, f"not an integer: {env!r}") from exc
+        _expect(seed >= 0, ENV_SEED, f"must be >= 0, got {seed}")
+    return seed
 
 
-def _choice(section, key, path, default, options):
-    value = section.get(key, default)
-    _expect(value in options, f"{path}.{key}", f"expected one of {options}, got {value!r}")
-    return value
+def _rule(ok, message, convert=None):
+    """A check: ``message``, formatted with the value, if ``ok`` refuses it, else ``convert``."""
+    def check(value, where, cfg):
+        _expect(ok(value), where, message, value)
+        return value if convert is None else convert(value)
+    return check
+
+
+def _interval(kind):
+    """``[lo, hi]`` of finite numbers with ``lo < hi`` and a finite width, as ``kind``."""
+    return _rule(lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                 and all(map(_is_finite, v)) and 0 < float(v[1]) - float(v[0]) < math.inf,
+                 "expected [lo, hi] with lo < hi, got {!r}", lambda v: kind(map(float, v)))
+
+
+def _choice(*options):
+    return _rule(lambda v: v in options, f"expected one of {options}, got {{!r}}")
+
+
+def _int_list(minimum):
+    return _rule(lambda v: isinstance(v, list) and v and all(
+        isinstance(i, int) and i >= minimum for i in v),
+        f"expected a non-empty list of ints >= {minimum}, got {{!r}}")
+
+
+_bool = _rule(lambda v: isinstance(v, bool), "expected a boolean")
+_nonempty_string = _rule(lambda v: isinstance(v, str) and v, "expected a non-empty string")
+_budget = _rule(lambda v: v is None or isinstance(v, int) and v >= 4,
+                "must be an int >= 4, got {!r}")
+_delays = _rule(lambda v: isinstance(v, list) and len(v) == 3
+                and all(_is_number(d) and d >= 0 for d in v),
+                "expected three non-negative numbers, got {!r}",
+                lambda v: [float(d) for d in v])
+
+
+def _random_or_rows(width=None):
+    """'random', or team_size rows of ``width`` numbers (a square matrix if None)."""
+    def check(value, where, cfg):
+        n = cfg["team_size"]
+        shape = f"a {n}x{n} matrix of" if width is None else f"{n} entries of {width}"
+        _expect(value == "random" or isinstance(value, list) and len(value) == n and all(
+            isinstance(row, list) and len(row) == (width or n) and all(map(_is_number, row))
+            for row in value), where, f"expected 'random' or {shape} numbers")
+        return value
+    return check
+
+
+def _weights(*names, **extras):
+    """Weight file paths ``names``, which must exist, plus int ``extras`` >= 1."""
+    def check(value, where, cfg):
+        if value is None:
+            return None
+        _expect(isinstance(value, dict), where, "expected an object")
+        _check_unknown(value, names + tuple(extras), where)
+        for name in names:
+            wpath, at = value.get(name), f"{where}.{name}"
+            _expect(name in value, at, "missing weight file path")
+            _expect(isinstance(wpath, str), at, "expected a path string")
+            _expect(Path(wpath).exists(), at, f"weight file not found: {wpath}")
+        return {**{name: value[name] for name in names},
+                **{name: _integer(1)(value.get(name, default), f"{where}.{name}", cfg)
+                   for name, default in extras.items()}}
+    return check
+
+
+TOP_LEVEL = {
+    "seed": (0, _seed, f"int >= 0, master seed; overridable with the {ENV_SEED} env var"),
+    "output_dir": ("results", _nonempty_string, "directory for CSV outputs and the run manifest"),
+    "team_size": (5, _integer(2), f"int >= 2, number of agents; {_CONTROL_TEAM_SIZE} for control"),
+}
+
+SECTIONS = {
+    "network": {
+        "base_latency_ms": (_LINK.base_latency_ns / 1e6, _number(0), "float >= 0 per-link latency"),
+        "jitter_ms": (_LINK.jitter_stddev_ns / 1e6, _number(0), "float >= 0 Gaussian delay stddev"),
+        "loss_prob": (_LINK.loss_prob, _number(0, 1), "float in [0, 1]"),
+        "per_node_bandwidth": (_MEDIUM.per_node_bandwidth_bps, _positive, "bytes/s > 0 per node"),
+        "contention": (_MEDIUM.contention, _choice("none", "shared_medium"),
+                       "'none' | 'shared_medium'"),
+        "seed": (_LINK.seed, _integer(), "int link RNG seed"),
+    },
+    "aggregation": {
+        "mode": (_AGG.mode, _choice("blocking", "best_effort"), "'blocking' | 'best_effort'"),
+        "timeout_ms": (_AGG.timeout_ns / 1e6, _positive, "float > 0 blocking timeout"),
+        "min_neighbors": (_AGG.min_neighbors, _integer(0), "int in [0, team_size - 1]"),
+    },
+    "assignment": {
+        "n_tests": (20, _integer(1), "int >= 1 instances to run"),
+        "mode": ("expert", _choice("expert", "learned"), "'expert' | 'learned'"),
+        "message_budget_bytes": (None, _budget, "int >= 4 payload cap, null = unlimited"),
+        "costs": ("random", _random_or_rows(), "'random' or a team_size x team_size matrix"),
+        "cost_range": ([1.0, 10.0], _interval(list), "finite [lo, hi], lo < hi, for random costs"),
+        "weights": (None, _weights("encoder", "attention", "decoder", heads=3, layers=2),
+                    "learned mode: {encoder, attention, decoder, heads, layers}"),
+    },
+    "control": {
+        "n_runs": (20, _integer(1), "int >= 1"),
+        "policy": ("scripted", _choice("scripted", "learned"), "'scripted' | 'learned'"),
+        "weights": (None, _weights("encoder", "pairwise", "decoder"),
+                    "learned mode: {encoder, pairwise, decoder}"),
+        "initial_poses": ("random", _random_or_rows(3), "'random' or team_size [x, y, heading]"),
+        "goals": ("random", _random_or_rows(2), "'random' or team_size [x, y]"),
+        "arena_half_extent_m": (2.0, _positive, "float > 0, random pose range"),
+        "success_radius_m": (_NAV.success_radius_m, _positive, "float > 0"),
+        "collision_radius_m": (_NAV.collision_radius_m, _positive, "float > 0"),
+        "control_rate_hz": (_NAV.control_rate_hz, _rate, "Hz > 0, 1e9 / rate in [1, 2**63) ns"),
+        "max_steps": (_NAV.max_steps, _integer(1), "int >= 1"),
+        "v_bounds": (_NAV.v_bounds, _interval(tuple), "finite [lo, hi] m/s, lo < hi"),
+        "omega_bounds": (_NAV.omega_bounds, _interval(tuple), "finite [lo, hi] rad/s, lo < hi"),
+        "deterministic_actions": (_NAV.deterministic_actions, _bool,
+                                  "bool, use Beta mean instead of sampling"),
+        "write_trajectories": (False, _bool, "bool, emit per-step trajectory CSV"),
+    },
+    "timing": {
+        "delays_ms": ([10.0, 30.0, 20.0], _delays,
+                      "[encoder, aggregator, decoder] injected stage delays"),
+        "items": (50, _integer(3), "int >= 3 observations per run"),
+    },
+    "comms": {
+        "scenario": ("sweep", _choice("sweep", "quality"), "'sweep' | 'quality'"),
+        "team_sizes": ([5, 10, 30, 50], _int_list(2), "non-empty list of ints >= 2 for the sweep"),
+        "payload_bytes": (128, _integer(8), "int >= 8"),
+        "offered_hz": (200.0, _rate, "Hz > 0 publish rate, 1e9 / rate in [1, 2**63) ns"),
+        "duration_s": (0.6, _positive, f"float > 0 virtual s; {_QUALITY_DURATION_S:g} for quality"),
+    },
+}
+
+
+def _describe(table: dict) -> dict:
+    """Each field's description with its default appended."""
+    return {key: f"{doc} (default {repr(d) if isinstance(d, str) else json.dumps(d)})"
+            for key, (d, _, doc) in table.items()}
+
+
+SCHEMA_DOC = {
+    "task": " | ".join(TASKS) + " (required); each task accepts only the fields it reads: "
+            + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items()),
+    **_describe(TOP_LEVEL),
+    **{name: _describe(table) for name, table in SECTIONS.items()},
+    "sweep": {key: f"{task} sweep: non-empty list of ints >= {minimum}"
+              for task, (key, minimum) in _SWEEP_GRIDS.items()},
+}
 
 
 def load_config(path) -> dict:
     """Read, validate, and normalize a scenario config file."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(str(path), "config file not found")
+    _expect(Path(path).exists(), str(path), "config file not found")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return validate_config(raw)
@@ -163,202 +253,47 @@ def load_config(path) -> dict:
 
 def validate_config(raw: dict) -> dict:
     _expect(isinstance(raw, dict), "", "config root must be an object")
-    task = _choice(raw, "task", "", None, TASKS)
-    _check_unknown(raw, SCHEMA_DOC, "", COMMON_FIELDS + TASK_FIELDS[task], task)
-
+    task = _choice(*TASKS)(raw.get("task"), "task", None)
+    reads = COMMON_FIELDS + TASK_FIELDS[task]
+    _check_unknown(raw, SCHEMA_DOC, "", reads, task)
     cfg: dict = {"task": task}
-    cfg["seed"] = _integer(raw, "seed", "", 0, minimum=0)
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(ENV_SEED, f"not an integer: {env_seed!r}") from exc
-        _expect(cfg["seed"] >= 0, ENV_SEED, f"must be >= 0, got {cfg['seed']}")
-    out = raw.get("output_dir", "results")
-    _expect(isinstance(out, str) and out, "output_dir", "expected a non-empty string")
-    cfg["output_dir"] = out
-
-    for field in TASK_FIELDS[task]:
-        if field == "team_size":
-            cfg[field] = _integer(raw, field, "", 3 if task == "control" else 5, minimum=2)
+    for name in reads[1:]:
+        if name in TOP_LEVEL:
+            default, check, _ = TOP_LEVEL[name]
+            default = _CONTROL_TEAM_SIZE if (task, name) == ("control", "team_size") else default
+            cfg[name] = check(raw.get(name, default), name, cfg)
             continue
-        section = raw.get(field, {})
-        _expect(isinstance(section, dict), field, "expected an object")
-        cfg[field] = _SECTION_VALIDATORS[field](section, cfg)
+        section = raw.get(name, {})
+        _expect(isinstance(section, dict), name, "expected an object")
+        if name == "sweep":  # the task's own grid only, and only when it is set
+            key, minimum = _SWEEP_GRIDS[task]
+            _check_unknown(section, SCHEMA_DOC["sweep"], "sweep", (key,), task)
+            cfg[name] = {key: _int_list(minimum)(v, f"sweep.{key}", cfg) for v in section.values()}
+            continue
+        _check_unknown(section, SECTIONS[name], name)
+        out = cfg[name] = {key: check(section.get(key, default), f"{name}.{key}", cfg)
+                           for key, (default, check, _) in SECTIONS[name].items()}
+        if name == "aggregation":  # the rules that tie a field to another one
+            _expect(out["min_neighbors"] <= cfg["team_size"] - 1, "aggregation.min_neighbors",
+                    f"cannot exceed team_size - 1 = {cfg['team_size'] - 1}")
+        elif name in ("assignment", "control"):
+            learned = out["mode" if name == "assignment" else "policy"] == "learned"
+            _expect(not learned or out["weights"] is not None, f"{name}.weights",
+                    "required for learned mode")
+        elif name == "comms" and out["scenario"] == "quality" and "duration_s" not in section:
+            out["duration_s"] = _QUALITY_DURATION_S
     return cfg
 
 
-def _validate_network(net: dict, cfg: dict) -> dict:
-    _check_unknown(net, set(SCHEMA_DOC["network"]), "network")
-    return {
-        "base_latency_ms": _number(net, "base_latency_ms", "network", 0.0, minimum=0),
-        "jitter_ms": _number(net, "jitter_ms", "network", 0.0, minimum=0),
-        "loss_prob": _number(net, "loss_prob", "network", 0.0, minimum=0, maximum=1),
-        "per_node_bandwidth": _number(
-            net, "per_node_bandwidth", "network", DEFAULT_BANDWIDTH_BPS, minimum=0, strict_min=True
-        ),
-        "contention": _choice(net, "contention", "network", "none", ("none", "shared_medium")),
-        "seed": _integer(net, "seed", "network", 0),
-    }
-
-
-def _validate_aggregation(agg: dict, cfg: dict) -> dict:
-    _check_unknown(agg, set(SCHEMA_DOC["aggregation"]), "aggregation")
-    out = {
-        "mode": _choice(agg, "mode", "aggregation", "best_effort", ("blocking", "best_effort")),
-        "timeout_ms": _number(agg, "timeout_ms", "aggregation", 500.0, minimum=0, strict_min=True),
-        "min_neighbors": _integer(agg, "min_neighbors", "aggregation", 0, minimum=0),
-    }
-    _expect(out["min_neighbors"] <= cfg["team_size"] - 1,
-            "aggregation.min_neighbors",
-            f"cannot exceed team_size - 1 = {cfg['team_size'] - 1}")
-    return out
-
-
-_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4), "comms": ("team_sizes", 2)}
-
-
-def _validate_sweep(sweep: dict, cfg: dict) -> dict:
-    key, minimum = _SWEEP_GRIDS[cfg["task"]]
-    _check_unknown(sweep, SCHEMA_DOC["sweep"], "sweep", (key,), cfg["task"])
-    return {key: _int_list(sweep, key, "sweep", None, minimum)} if key in sweep else {}
-
-
-def _validate_assignment(section: dict, cfg: dict) -> dict:
-    _check_unknown(section, set(SCHEMA_DOC["assignment"]), "assignment")
-    out = {
-        "n_tests": _integer(section, "n_tests", "assignment", 20, minimum=1),
-        "mode": _choice(section, "mode", "assignment", "expert", ("expert", "learned")),
-    }
-    budget = section.get("message_budget_bytes")
-    if budget is not None:
-        _expect(isinstance(budget, int) and budget >= 4,
-                "assignment.message_budget_bytes", f"must be an int >= 4, got {budget!r}")
-    out["message_budget_bytes"] = budget
-    costs = section.get("costs", "random")
-    if costs != "random":
-        n = cfg["team_size"]
-        _expect(isinstance(costs, list) and len(costs) == n
-                and all(_is_row(row, n) for row in costs),
-                "assignment.costs", f"expected 'random' or a {n}x{n} matrix of numbers")
-    out["costs"] = costs
-    rng = section.get("cost_range", [1.0, 10.0])
-    _expect(isinstance(rng, list) and len(rng) == 2 and rng[0] < rng[1],
-            "assignment.cost_range", f"expected [lo, hi] with lo < hi, got {rng!r}")
-    out["cost_range"] = [float(rng[0]), float(rng[1])]
-    out["weights"] = _validate_weights(
-        section, "assignment", ("encoder", "attention", "decoder"),
-        extras={"heads": 3, "layers": 2}, required=out["mode"] == "learned",
-    )
-    return out
-
-
-def _validate_control(section: dict, cfg: dict) -> dict:
-    _check_unknown(section, set(SCHEMA_DOC["control"]), "control")
-    out = {
-        "n_runs": _integer(section, "n_runs", "control", 20, minimum=1),
-        "policy": _choice(section, "policy", "control", "scripted", ("scripted", "learned")),
-        "arena_half_extent_m": _number(section, "arena_half_extent_m", "control", 2.0,
-                                       minimum=0, strict_min=True),
-        "success_radius_m": _number(section, "success_radius_m", "control", 0.15,
-                                    minimum=0, strict_min=True),
-        "collision_radius_m": _number(section, "collision_radius_m", "control", 0.30,
-                                      minimum=0, strict_min=True),
-        "control_rate_hz": _number(section, "control_rate_hz", "control", 20.0,
-                                   minimum=0, strict_min=True),
-        "max_steps": _integer(section, "max_steps", "control", 400, minimum=1),
-        "deterministic_actions": section.get("deterministic_actions", False),
-        "write_trajectories": section.get("write_trajectories", False),
-    }
-    for key in ("deterministic_actions", "write_trajectories"):
-        _expect(isinstance(out[key], bool), f"control.{key}", "expected a boolean")
-    for key, default in (("v_bounds", [0.0, 0.5]), ("omega_bounds", [-1.0, 1.0])):
-        bounds = section.get(key, default)
-        _expect(isinstance(bounds, list) and len(bounds) == 2 and bounds[0] < bounds[1],
-                f"control.{key}", f"expected [lo, hi] with lo < hi, got {bounds!r}")
-        out[key] = (float(bounds[0]), float(bounds[1]))
-    for key, width in (("initial_poses", 3), ("goals", 2)):
-        value = section.get(key, "random")
-        if value != "random":
-            _expect(isinstance(value, list) and len(value) == cfg["team_size"]
-                    and all(_is_row(entry, width) for entry in value),
-                    f"control.{key}",
-                    f"expected 'random' or {cfg['team_size']} entries of {width} numbers")
-        out[key] = value
-    out["weights"] = _validate_weights(
-        section, "control", ("encoder", "pairwise", "decoder"),
-        required=out["policy"] == "learned",
-    )
-    return out
-
-
-def _validate_timing(section: dict, cfg: dict) -> dict:
-    _check_unknown(section, set(SCHEMA_DOC["timing"]), "timing")
-    delays = section.get("delays_ms", [10.0, 30.0, 20.0])
-    _expect(_is_row(delays, 3) and all(d >= 0 for d in delays),
-            "timing.delays_ms", f"expected three non-negative numbers, got {delays!r}")
-    return {
-        "delays_ms": [float(d) for d in delays],
-        "items": _integer(section, "items", "timing", 50, minimum=3),
-    }
-
-
-def _validate_comms(section: dict, cfg: dict) -> dict:
-    _check_unknown(section, set(SCHEMA_DOC["comms"]), "comms")
-    scenario = _choice(section, "scenario", "comms", "sweep", ("sweep", "quality"))
-    return {
-        "scenario": scenario,
-        "team_sizes": _int_list(section, "team_sizes", "comms", [5, 10, 30, 50], minimum=2),
-        "payload_bytes": _integer(section, "payload_bytes", "comms", 128, minimum=8),
-        "offered_hz": _number(section, "offered_hz", "comms", 200.0, minimum=0, strict_min=True),
-        "duration_s": _number(section, "duration_s", "comms",
-                              60.0 if scenario == "quality" else 0.6,
-                              minimum=0, strict_min=True),
-    }
-
-
-def _validate_weights(section: dict, path: str, names, extras=None, required=False):
-    weights = section.get("weights")
-    if weights is None:
-        _expect(not required, f"{path}.weights", "required for learned mode")
-        return None
-    _expect(isinstance(weights, dict), f"{path}.weights", "expected an object")
-    allowed = set(names) | set(extras or {})
-    _check_unknown(weights, allowed, f"{path}.weights")
-    out = {}
-    for name in names:
-        _expect(name in weights, f"{path}.weights.{name}", "missing weight file path")
-        wpath = weights[name]
-        _expect(isinstance(wpath, str), f"{path}.weights.{name}", "expected a path string")
-        _expect(Path(wpath).exists(), f"{path}.weights.{name}", f"weight file not found: {wpath}")
-        out[name] = wpath
-    for name, default in (extras or {}).items():
-        out[name] = _integer(weights, name, f"{path}.weights", default, minimum=1)
-    return out
-
-
-_SECTION_VALIDATORS = {
-    "network": _validate_network, "aggregation": _validate_aggregation,
-    "assignment": _validate_assignment, "control": _validate_control,
-    "timing": _validate_timing, "comms": _validate_comms, "sweep": _validate_sweep,
-}
-
-
 def build_link_model(network: dict) -> LinkModel:
-    return LinkModel(
-        base_latency_ns=int(network["base_latency_ms"] * 1e6),
-        jitter_stddev_ns=network["jitter_ms"] * 1e6,
-        loss_prob=network["loss_prob"],
-        seed=network["seed"],
-    )
+    return LinkModel(base_latency_ns=int(network["base_latency_ms"] * 1e6),
+                     jitter_stddev_ns=network["jitter_ms"] * 1e6,
+                     loss_prob=network["loss_prob"], seed=network["seed"])
 
 
 def build_medium(network: dict) -> MediumModel:
-    return MediumModel(
-        per_node_bandwidth_bps=network["per_node_bandwidth"],
-        contention=network["contention"],
-    )
+    return MediumModel(per_node_bandwidth_bps=network["per_node_bandwidth"],
+                       contention=network["contention"])
 
 
 def build_topology(team_size: int, network: dict) -> Topology:
@@ -366,8 +301,10 @@ def build_topology(team_size: int, network: dict) -> Topology:
 
 
 def build_aggregation(agg: dict) -> AggregationConfig:
-    return AggregationConfig(
-        mode=agg["mode"],
-        timeout_ns=int(agg["timeout_ms"] * 1e6),
-        min_neighbors=agg["min_neighbors"],
-    )
+    return AggregationConfig(mode=agg["mode"], timeout_ns=int(agg["timeout_ms"] * 1e6),
+                             min_neighbors=agg["min_neighbors"])
+
+
+def build_navigation_params(control: dict, seed: int) -> NavigationParams:
+    """One control run's parameters; ``seed`` seeds its action draws."""
+    return NavigationParams(seed=seed, **{key: control[key] for key in _NAV_FIELDS})

@@ -259,7 +259,8 @@ def measure_link_quality(sim: MeshSimulator, frm: int, to: int, payload_bytes: i
     """Probe one directed link and report delay, jitter, loss, throughput.
 
     Sends index-stamped probes at the offered rate for the given duration
-    of virtual time; needs at least 100 probes for stable statistics.
+    of virtual time; needs at least 100 probes for stable statistics. The
+    probe receiver takes over ``to``'s registration on ``sim``.
     """
     n_probes = int(rate_hz * duration_s)
     if n_probes < 100:
@@ -275,21 +276,14 @@ def measure_link_quality(sim: MeshSimulator, frm: int, to: int, payload_bytes: i
         (index,) = struct.unpack_from("<Q", data)
         delays.append(now_ns - send_ns[index])
 
-    previous = sim._receivers.get(to)
     sim.register(to, on_receive)
-    try:
-        interval_ns = int(1e9 / rate_hz)
-        start = sim.now_ns
-        for i in range(n_probes):
-            sim.run_until(start + i * interval_ns)
-            send_ns[i] = sim.now_ns
-            sim.send(frm, to, struct.pack("<Q", i).ljust(payload_bytes, b"\0"))
-        sim.drain()
-    finally:
-        if previous is not None:
-            sim.register(to, previous)
-        else:
-            sim._receivers.pop(to, None)
+    interval_ns = int(1e9 / rate_hz)
+    start = sim.now_ns
+    for i in range(n_probes):
+        sim.run_until(start + i * interval_ns)
+        send_ns[i] = sim.now_ns
+        sim.send(frm, to, struct.pack("<Q", i).ljust(payload_bytes, b"\0"))
+    sim.drain()
     if not delays:
         raise MeasurementError(
             f"no probes delivered over {frm}->{to}; check loss and connectivity"

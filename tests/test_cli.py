@@ -149,17 +149,41 @@ class TestCliRun:
          "network.base_latency_ms:"),
         ({"task": "assignment", "network": {"jitter_ms": math.inf}}, None, "network.jitter_ms:"),
         ({"task": "assignment", "network": {"jitter_ms": 10**400}}, None, "network.jitter_ms:"),
+        ({"task": "assignment", "assignment": {"cost_range": ["a", "b"]}}, None,
+         "assignment.cost_range:"),
+        ({"task": "assignment", "assignment": {"cost_range": [0, None]}}, None,
+         "assignment.cost_range:"),
+        ({"task": "assignment", "assignment": {"cost_range": [True, 5]}}, None,
+         "assignment.cost_range:"),
+        ({"task": "assignment", "assignment": {"cost_range": [-1e308, 1e308]}}, None,
+         "assignment.cost_range:"),
+        ({"task": "control", "control": {"v_bounds": ["a", "b"]}}, None, "control.v_bounds:"),
+        ({"task": "control", "control": {"v_bounds": [True, 5]}}, None, "control.v_bounds:"),
+        ({"task": "control", "control": {"omega_bounds": [0, None]}}, None,
+         "control.omega_bounds:"),
+        ({"task": "control", "control": {"omega_bounds": [-1e308, 1e308]}}, None,
+         "control.omega_bounds:"),
+        ({"task": "comms", "comms": {"offered_hz": 1e10}}, None, "comms.offered_hz:"),
+        ({"task": "comms", "comms": {"offered_hz": 1e-300}}, None, "comms.offered_hz:"),
+        ({"task": "control", "control": {"control_rate_hz": 1e-300}}, None,
+         "control.control_rate_hz:"),
     ], ids=["negative-seed", "negative-env-seed", "ragged-costs", "non-numeric-costs",
             "short-pose", "non-numeric-pose", "long-goal", "non-numeric-goal",
-            "infinite-latency", "infinite-jitter", "jitter-beyond-float"])
+            "infinite-latency", "infinite-jitter", "jitter-beyond-float",
+            "string-cost-range", "null-cost-range", "bool-cost-range", "overflowing-cost-range",
+            "string-v-bounds", "bool-v-bounds", "null-omega-bounds", "overflowing-omega-bounds",
+            "sub-ns-publish-period", "publish-period-beyond-int64",
+            "control-period-beyond-int64"])
     def test_malformed_value_exits_2_at_load_with_its_path(self, tmp_path, capsys, monkeypatch,
                                                            body, env_seed, path):
         if env_seed is not None:
             monkeypatch.setenv("NEUROMESH_SEED", env_seed)
         task = body["task"]
-        section = {"assignment": {"n_tests": 1}, "control": {"n_runs": 1, "max_steps": 5}}[task]
+        section = {"assignment": {"n_tests": 1}, "control": {"n_runs": 1, "max_steps": 5},
+                   "comms": {"team_sizes": [2], "duration_s": 0.1}}[task]
         section.update(body.get(task, {}))
-        cfg = write_config(tmp_path, dict(body, team_size=2, output_dir=str(tmp_path / "out"),
+        team = {"team_size": 2} if "team_size" in TASK_FIELDS[task] else {}
+        cfg = write_config(tmp_path, dict(body, **team, output_dir=str(tmp_path / "out"),
                                           **{task: section}))
         assert main(["run", cfg]) == 2
         assert path in capsys.readouterr().err

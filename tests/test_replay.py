@@ -4,7 +4,8 @@ The benchmark replays lossless runs only. These pins cover the drop path
 (Bernoulli loss plus jitter) end to end through ``neuromesh run``: a learned
 control run with trajectories and a best-effort assignment run. Each body is
 also compared with the same config at ``loss_prob`` 0, so a pin can only hold
-if messages were really dropped.
+if messages were really dropped. A blocking learned control run is pinned too;
+its body must change with ``network.seed``.
 
 A run builds its link RNG streams once, and each run or test continues
 them where the previous one stopped (``netsim.link_streams``). So the second
@@ -80,3 +81,37 @@ def test_best_effort_assignment_under_loss_replays(tmp_path):
         "assignment": {"n_tests": 5},
     }
     check_replay(tmp_path, cfg, ("assignment.csv",))
+
+
+# Blocking waits for every step's features, so a run fails at the step of its
+# first lost envelope: the steps column is a record of the loss draws.
+BLOCKING_CONTROL_RUNS_SHA256 = "ccd4b52829cf8029f0f94a15973743cd7e6b9041369d789b76eb4b3f0b28bcb6"
+
+
+def test_blocking_learned_control_fails_at_its_first_loss(tmp_path):
+    policy = ControlPolicy.random(feature_dim=16, hidden=32, seed=5)
+    weights = {}
+    for name in ("encoder", "pairwise", "decoder"):
+        weights[name] = str(tmp_path / f"{name}.mwts")
+        save_mlp(weights[name], getattr(policy, name))
+    cfg = {
+        "task": "control",
+        "seed": 3,
+        "team_size": 3,
+        "network": dict(LOSSY_NETWORK, loss_prob=0.02),
+        "aggregation": {"mode": "blocking"},
+        "control": {
+            "n_runs": 6,
+            "max_steps": 40,
+            "policy": "learned",
+            "weights": weights,
+            "arena_half_extent_m": 5.0,
+        },
+    }
+    csv = "control_runs.csv"
+    body = csv_bodies(tmp_path, "seed7", cfg, (csv,))[csv]
+    reseeded = dict(cfg, network=dict(cfg["network"], seed=8))
+    assert csv_bodies(tmp_path, "seed8", reseeded, (csv,))[csv] != body
+    rows = [line.split(b",") for line in body.splitlines()[1:]]
+    assert any(row[1] == b"0" and int(row[2]) < 40 for row in rows), "no run ended at a loss"
+    assert hashlib.sha256(body).hexdigest() == BLOCKING_CONTROL_RUNS_SHA256
