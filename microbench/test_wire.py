@@ -1,4 +1,5 @@
-"""Microbenchmark of the wire codec on one navigation feature envelope.
+"""Microbenchmark of the wire codec: one navigation feature envelope, a team's
+decode memo, and payloads from 128 B to 64 KB.
 
 Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
 needs pytest-benchmark, the ``microbench`` extra (``pip install -e
@@ -7,18 +8,30 @@ needs pytest-benchmark, the ``microbench`` extra (``pip install -e
     PYTHONPATH=src python -m pytest microbench/test_wire.py -q --benchmark-columns=median,iqr,rounds
 
 pytest-benchmark prints one median per case. The learned navigation
-policy publishes 16-float features, so both cases use a 16-float payload.
-Compare two checkouts on one host in alternating runs: on a shared 2-core
-host, medians of the same code drifted by up to 25 % between runs.
+policy publishes 16-float features, so the first cases use a 16-float
+payload. A memo miss parses the bytes and stores the envelope; a hit is
+what every receiver of a broadcast but the first pays. The sized cases
+show where encode and decode stop being fixed cost: perception feature
+maps are the paper's large-payload case. Compare two checkouts on one
+host in alternating runs: on a shared 2-core host, medians of the same
+code drifted by up to 25 % between runs.
 """
 
 import numpy as np
+import pytest
 
 from neuromesh.wire import MessageEnvelope, decode_envelope, encode_envelope
 
 ENVELOPE = MessageEnvelope(sender_id=3, seq=41, timestamp_ns=2_050_000_000, round=40,
                            payload=np.random.default_rng(0).standard_normal(16).astype(np.float32))
 BLOB = encode_envelope(ENVELOPE)
+PAYLOAD_BYTES = [128, 1024, 8192, 65536]
+
+
+def sized(payload_bytes):
+    payload = np.random.default_rng(1).standard_normal(payload_bytes // 4).astype(np.float32)
+    return MessageEnvelope(sender_id=3, seq=41, timestamp_ns=2_050_000_000, round=40,
+                           payload=payload)
 
 
 def test_encode_sixteen_floats(benchmark):
@@ -29,3 +42,29 @@ def test_encode_sixteen_floats(benchmark):
 def test_decode_sixteen_floats(benchmark):
     out = benchmark(decode_envelope, BLOB)
     assert out == ENVELOPE
+
+
+def test_decode_memo_miss_sixteen_floats(benchmark):
+    out = benchmark(lambda: decode_envelope(BLOB, memo={}))
+    assert out == ENVELOPE
+
+
+def test_decode_memo_hit_sixteen_floats(benchmark):
+    memo = {}
+    first = decode_envelope(BLOB, memo=memo)
+    out = benchmark(decode_envelope, BLOB, memo=memo)
+    assert out is first
+
+
+@pytest.mark.parametrize("payload_bytes", PAYLOAD_BYTES)
+def test_encode_payload_size(benchmark, payload_bytes):
+    env = sized(payload_bytes)
+    out = benchmark(encode_envelope, env)
+    assert len(out) - len(BLOB) == payload_bytes - 4 * 16
+
+
+@pytest.mark.parametrize("payload_bytes", PAYLOAD_BYTES)
+def test_decode_payload_size(benchmark, payload_bytes):
+    env = sized(payload_bytes)
+    out = benchmark(decode_envelope, encode_envelope(env))
+    assert out == env

@@ -11,6 +11,7 @@ which is what makes decentralized and centralized outputs bit-identical.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,13 +196,16 @@ SIM_POLL_NS = 1_000_000  # virtual time a blocking wait advances a simulator per
 def build_team(transports, staleness_ns: int) -> dict:
     """Give each transport a keep-latest buffer that its ``on_receive`` feeds.
 
-    This is the one place a buffer meets a transport. Returns agent_id ->
-    (broadcast, buffer), the ``team`` that :func:`run_rounds` takes.
+    This is the one place a buffer meets a transport. The team shares one
+    decode memo, so a broadcast's bytes are parsed once and all its
+    receivers insert the same envelope. Returns agent_id -> (broadcast,
+    buffer), the ``team`` that :func:`run_rounds` takes.
     """
     team = {}
+    memo: dict = {}
     for transport in transports:
         buf = NeighborBuffer(transport.peers, staleness_ns=staleness_ns)
-        transport.on_receive(buf.insert_bytes)
+        transport.on_receive(functools.partial(buf.insert_bytes, memo=memo))
         team[transport.agent_id] = (transport.broadcast, buf)
     return team
 

@@ -65,8 +65,9 @@ def _is_finite(value) -> bool:  # abs() <= max rejects inf, nan and ints beyond 
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _number(minimum=None, maximum=None, above=None, integer=False, rate=False):
-    """A finite number in bounds; ``rate``: Hz whose ``int(1e9 / rate)`` ns fits an int64."""
+def _number(minimum=None, maximum=None, above=None, integer=False, rate=False, ns=None):
+    """A finite number in bounds; ``rate``: Hz whose ``int(1e9 / rate)`` ns fits an int64;
+    ``ns``: the ns in one unit of the value, which must stay below 2**63 ns."""
     def check(value, where, cfg):
         _expect(_is_finite(value), where, "expected a finite number, got {!r}", value)
         _expect(above is None or value > above, where, "must be > {}, got {}", above, value)
@@ -76,6 +77,7 @@ def _number(minimum=None, maximum=None, above=None, integer=False, rate=False):
                 "expected an integer, got {!r}", value)
         _expect(not rate or 1 <= 1e9 / value < 2**63, where,
                 "period 1e9 / rate must lie in [1, 2**63) ns, got {} Hz", value)
+        _expect(ns is None or value * ns < 2**63, where, "must be below 2**63 ns, got {}", value)
         return int(value) if integer else value
     return check
 
@@ -127,8 +129,8 @@ _nonempty_string = _rule(lambda v: isinstance(v, str) and v, "expected a non-emp
 _budget = _rule(lambda v: v is None or isinstance(v, int) and v >= 4,
                 "must be an int >= 4, got {!r}")
 _delays = _rule(lambda v: isinstance(v, list) and len(v) == 3
-                and all(_is_number(d) and d >= 0 for d in v),
-                "expected three non-negative numbers, got {!r}",
+                and all(_is_finite(d) and 0 <= d * 1e6 < 2**63 for d in v),
+                "expected three numbers in [0, 2**63) ns, got {!r}",
                 lambda v: [float(d) for d in v])
 
 
@@ -170,8 +172,10 @@ TOP_LEVEL = {
 
 SECTIONS = {
     "network": {
-        "base_latency_ms": (_LINK.base_latency_ns / 1e6, _number(0), "float >= 0 per-link latency"),
-        "jitter_ms": (_LINK.jitter_stddev_ns / 1e6, _number(0), "float >= 0 Gaussian delay stddev"),
+        "base_latency_ms": (_LINK.base_latency_ns / 1e6, _number(0, ns=1e6),
+                            "float >= 0 per-link latency, below 2**63 ns"),
+        "jitter_ms": (_LINK.jitter_stddev_ns / 1e6, _number(0, ns=1e6),
+                      "float >= 0 Gaussian delay stddev, below 2**63 ns"),
         "loss_prob": (_LINK.loss_prob, _number(0, 1), "float in [0, 1]"),
         "per_node_bandwidth": (_MEDIUM.per_node_bandwidth_bps, _positive, "bytes/s > 0 per node"),
         "contention": (_MEDIUM.contention, _choice("none", "shared_medium"),
@@ -180,7 +184,8 @@ SECTIONS = {
     },
     "aggregation": {
         "mode": (_AGG.mode, _choice("blocking", "best_effort"), "'blocking' | 'best_effort'"),
-        "timeout_ms": (_AGG.timeout_ns / 1e6, _positive, "float > 0 blocking timeout"),
+        "timeout_ms": (_AGG.timeout_ns / 1e6, _number(above=0, ns=1e6),
+                       "float > 0 blocking timeout, below 2**63 ns"),
         "min_neighbors": (_AGG.min_neighbors, _integer(0), "int in [0, team_size - 1]"),
     },
     "assignment": {
@@ -212,7 +217,7 @@ SECTIONS = {
     },
     "timing": {
         "delays_ms": ([10.0, 30.0, 20.0], _delays,
-                      "[encoder, aggregator, decoder] injected stage delays"),
+                      "[encoder, aggregator, decoder] injected stage delays, each below 2**63 ns"),
         "items": (50, _integer(3), "int >= 3 observations per run"),
     },
     "comms": {
@@ -220,7 +225,8 @@ SECTIONS = {
         "team_sizes": ([5, 10, 30, 50], _int_list(2), "non-empty list of ints >= 2 for the sweep"),
         "payload_bytes": (128, _integer(8), "int >= 8"),
         "offered_hz": (200.0, _rate, "Hz > 0 publish rate, 1e9 / rate in [1, 2**63) ns"),
-        "duration_s": (0.6, _positive, f"float > 0 virtual s; {_QUALITY_DURATION_S:g} for quality"),
+        "duration_s": (0.6, _number(above=0, ns=1e9),
+                       f"float > 0 virtual s, below 2**63 ns; {_QUALITY_DURATION_S:g} for quality"),
     },
 }
 

@@ -23,6 +23,10 @@ round-filtered snapshot: in blocking rounds a neighbor can be at most one
 round ahead of an agent still waiting, so two deep is enough.
 Staleness compares the sender timestamp against the local clock, so
 deployments over real links must synchronize clocks externally.
+
+Decoded payloads are read-only views over the immutable wire bytes. A team
+shares one decode memo (see ``aggregation.build_team``), so every receiver
+of one broadcast gets the same envelope object from its own decode call.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ _DIMS = [struct.Struct(f"<{n}I") for n in range(MAX_DIMS + 1)]  # indexed by ndi
 _U16 = 1 << 16
 _U32 = 1 << 32
 _U64 = 1 << 64
+_MEMO_LOCK = threading.Lock()  # loopback receive threads share their team's memo
 
 
 @dataclass
@@ -116,12 +121,22 @@ def encode_envelope(env: MessageEnvelope) -> bytes:
     return b"".join(parts)
 
 
-def decode_envelope(data: bytes) -> MessageEnvelope:
+def decode_envelope(data: bytes, *, memo: dict | None = None) -> MessageEnvelope:
     """Parse wire bytes; raises a distinct error kind per malformed field.
 
     Fields are checked in wire order, so a buffer with several faults
-    reports the first one.
+    reports the first one. The payload is a read-only view over the bytes.
+    ``memo`` maps wire bytes to the envelope decoded from them, and each
+    sender id to the bytes it last stored there: repeated bytes return the
+    stored envelope, and a sender's new bytes evict its previous ones.
+    Bytes that fail a check are never stored.
     """
+    if type(data) is not bytes:
+        data = bytes(data)  # the payload view must not see later writes
+    if memo is not None:
+        hit = memo.get(data)
+        if hit is not None:
+            return hit
     size = len(data)
     if size < 4:
         raise TruncatedMessageError("magic", 4, size)
@@ -148,7 +163,13 @@ def decode_envelope(data: bytes) -> MessageEnvelope:
         raise PayloadLengthError(expected, got)
     # Positional arguments: keyword parsing costs frombuffer more than the read.
     payload = np.frombuffer(data, _F32, count, dims_end).reshape(shape)
-    return MessageEnvelope(sender_id, seq, timestamp_ns, round_, payload.copy())
+    env = MessageEnvelope(sender_id, seq, timestamp_ns, round_, payload)
+    if memo is not None:
+        with _MEMO_LOCK:
+            memo.pop(memo.get(sender_id), None)  # the sender's previous bytes, if any
+            memo[sender_id] = data
+            memo[data] = env
+    return env
 
 
 class NeighborBuffer:
@@ -181,9 +202,9 @@ class NeighborBuffer:
             self._slots[env.sender_id] = (env, held[0] if held else None)
             return True
 
-    def insert_bytes(self, data: bytes, now_ns: int) -> bool:
-        """Decode-and-insert convenience for transport receive callbacks."""
-        return self.insert(decode_envelope(data), now_ns)
+    def insert_bytes(self, data: bytes, now_ns: int, memo: dict | None = None) -> bool:
+        """Decode-and-insert for transport receive callbacks; ``memo`` as in decode."""
+        return self.insert(decode_envelope(data, memo=memo), now_ns)
 
     def evict_stale(self, now_ns: int) -> int:
         """Drop envelopes older than the threshold; age == threshold survives."""

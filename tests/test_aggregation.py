@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuromesh.wire as wire_mod
 from neuromesh.aggregation import (
     SIM_POLL_NS,
     AggregationConfig,
@@ -14,9 +16,17 @@ from neuromesh.aggregation import (
     build_sim_team,
     centralized_rounds,
     diff_sum_aggregate,
+    publish_features,
     reduce_aggregate,
     resolve_neighborhood,
     run_rounds,
+)
+from neuromesh.assignment import run_assignment_scenario
+from neuromesh.control import (
+    ControlPolicy,
+    NavigationParams,
+    UnicycleState,
+    run_navigation_scenario,
 )
 from neuromesh.errors import (
     ConfigError,
@@ -24,7 +34,7 @@ from neuromesh.errors import (
     NeighborhoodTimeoutError,
     ShapeError,
 )
-from neuromesh.netsim import LinkModel, Topology
+from neuromesh.netsim import LinkModel, MeshSimulator, SimTransport, Topology
 from neuromesh.tensors import identity_mlp, mlp_forward, random_mlp
 from neuromesh.wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
 
@@ -467,3 +477,127 @@ class TestDecentralizedEqualsCentralized:
                     want = centralized_rounds(adjacency, features, kind, rounds)
                     for a in adjacency:
                         assert got[a].tobytes() == want[a].tobytes()
+
+
+class DecodeLog:
+    """Wraps the module attribute ``decode_envelope`` as the benchmark tracer
+    does, logging each call's bytes and envelope, and counts inserts,
+    broadcasts and the simulators built. With ``drop_memo`` the wrapper
+    decodes every call fresh.
+    """
+
+    def __init__(self, monkeypatch, drop_memo=False):
+        self.calls = []  # (wire bytes, envelope) per decode call
+        self.memos = {}  # id -> each memo passed to a decode call
+        self.inserts = 0
+        self.broadcasts = 0
+        self.sims = []
+        decode = wire_mod.decode_envelope
+        insert = NeighborBuffer.insert
+        broadcast = SimTransport.broadcast
+        init = MeshSimulator.__init__
+
+        def wrapped(data, **kwargs):
+            if drop_memo:
+                kwargs.pop("memo", None)
+            elif kwargs.get("memo") is not None:
+                self.memos[id(kwargs["memo"])] = kwargs["memo"]
+            env = decode(data, **kwargs)
+            self.calls.append((data, env))
+            return env
+
+        def counted_insert(buf, env, now_ns):
+            self.inserts += 1
+            return insert(buf, env, now_ns)
+
+        def counted_broadcast(transport, data):
+            self.broadcasts += 1
+            return broadcast(transport, data)
+
+        def recorded_init(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            self.sims.append(sim)
+
+        monkeypatch.setattr(wire_mod, "decode_envelope", wrapped)
+        monkeypatch.setattr(NeighborBuffer, "insert", counted_insert)
+        monkeypatch.setattr(SimTransport, "broadcast", counted_broadcast)
+        monkeypatch.setattr(MeshSimulator, "__init__", recorded_init)
+
+    @property
+    def full_decodes(self) -> int:
+        """Decode calls that parsed their bytes: each one built a new envelope."""
+        return len({id(env) for _, env in self.calls})
+
+
+def circle_navigation(link=None, **params):
+    """Learned navigation of 10 robots on a 5 m circle, each heading for the opposite
+    point; ``params`` override NavigationParams(max_steps=20, seed=23)."""
+    states, goals = {}, {}
+    for a in range(10):
+        angle = 2.0 * math.pi * a / 10
+        start = np.array([5.0 * math.cos(angle), 5.0 * math.sin(angle)])
+        states[a] = UnicycleState(start, angle + 0.5)
+        goals[a] = -start
+    return run_navigation_scenario(
+        states, goals, policy=ControlPolicy.random(seed=11),
+        params=NavigationParams(**{"max_steps": 20, "seed": 23, **params}),
+        topology=Topology.full_mesh(states, link), record_trajectory=True)
+
+
+def expert_assignment(link=None, n=8):
+    costs = np.random.default_rng(73).uniform(1, 10, size=(n, n)).astype(F32)
+    agg = AggregationConfig(mode="blocking" if link is None else "best_effort",
+                            timeout_ns=200_000_000)
+    return run_assignment_scenario(costs, agg_config=agg,
+                                   topology=Topology.full_mesh(range(n), link))
+
+
+LOSSY_JITTER = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0,
+                         loss_prob=0.3, seed=7)
+RUNS = {"navigation": circle_navigation, "assignment": expert_assignment}
+
+
+class TestOneDecodePerBroadcast:
+    @pytest.mark.parametrize("task", list(RUNS))
+    def test_every_receiver_decodes_and_each_broadcast_is_parsed_once(self, monkeypatch, task):
+        log = DecodeLog(monkeypatch)
+        RUNS[task]()
+        [sim] = log.sims
+        sim.drain()
+        assert len(log.calls) == log.inserts == sim.delivered == sim.sent > 0
+        assert log.full_decodes == log.broadcasts > 0
+        assert len(log.memos) == 1
+
+    @pytest.mark.parametrize("task", list(RUNS))
+    @pytest.mark.parametrize("link", [None, LOSSY_JITTER], ids=["lossless", "lossy-jitter"])
+    def test_outcome_equals_a_run_without_the_memo(self, monkeypatch, task, link):
+        with monkeypatch.context() as patch:
+            fresh = DecodeLog(patch, drop_memo=True)
+            want = RUNS[task](link=link)
+        with monkeypatch.context() as patch:
+            log = DecodeLog(patch)
+            got = RUNS[task](link=link)
+        assert got == want
+        assert [data for data, _ in log.calls] == [data for data, _ in fresh.calls]
+        assert [env for _, env in log.calls] == [env for _, env in fresh.calls]
+        assert fresh.full_decodes == len(fresh.calls) and not fresh.memos
+
+    def test_all_receivers_of_a_broadcast_hold_one_read_only_envelope(self):
+        sim, team = build_sim_team(Topology.full_mesh(range(4)))
+        publish_features(team, {0: vec(1, 2, 3)}, 1, 0, 0)
+        sim.drain()
+        [held] = {id(buf._slots[0][0]): buf._slots[0][0]
+                  for aid, (_, buf) in team.items() if aid != 0}.values()
+        assert held.payload.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            held.payload[0] = 0.0
+
+    def test_memo_holds_at_most_one_entry_per_sender_after_a_long_run(self, monkeypatch):
+        log = DecodeLog(monkeypatch)
+        out = circle_navigation(max_steps=400, collision_radius_m=1e-9)
+        assert out.steps == 400 and not out.failed
+        [memo] = log.memos.values()
+        stored = {key: env for key, env in memo.items() if isinstance(key, bytes)}
+        senders = sorted(env.sender_id for env in stored.values())
+        assert senders == sorted(set(senders)) and len(senders) <= 10
+        assert {memo[s] for s in senders} == set(stored) and len(memo) == 2 * len(stored)

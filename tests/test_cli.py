@@ -481,3 +481,43 @@ class TestSelftest:
         save_mlp(tmp_path / "assignment_decoder.mwts", model.decoder)
         assert main(["selftest", "--weights-dir", str(tmp_path)]) == 0
         assert "PASS learned-assignment" in capsys.readouterr().out
+
+
+class TestNanosecondBounds:
+    """Time fields scaled to integer ns exit 2 at load once the ns reach 2**63,
+    instead of overflowing in the run."""
+
+    @pytest.mark.parametrize("task,section,field,value", [
+        ("assignment", "aggregation", "timeout_ms", 1e303),
+        ("assignment", "network", "base_latency_ms", 1e303),
+        ("assignment", "network", "jitter_ms", 1e303),
+        ("comms", "comms", "duration_s", 1e300),
+    ], ids=["timeout", "latency", "jitter", "duration"])
+    def test_overflowing_time_exits_2_at_load(self, tmp_path, capsys, task, section, field,
+                                              value):
+        body = {"task": task, "output_dir": str(tmp_path / "out"), section: {field: value}}
+        if task == "assignment":
+            body.update(team_size=2, assignment={"n_tests": 1})
+        assert main(["run", write_config(tmp_path, body)]) == 2
+        assert f"{section}.{field}: must be below 2**63 ns" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,field,scale", [
+        ("aggregation", "timeout_ms", 1e6), ("network", "base_latency_ms", 1e6),
+        ("network", "jitter_ms", 1e6), ("comms", "duration_s", 1e9),
+    ])
+    def test_the_bound_is_2_to_the_63_ns(self, section, field, scale):
+        task = "comms" if section == "comms" else "assignment"
+        below = 2**63 / scale * (1 - 1e-9)
+        assert validate_config({"task": task, section: {field: below}})[section][field] == below
+        with pytest.raises(ConfigError, match="2\\*\\*63 ns") as err:
+            validate_config({"task": task, section: {field: 2**63 / scale * (1 + 1e-9)}})
+        assert err.value.path == f"{section}.{field}"
+
+    @pytest.mark.parametrize("delays", [[1e300, 0, 0], [0, 0, 1e13], [0, math.inf, 0]])
+    def test_overflowing_delay_exits_2_and_writes_no_timing_csv(self, tmp_path, capsys, delays):
+        cfg = write_config(tmp_path, {"task": "timing", "output_dir": str(tmp_path / "out"),
+                                      "timing": {"delays_ms": delays, "items": 3}})
+        assert main(["run", cfg]) == 2
+        assert "timing.delays_ms:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "timing.csv").exists()

@@ -19,6 +19,7 @@ from neuromesh.control import ControlPolicy, UnicycleState, build_observation
 from neuromesh.netsim import LoopbackTransport
 from neuromesh.pipeline import run_pipeline, run_sequential
 from neuromesh.tensors import mlp_forward, softplus_shift
+import neuromesh.wire as wire_mod
 from neuromesh.wire import MessageEnvelope, NeighborBuffer
 
 F32 = np.float32
@@ -122,6 +123,40 @@ class TestLoopbackExchange:
                     want = centralized_rounds(adjacency, features, kind, rounds)
                     for a in adjacency:
                         assert got[a].tobytes() == want[a].tobytes(), (kind, rounds, a)
+
+    def test_shared_decode_memo_hands_out_only_envelopes_of_their_own_bytes(self, monkeypatch):
+        # the receive threads share their team's memo: a race may cost a
+        # repeat decode, never an envelope decoded from other bytes
+        base_port = 47590
+        adjacency = {0: [1, 2, 3], 1: [0, 2], 2: [0, 1, 3], 3: [0, 2]}
+        rng = np.random.default_rng(13)
+        features = {a: rng.uniform(-1, 1, size=8).astype(F32) for a in adjacency}
+        decode = wire_mod.decode_envelope
+        decoded = []
+
+        def logged(data, **kwargs):
+            env = decode(data, **kwargs)
+            decoded.append((data, env, kwargs.get("memo")))
+            return env
+
+        monkeypatch.setattr(wire_mod, "decode_envelope", logged)
+        with contextlib.ExitStack() as stack:
+            transports = [
+                stack.enter_context(LoopbackTransport(a, adjacency[a], base_port=base_port))
+                for a in adjacency
+            ]
+            for kind in ("mean", "max"):
+                cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9, rounds=3)
+                team = build_team(transports, staleness_ns=10**15)
+                got = run_threaded(team, features, cfg,
+                                   lambda h, feats, k=kind: reduce_aggregate(k, h, feats))
+                want = centralized_rounds(adjacency, features, kind, 3)
+                for a in adjacency:
+                    assert got[a].tobytes() == want[a].tobytes(), (kind, a)
+        assert len(decoded) >= 2 * 3 * sum(map(len, adjacency.values()))
+        assert all(memo is not None for _, _, memo in decoded)
+        for data, env, _ in decoded:
+            assert env == decode(data)
 
     def test_concurrent_inserts_never_corrupt_snapshots(self):
         # hammer one buffer from two writer threads while a reader snapshots;

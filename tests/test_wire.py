@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -303,3 +305,89 @@ class TestNeighborBuffer:
         buf.insert(make_env(seq=1, ts=1000), now_ns=1000)
         [(_, _, age)] = buf.snapshot(4000)
         assert age == 3000
+
+
+def stored_bytes(memo):
+    """The wire bytes a decode memo holds envelopes for."""
+    return {key for key in memo if isinstance(key, bytes)}
+
+
+class TestDecodeMemo:
+    def blob(self, sender=2, seq=3):
+        return encode_envelope(make_env(sender=sender, seq=seq,
+                                        payload=np.arange(4, dtype=np.float32)))
+
+    def test_equal_bytes_return_one_read_only_envelope(self):
+        blob, memo = self.blob(), {}
+        first = decode_envelope(blob, memo=memo)
+        again = b"".join([blob[:7], blob[7:]])  # the same bytes in another object
+        assert again is not blob and decode_envelope(again, memo=memo) is first
+        assert first == decode_envelope(blob)
+        with pytest.raises(ValueError, match="read-only"):
+            first.payload[0] = 9.0
+
+    def test_without_a_memo_each_call_builds_its_own_read_only_envelope(self):
+        blob = self.blob()
+        a, b = decode_envelope(blob), decode_envelope(blob)
+        assert a == b and a is not b
+        with pytest.raises(ValueError, match="read-only"):
+            a.payload[:] = 0.0
+
+    def test_bytes_like_input_is_copied_before_the_payload_view(self):
+        data = bytearray(self.blob())
+        env = decode_envelope(data)
+        data[-4:] = b"\xff\xff\xff\xff"
+        assert env.payload.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert decode_envelope(memoryview(bytes(data)), memo={}).payload[-1] != 3.0
+
+    def test_a_senders_new_bytes_evict_its_previous_bytes(self):
+        memo = {}
+        blobs = {(s, q): self.blob(sender=s, seq=q) for s in (1, 2) for q in (1, 2, 3)}
+        for q in (1, 2, 3):
+            for s in (1, 2):
+                decode_envelope(blobs[s, q], memo=memo)
+            assert stored_bytes(memo) == {blobs[1, q], blobs[2, q]}
+            assert memo[1] == blobs[1, q] and memo[2] == blobs[2, q]
+        # an older message is a miss again, and it evicts the newer one
+        old = decode_envelope(blobs[1, 1], memo=memo)
+        assert old.seq == 1 and stored_bytes(memo) == {blobs[1, 1], blobs[2, 3]}
+
+    def test_malformed_bytes_raise_the_same_error_each_time_and_are_never_stored(self):
+        blob, memo = self.blob(), {}
+        bad_version = bytearray(blob)
+        bad_version[4] = 2
+        for bad in (b"NM", b"NMSX" + blob[4:], bytes(bad_version), blob[:-4], blob + b"\0"):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(WireError) as err:
+                    decode_envelope(bad, memo=memo)
+                errors.append(as_error(err.value))
+            assert errors[0] == errors[1]
+        assert memo == {}
+
+    def test_threads_sharing_a_memo_get_only_their_own_bytes_and_keep_it_bounded(self):
+        # loopback receive threads share their team's memo
+        blobs = [self.blob(sender=s, seq=q) for q in range(1, 1001) for s in range(3)]
+        memo, wrong, errors = {}, [], []
+
+        def receiver(offset):
+            try:
+                for blob in blobs[offset:] + blobs[:offset]:
+                    if decode_envelope(blob, memo=memo) != decode_envelope(blob):
+                        wrong.append(blob)
+            except Exception as exc:  # surfaced to the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=receiver, args=(7 * k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and not errors
+        assert stored_bytes(memo) == {memo[s] for s in range(3)} and len(memo) == 6
