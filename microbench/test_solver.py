@@ -38,7 +38,7 @@ SCENARIOS = {
     "expert-lossless-20": {},
     "expert-lossy-best-effort-20": {
         "agg_config": AggregationConfig(mode="best_effort"),
-        "topology": Topology.full_mesh(range(SCENARIO_N), LinkModel(loss_prob=0.05, seed=3)),
+        "topology": Topology.full_mesh(range(SCENARIO_N), LinkModel(loss_prob=0.05)), "seed": 3,
     },
 }
 

@@ -43,7 +43,6 @@ from .netsim import (
     MediumModel,
     MeshSimulator,
     Topology,
-    link_streams,
     measure_link_quality,
     scalability_sweep,
 )

@@ -325,7 +325,7 @@ def run_assignment_scenario(
     medium: MediumModel | None = None,
     model: AssignmentModel | None = None,
     silenced=(),
-    streams: dict | None = None,
+    seed: int = 0,
 ) -> AssignmentOutcome:
     """Run one decentralized assignment instance over the simulated mesh.
 
@@ -335,8 +335,9 @@ def run_assignment_scenario(
     solving it; in learned mode the attention aggregator fuses neighbor
     embeddings and the decoder's argmax picks the goal. Conflicting picks
     count as uncovered goals, never as errors; a blocking-mode timeout or
-    too few live neighbors marks the whole run failed. ``streams`` are the
-    run's link RNG streams; without them the mesh seeds fresh ones.
+    too few live neighbors marks the whole run failed. ``seed`` seeds the
+    mesh's loss and jitter streams, one per sending robot (see
+    ``MeshSimulator``), so an instance replays alone from its seed.
 
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
@@ -354,7 +355,7 @@ def run_assignment_scenario(
         raise ShapeError("learned mode needs an AssignmentModel")
     silenced = set(silenced)
 
-    sim, team = build_sim_team(topology, medium, staleness_ns=10**12, streams=streams)
+    sim, team = build_sim_team(topology, medium, staleness_ns=10**12, seed=seed)
 
     if mode == "expert":
         features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}

@@ -33,7 +33,7 @@ from .config import (
 )
 from .control import ControlPolicy, UnicycleState, run_navigation_scenario
 from .errors import ConfigError, NeuromeshError
-from .netsim import MeshSimulator, link_streams, measure_link_quality, scalability_sweep
+from .netsim import MeshSimulator, derive_seed, measure_link_quality, scalability_sweep
 from .pipeline import (
     PipelineStats,
     identity_stage,
@@ -70,6 +70,7 @@ def _run_comms(cfg: dict, outdir: Path) -> list[Path]:
             medium=medium,
             duration_s=section["duration_s"],
             link=build_link_model(cfg["network"]),
+            seed=cfg["network"]["seed"],
         )
         csv_rows = [
             [r.team_size, f"{r.offered_hz:.2f}", f"{r.delivered_mean:.2f}",
@@ -79,7 +80,7 @@ def _run_comms(cfg: dict, outdir: Path) -> list[Path]:
         columns = ("team_size", "offered_hz", "delivered_mean", "delivered_std", "oracle_value")
         return [write_csv(outdir / "comms_sweep.csv", "comms-sweep", columns, csv_rows)]
     topo = build_topology(2, cfg["network"])
-    sim = MeshSimulator(topo, medium)
+    sim = MeshSimulator(topo, medium, seed=cfg["network"]["seed"])
     quality = measure_link_quality(
         sim, 0, 1, section["payload_bytes"], section["offered_hz"], section["duration_s"]
     )
@@ -106,17 +107,22 @@ def _instance_costs(section: dict, n: int, seed: int, test_id: int) -> np.ndarra
     return rng.uniform(lo, hi, size=(n, n)).astype(np.float32)
 
 
-def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list[Path]:
-    """Run the config's tests over one set of link streams, built per call.
+def _assignment_row(test_id: int, outcome) -> list:
+    """One ``assignment.csv`` row: test_id, covered_goals, C_out, C_opt, failed."""
+    cost_out = "" if outcome.cost_out is None else f"{outcome.cost_out:.4f}"
+    return [test_id, outcome.covered_goals, cost_out, f"{outcome.cost_opt:.4f}", int(outcome.failed)]
 
-    Test k continues the streams where test k - 1 stopped, so losses are
-    independent; each budget of a sweep starts fresh and sees the same draws.
+
+def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list[Path]:
+    """Run the config's tests; test k's mesh is seeded with ``derive_seed(network.seed, k)``.
+
+    Tests therefore draw independent losses, test k replays alone, and every
+    budget of a sweep sees the same draws.
     """
     section = cfg["assignment"]
     n = cfg["team_size"]
     model = _assignment_model(section)
     topo = build_topology(n, cfg["network"])
-    streams = link_streams(topo)
     medium = build_medium(cfg["network"])
     agg = build_aggregation(cfg["aggregation"])
     if budget is None:
@@ -129,19 +135,14 @@ def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list
         costs = _instance_costs(section, n, cfg["seed"], test_id)
         outcome = run_assignment_scenario(
             costs, mode=section["mode"], message_budget_bytes=budget,
-            agg_config=agg, topology=topo, medium=medium, model=model, streams=streams,
+            agg_config=agg, topology=topo, medium=medium, model=model,
+            seed=derive_seed(cfg["network"]["seed"], test_id),
         )
         covered_total += outcome.covered_goals
         failed += outcome.failed
         if outcome.covered_goals == n and not outcome.failed:
             pairs.append((outcome.cost_out, outcome.cost_opt))
-        rows.append([
-            test_id,
-            outcome.covered_goals,
-            "" if outcome.cost_out is None else f"{outcome.cost_out:.4f}",
-            f"{outcome.cost_opt:.4f}",
-            int(outcome.failed),
-        ])
+        rows.append(_assignment_row(test_id, outcome))
     sr = sr_metric(covered_total, n, section["n_tests"])
     tcp = tcp_metric(pairs) if pairs else float("nan")
     print(f"assignment{tag}: SR = {sr:.2f} %  TCP = {tcp:.4f} % over {len(pairs)} covered tests"
@@ -179,7 +180,6 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         w = section["weights"]
         policy = ControlPolicy.load(w["encoder"], w["pairwise"], w["decoder"])
     topo = build_topology(cfg["team_size"], cfg["network"])
-    streams = link_streams(topo)  # shared by every run, so their losses are independent
     medium = build_medium(cfg["network"])
     agg = build_aggregation(cfg["aggregation"])
     rows = []
@@ -191,7 +191,8 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         outcome = run_navigation_scenario(
             states, goals, policy=policy, params=params, topology=topo, medium=medium,
             agg_config=agg, scripted=section["policy"] == "scripted",
-            record_trajectory=section["write_trajectories"], streams=streams,
+            record_trajectory=section["write_trajectories"],
+            seed=derive_seed(cfg["network"]["seed"], run_id),  # runs draw independent losses
         )
         successes += outcome.success
         rows.append([

@@ -87,6 +87,12 @@ _positive = _number(above=0)
 _rate = _number(above=0, rate=True)
 
 
+def _bandwidth(value, where, cfg):
+    """Bytes/s > 0 that ``MediumModel`` accepts (a 65,536 B airtime below 2**63 ns)."""
+    MediumModel(per_node_bandwidth_bps=_positive(value, where, cfg))
+    return value
+
+
 def _seed(value, where, cfg):
     """The master seed: the config's, unless the NEUROMESH_SEED env var overrides it."""
     seed, env = _integer(0)(value, where, cfg), os.environ.get(ENV_SEED)
@@ -177,10 +183,11 @@ SECTIONS = {
         "jitter_ms": (_LINK.jitter_stddev_ns / 1e6, _number(0, ns=1e6),
                       "float >= 0 Gaussian delay stddev, below 2**63 ns"),
         "loss_prob": (_LINK.loss_prob, _number(0, 1), "float in [0, 1]"),
-        "per_node_bandwidth": (_MEDIUM.per_node_bandwidth_bps, _positive, "bytes/s > 0 per node"),
+        "per_node_bandwidth": (_MEDIUM.per_node_bandwidth_bps, _bandwidth,
+                               "bytes/s > 0 per node, unshared; a 65,536 B airtime below 2**63 ns"),
         "contention": (_MEDIUM.contention, _choice("none", "shared_medium"),
                        "'none' | 'shared_medium'"),
-        "seed": (_LINK.seed, _integer(), "int link RNG seed"),
+        "seed": (0, _integer(), "int network seed; unit k's mesh is seeded from (seed, k)"),
     },
     "aggregation": {
         "mode": (_AGG.mode, _choice("blocking", "best_effort"), "'blocking' | 'best_effort'"),
@@ -294,7 +301,7 @@ def validate_config(raw: dict) -> dict:
 def build_link_model(network: dict) -> LinkModel:
     return LinkModel(base_latency_ns=int(network["base_latency_ms"] * 1e6),
                      jitter_stddev_ns=network["jitter_ms"] * 1e6,
-                     loss_prob=network["loss_prob"], seed=network["seed"])
+                     loss_prob=network["loss_prob"])
 
 
 def build_medium(network: dict) -> MediumModel:

@@ -247,7 +247,7 @@ def run_navigation_scenario(
     agg_config: AggregationConfig | None = None,
     scripted: bool = False,
     record_trajectory: bool = False,
-    streams: dict | None = None,
+    seed: int = 0,
 ) -> NavigationOutcome:
     """Closed-loop run over the simulated mesh at a fixed control rate.
 
@@ -257,9 +257,9 @@ def run_navigation_scenario(
     neighbors ends the run with ``failed`` set. Blocking waits for the
     current step's envelopes (round = step mod 256, as the wire round is a
     u8); best-effort takes the latest live ones. Each agent samples actions
-    from its own generator seeded with run_seed XOR agent_id, so runs replay
-    bit-for-bit. ``streams`` are the run's link RNG streams; without them the
-    mesh seeds fresh ones.
+    from its own generator seeded with ``params.seed`` XOR agent_id, and
+    ``seed`` seeds the mesh's loss and jitter streams, one per sending robot
+    (see ``MeshSimulator``), so runs replay bit-for-bit.
     """
     if len(initial_states) < 2:
         raise ShapeError("navigation needs a team of at least 2 robots")
@@ -273,7 +273,7 @@ def run_navigation_scenario(
     agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
     blocking = agg_config.mode == "blocking"
 
-    sim, team = build_sim_team(topology, medium, staleness_ns=500_000_000, streams=streams)
+    sim, team = build_sim_team(topology, medium, staleness_ns=500_000_000, seed=seed)
 
     states = {a: replace(initial_states[a]) for a in agents}
     goal_vecs = {a: np.ascontiguousarray(goals[a], dtype=np.float64) for a in agents}

@@ -1,15 +1,14 @@
 """Deterministic mesh-network simulation plus a loopback datagram transport.
 
 The simulator is a single-threaded discrete-event loop over a virtual
-clock. Every random draw (loss, jitter) comes from a per-directed-link
-generator seeded from the link seed and the endpoint ids, so identical
-configs and seeds replay identical delivery traces bit for bit.
-
-The streams belong to the run, not to one simulator: ``link_streams``
-builds them, and every simulator a run builds over them continues each
-link's draws where the previous simulator stopped, so the tests of a run
-see independent losses. Test k of a run therefore replays only after
-tests 0..k-1 have run. A simulator built without streams seeds fresh ones.
+clock. Every random draw (loss, jitter) comes from the sender's stream:
+``MeshSimulator(..., seed=s)`` seeds agent a's ``random.Random`` from
+``derive_seed(s, a)``, and every directed link (a, b) draws from it. A
+link's draws therefore depend only on its sender's own sends, and
+identical topologies, schedules and seeds replay identical delivery traces
+bit for bit. A run seeds one simulator per unit (an assignment test or a
+control run) from ``derive_seed(network seed, unit)``, so its units draw
+independent losses and each one replays alone.
 
 Link model per message:
 
@@ -46,6 +45,7 @@ from .wire import header_size
 
 DEFAULT_BANDWIDTH_BPS = 6_000_000
 DEFAULT_BASE_PORT = 47000
+MAX_DATAGRAM_BYTES = 65_536  # the largest datagram LoopbackTransport receives
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -59,7 +59,6 @@ class LinkModel:
     base_latency_ns: int = 0
     jitter_stddev_ns: float = 0.0
     loss_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
@@ -79,6 +78,9 @@ class MediumModel:
     def __post_init__(self):
         if self.per_node_bandwidth_bps <= 0:
             raise ConfigError("network.per_node_bandwidth", "must be positive")
+        if MAX_DATAGRAM_BYTES * 1e9 / self.per_node_bandwidth_bps >= 2**63:
+            raise ConfigError("network.per_node_bandwidth", f"a {MAX_DATAGRAM_BYTES} B datagram's "
+                              f"airtime must be below 2**63 ns, got {self.per_node_bandwidth_bps} B/s")
         if self.contention not in ("none", "shared_medium"):
             raise ConfigError("network.contention", f"unknown contention {self.contention!r}")
 
@@ -130,31 +132,18 @@ class Topology:
         return list(self._adjacency.get(a, ()))
 
 
-def link_streams(topology: Topology) -> dict:
-    """One RNG stream per directed link: (frm, to) -> ``random.Random``.
-
-    Each is seeded from ``derive_seed(link.seed, frm, to)``. Pass the dict to
-    every simulator of a run so that they share, and continue, the draws.
-    """
-    return {
-        (frm, to): random.Random(derive_seed(link.seed, frm, to))
-        for (a, b), link in topology.links.items()
-        for frm, to in ((a, b), (b, a))
-    }
-
-
 class MeshSimulator:
     """Event-driven mesh with bandwidth, latency, jitter, and loss.
 
     Receive callbacks are ``cb(data: bytes, now_ns: int)``; they run on the
     simulator loop when the virtual clock reaches the delivery time.
-    ``streams`` is a :func:`link_streams` dict that draws continue from;
-    without it the simulator seeds fresh streams. The FIFO clamp and the
-    radios' busy times always start fresh.
+    Sender a draws loss and jitter from ``random.Random(derive_seed(seed, a))``
+    on every link it sends over; the streams, the FIFO clamp and the radios'
+    busy times all belong to this simulator.
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
-                 record_tx: bool = False, streams: dict | None = None):
+                 record_tx: bool = False, seed: int = 0):
         self.topology = topology
         self.medium = medium or MediumModel()
         transmitters = {a for edge in topology.links for a in edge}  # agents with a link
@@ -164,17 +153,13 @@ class MeshSimulator:
         self._counter = 0
         self._tx_free = {a: 0 for a in topology.agents}
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
-        if streams is None:
-            streams = link_streams(topology)
-        # (frm, to) -> [LinkModel, RNG stream, last delivery time (FIFO clamp)]
-        try:
-            self._links = {
-                (frm, to): [link, streams[frm, to], 0]
-                for (a, b), link in topology.links.items()
-                for frm, to in ((a, b), (b, a))
-            }
-        except KeyError as exc:
-            raise TopologyError(f"no RNG stream for link {exc.args[0]}") from None
+        streams = {a: random.Random(derive_seed(seed, a)) for a in transmitters}
+        # (frm, to) -> [LinkModel, the sender's RNG stream, last delivery time (FIFO clamp)]
+        self._links = {
+            (frm, to): [link, streams[frm], 0]
+            for (a, b), link in topology.links.items()
+            for frm, to in ((a, b), (b, a))
+        }
         self._receivers: dict = {}
         self.sent = 0
         self.dropped = 0
@@ -322,13 +307,14 @@ class SweepRow:
 
 def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 200.0,
                       medium: MediumModel | None = None, duration_s: float = 0.6,
-                      link: LinkModel | None = None) -> list[SweepRow]:
+                      link: LinkModel | None = None, seed: int = 0) -> list[SweepRow]:
     """Measure per-link throughput for full-mesh all-to-all publishing.
 
     Every agent publishes a payload to all peers at the offered rate; the
     measurement window covers the second half of the run (steady state),
-    shifted by the link's base latency. Every mesh link uses ``link``. Each
-    row carries the closed-form oracle value times ``1 - loss_prob``.
+    shifted by the link's base latency. Every mesh link uses ``link``, and
+    each team size's simulator is seeded with ``seed``. Each row carries
+    the closed-form oracle value times ``1 - loss_prob``.
     """
     medium = medium or MediumModel()
     link = link or LinkModel()
@@ -339,7 +325,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     for n in team_sizes:
         agents = list(range(n))
         topo = Topology.full_mesh(agents, link)
-        sim = MeshSimulator(topo, medium)
+        sim = MeshSimulator(topo, medium, seed=seed)
         counts = {a: 0 for a in agents}
         window_start_ns = int(window_s * 1e9) + link.base_latency_ns
 
@@ -428,7 +414,7 @@ class LoopbackTransport:
     def _recv_loop(self) -> None:
         while not self._closing.is_set():
             try:
-                data, _ = self._sock.recvfrom(65536)
+                data, _ = self._sock.recvfrom(MAX_DATAGRAM_BYTES)
             except socket.timeout:
                 continue
             except OSError:

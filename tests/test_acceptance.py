@@ -273,8 +273,8 @@ def test_criterion_6_network_self_consistency():
     configured_loss = 0.003
     link = LinkModel(base_latency_ns=int(configured_latency),
                      jitter_stddev_ns=configured_jitter,
-                     loss_prob=configured_loss, seed=606)
-    sim = MeshSimulator(Topology.full_mesh([0, 1], link))
+                     loss_prob=configured_loss)
+    sim = MeshSimulator(Topology.full_mesh([0, 1], link), seed=606)
     n_msgs = 10_200
     quality = measure_link_quality(sim, 0, 1, payload_bytes=128, rate_hz=200,
                                    duration_s=n_msgs / 200)

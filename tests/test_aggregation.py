@@ -529,7 +529,7 @@ class DecodeLog:
         return len({id(env) for _, env in self.calls})
 
 
-def circle_navigation(link=None, **params):
+def circle_navigation(link=None, mesh_seed=0, **params):
     """Learned navigation of 10 robots on a 5 m circle, each heading for the opposite
     point; ``params`` override NavigationParams(max_steps=20, seed=23)."""
     states, goals = {}, {}
@@ -541,19 +541,19 @@ def circle_navigation(link=None, **params):
     return run_navigation_scenario(
         states, goals, policy=ControlPolicy.random(seed=11),
         params=NavigationParams(**{"max_steps": 20, "seed": 23, **params}),
-        topology=Topology.full_mesh(states, link), record_trajectory=True)
+        topology=Topology.full_mesh(states, link), record_trajectory=True, seed=mesh_seed)
 
 
-def expert_assignment(link=None, n=8):
+def expert_assignment(link=None, n=8, mesh_seed=0):
     costs = np.random.default_rng(73).uniform(1, 10, size=(n, n)).astype(F32)
     agg = AggregationConfig(mode="blocking" if link is None else "best_effort",
                             timeout_ns=200_000_000)
     return run_assignment_scenario(costs, agg_config=agg,
-                                   topology=Topology.full_mesh(range(n), link))
+                                   topology=Topology.full_mesh(range(n), link), seed=mesh_seed)
 
 
 LOSSY_JITTER = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0,
-                         loss_prob=0.3, seed=7)
+                         loss_prob=0.3)
 RUNS = {"navigation": circle_navigation, "assignment": expert_assignment}
 
 
@@ -569,14 +569,15 @@ class TestOneDecodePerBroadcast:
         assert len(log.memos) == 1
 
     @pytest.mark.parametrize("task", list(RUNS))
-    @pytest.mark.parametrize("link", [None, LOSSY_JITTER], ids=["lossless", "lossy-jitter"])
-    def test_outcome_equals_a_run_without_the_memo(self, monkeypatch, task, link):
+    @pytest.mark.parametrize("link, mesh_seed", [(None, 0), (LOSSY_JITTER, 7)],
+                             ids=["lossless", "lossy-jitter"])
+    def test_outcome_equals_a_run_without_the_memo(self, monkeypatch, task, link, mesh_seed):
         with monkeypatch.context() as patch:
             fresh = DecodeLog(patch, drop_memo=True)
-            want = RUNS[task](link=link)
+            want = RUNS[task](link=link, mesh_seed=mesh_seed)
         with monkeypatch.context() as patch:
             log = DecodeLog(patch)
-            got = RUNS[task](link=link)
+            got = RUNS[task](link=link, mesh_seed=mesh_seed)
         assert got == want
         assert [data for data, _ in log.calls] == [data for data, _ in fresh.calls]
         assert [env for _, env in log.calls] == [env for _, env in fresh.calls]

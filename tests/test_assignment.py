@@ -432,7 +432,7 @@ class SolveLog:
 def lossy_best_effort(n):
     agg = AggregationConfig(mode="best_effort")
     return {"agg_config": agg,
-            "topology": Topology.full_mesh(range(n), LinkModel(loss_prob=0.05, seed=3))}
+            "topology": Topology.full_mesh(range(n), LinkModel(loss_prob=0.05)), "seed": 3}
 
 
 class TestScenarioSolveMemo:

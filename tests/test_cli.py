@@ -338,7 +338,7 @@ class TestFailuresAreOutcomes:
 
 
 class TestIndependentLosses:
-    """The tests of one run continue its link streams, so their losses are independent."""
+    """Each test of a run draws over a mesh seeded for that test, so losses are independent."""
 
     LOSS = 0.003
     ROBOTS = 10
@@ -513,6 +513,32 @@ class TestNanosecondBounds:
         with pytest.raises(ConfigError, match="2\\*\\*63 ns") as err:
             validate_config({"task": task, section: {field: 2**63 / scale * (1 + 1e-9)}})
         assert err.value.path == f"{section}.{field}"
+
+    @pytest.mark.parametrize("command,task,body", [
+        ("run", "assignment", {"team_size": 2, "assignment": {"n_tests": 1}}),
+        ("sweep", "comms", {"comms": {"duration_s": 0.1}, "sweep": {"team_sizes": [2]}}),
+    ], ids=["assignment", "comms-sweep"])
+    def test_tiny_bandwidth_exits_2_at_load(self, tmp_path, capsys, command, task, body):
+        body = dict(body, task=task, output_dir=str(tmp_path / "out"),
+                    network={"per_node_bandwidth": 1e-300})
+        assert main([command, write_config(tmp_path, body)]) == 2
+        assert ("network.per_node_bandwidth: a 65536 B datagram's airtime must be below "
+                "2**63 ns") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_bandwidth_bound_is_a_65536_b_airtime_of_2_to_the_63_ns(self, tmp_path):
+        lowest = 65_536 * 1e9 / 2**63
+        above = lowest * (1 + 1e-9)
+        assert validate_config({"task": "comms", "network": {"per_node_bandwidth": above}})[
+            "network"]["per_node_bandwidth"] == above
+        with pytest.raises(ConfigError, match="2\\*\\*63 ns") as err:
+            validate_config({"task": "comms",
+                             "network": {"per_node_bandwidth": lowest * (1 - 1e-9)}})
+        assert err.value.path == "network.per_node_bandwidth"
+        cfg = write_config(tmp_path, {"task": "comms", "output_dir": str(tmp_path / "out"),
+                                      "network": {"per_node_bandwidth": above},
+                                      "comms": {"team_sizes": [2], "duration_s": 0.1}})
+        assert main(["run", cfg]) == 0  # the slowest bandwidth that loads also runs
 
     @pytest.mark.parametrize("delays", [[1e300, 0, 0], [0, 0, 1e13], [0, math.inf, 0]])
     def test_overflowing_delay_exits_2_and_writes_no_timing_csv(self, tmp_path, capsys, delays):

@@ -325,14 +325,16 @@ def _circle_team(n, radius_m, at_goal=()):
     return states, goals
 
 
-JITTER_LOSSY = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0,
-                         loss_prob=0.3, seed=7)
-JITTER = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0, seed=3)
-SLOW = LinkModel(base_latency_ns=80_000_000)
+# (link, mesh seed)
+JITTER_LOSSY = (LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0,
+                          loss_prob=0.3), 7)
+JITTER = (LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0), 3)
+SLOW = (LinkModel(base_latency_ns=80_000_000), 0)
+DEFAULT = (None, 0)
 
-# name -> (robots, link, aggregation mode, deterministic actions, robots at goal)
+# name -> (robots, (link, mesh seed), aggregation mode, deterministic actions, robots at goal)
 TRAJECTORY_CASES = {
-    "3-best-effort-sampled": (3, None, "best_effort", False, ()),
+    "3-best-effort-sampled": (3, DEFAULT, "best_effort", False, ()),
     "3-blocking-slow-mean": (3, SLOW, "blocking", True, ()),
     "3-blocking-early-reach-sampled": (3, JITTER, "blocking", False, (1,)),
     "10-lossy-jitter-sampled": (10, JITTER_LOSSY, "best_effort", False, ()),
@@ -342,7 +344,9 @@ TRAJECTORY_CASES = {
 }
 
 # SHA-256 of each case's trajectory, steps and minimum distance, recorded
-# before the control loop decoded the team in one stacked pass.
+# before the control loop decoded the team in one stacked pass; the three
+# lossy cases were re-recorded when loss and jitter moved to one RNG stream
+# per sending robot.
 TRAJECTORY_PINS = {
     "3-best-effort-sampled":
         "2d9552ae028ccff54bdd438c254e2c1d39955a47db2ac2889ede020c65482f57",
@@ -351,18 +355,18 @@ TRAJECTORY_PINS = {
     "3-blocking-early-reach-sampled":
         "5af165adbfe29a881dd8322aa0f79fd30c7d86a50d468661527a4d1a9bf76312",
     "10-lossy-jitter-sampled":
-        "5a261e4fa2abbe3dc0471e75366af38fe9ffe97c2eeaeb5dccf5b387de0a5bc6",
+        "248ddb05d85c6a7eacbbb33161917198a233ff661f77b3662823e819060be8a0",
     "10-lossy-jitter-mean":
-        "3192063c891d4b6e2bf9445389c67996dde95f801ace478299a97e02b6be249f",
+        "0b760c0f5f774ec5b5f066e9742ad4a58f1a07fd4e967686d7a9b3e7dcc56625",
     "10-blocking-jitter-sampled":
         "8db494253e21d11ff8a0a5eef74443d471462977c683eded7854e0e3883b1203",
     "10-lossy-early-reach-mean":
-        "1dc7d3acf0d5597705fab84aef83f34f8cdacf36d813962eb07e63a3280255a3",
+        "25832bac068074f287a6f00c9580138b38b6ef5f9b205e6f6c5513d2624e1855",
 }
 
 
 def _trajectory_digest(case: str) -> str:
-    robots, link, mode, deterministic, at_goal = TRAJECTORY_CASES[case]
+    robots, (link, mesh_seed), mode, deterministic, at_goal = TRAJECTORY_CASES[case]
     states, goals = _circle_team(robots, radius_m=3.0 if robots == 3 else 5.0, at_goal=at_goal)
     policy = (ControlPolicy.random(feature_dim=8, hidden=16, seed=5) if robots == 3
               else ControlPolicy.random(seed=11))
@@ -370,7 +374,7 @@ def _trajectory_digest(case: str) -> str:
         states, goals, policy=policy,
         params=NavigationParams(max_steps=60, deterministic_actions=deterministic, seed=23),
         topology=Topology.full_mesh(states, link), agg_config=AggregationConfig(mode=mode),
-        record_trajectory=True,
+        record_trajectory=True, seed=mesh_seed,
     )
     assert not out.failed and not out.collided and out.steps == 60
     assert out.reached == [a in at_goal for a in range(robots)]

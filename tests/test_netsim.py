@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import statistics
 import time
 
 import numpy as np
@@ -17,20 +18,19 @@ from neuromesh.netsim import (
     Topology,
     closed_form_link_throughput,
     derive_seed,
-    link_streams,
     measure_link_quality,
     scalability_sweep,
 )
 from neuromesh.wire import MessageEnvelope, NeighborBuffer, encode_envelope
 
-from oracles import binomial_three_sigma_pct
+from oracles import binomial_central_interval, binomial_three_sigma_pct
 
 MS = 1_000_000
 
 
-def two_node_sim(link=None, medium=None):
+def two_node_sim(link=None, medium=None, seed=0):
     topo = Topology.full_mesh([0, 1], link or LinkModel())
-    return MeshSimulator(topo, medium)
+    return MeshSimulator(topo, medium, seed=seed)
 
 
 class TestTopology:
@@ -102,13 +102,13 @@ class TestSendModel:
     def test_seeded_run_replays_identical_trace(self):
         def trace():
             sim = two_node_sim(LinkModel(base_latency_ns=MS, jitter_stddev_ns=0.5 * MS,
-                                         loss_prob=0.3, seed=77))
+                                         loss_prob=0.3), seed=77)
             return [sim.send(0, 1, bytes(64)) for _ in range(200)]
 
         assert trace() == trace()
 
     def test_per_link_fifo_no_reordering(self):
-        sim = two_node_sim(LinkModel(base_latency_ns=5 * MS, jitter_stddev_ns=4 * MS, seed=3))
+        sim = two_node_sim(LinkModel(base_latency_ns=5 * MS, jitter_stddev_ns=4 * MS), seed=3)
         deliveries = []
         sim.register(1, lambda data, now: deliveries.append(now))
         for k in range(300):
@@ -154,7 +154,7 @@ class TestSendModel:
         assert derive_seed(*args) == seed
 
 
-LOSSY_JITTER = LinkModel(base_latency_ns=MS, jitter_stddev_ns=0.5 * MS, loss_prob=0.5, seed=9)
+LOSSY_JITTER = LinkModel(base_latency_ns=MS, jitter_stddev_ns=0.5 * MS, loss_prob=0.5)
 
 
 def send_pattern(sim, sends):
@@ -166,48 +166,103 @@ def send_pattern(sim, sends):
     return out
 
 
-class TestLinkStreams:
-    def test_fresh_streams_use_the_per_link_derivation(self):
-        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
-        streams = link_streams(topo)
-        assert sorted(streams) == list(itertools.permutations(range(3), 2))
-        for (frm, to), rng in streams.items():
-            reference = random.Random(derive_seed(LOSSY_JITTER.seed, frm, to))
-            assert [rng.random() for _ in range(5)] == [reference.random() for _ in range(5)]
+class TestSenderStreams:
+    def test_each_sender_draws_from_its_derived_stream(self):
+        # Empty payloads take no airtime and the clock stays at 0, so a send
+        # returns the link delay, held back only by the link's FIFO clamp.
+        seed, link = 9, LOSSY_JITTER
+        sim = MeshSimulator(Topology.full_mesh(range(3), link), seed=seed)
+        streams = {a: random.Random(derive_seed(seed, a)) for a in range(3)}
+        last = {}
+        for _ in range(50):
+            for frm, to in itertools.permutations(range(3), 2):
+                rng, want = streams[frm], None
+                if rng.random() >= link.loss_prob:
+                    delay = link.base_latency_ns + rng.gauss(0.0, link.jitter_stddev_ns)
+                    want = last[frm, to] = max(round(delay) if delay > 0 else 0,
+                                               last.get((frm, to), 0))
+                assert sim.send(frm, to, b"") == want
 
-    def test_simulator_without_streams_replays_fresh_streams(self):
+    def test_a_links_draws_depend_only_on_its_senders_sends(self):
         topo = Topology.full_mesh(range(3), LOSSY_JITTER)
+        alone, crowded = MeshSimulator(topo, seed=4), MeshSimulator(topo, seed=4)
+        for k in range(100):
+            for frm, to in ((1, 0), (2, 0), (1, 2), (2, 1)):
+                crowded.send(frm, to, b"")
+            to = 1 + k % 2
+            assert crowded.send(0, to, b"") == alone.send(0, to, b"")
+
+    def test_the_seed_picks_the_draws(self):
+        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
+        seeded = send_pattern(MeshSimulator(topo, seed=4), 50)
+        assert send_pattern(MeshSimulator(topo, seed=4), 50) == seeded
+        assert send_pattern(MeshSimulator(topo, seed=5), 50) != seeded
         default = send_pattern(MeshSimulator(topo), 50)
-        assert default == send_pattern(MeshSimulator(topo, streams=link_streams(topo)), 50)
+        assert default == send_pattern(MeshSimulator(topo, seed=0), 50)
 
-    def test_second_simulator_continues_the_first_ones_draws(self):
-        topo = Topology.full_mesh(range(3), LinkModel(loss_prob=0.5, seed=9))
-        streams = link_streams(topo)
-        first = send_pattern(MeshSimulator(topo, streams=streams), 50)
-        second = send_pattern(MeshSimulator(topo, streams=streams), 50)
-        # Lossless sends return their delivery time, which restarts with each
-        # simulator's clock; the loss pattern is what the streams carry on.
-        one_sim = send_pattern(MeshSimulator(topo), 100)
-        assert [t is None for t in first + second] == [t is None for t in one_sim]
-        assert [t is None for t in second] != [t is None for t in first]
-
-    def test_radio_state_stays_per_simulator(self):
-        topo = Topology.full_mesh(range(2), LinkModel(base_latency_ns=MS, seed=9))
-        streams = link_streams(topo)
-        first = MeshSimulator(topo, streams=streams)
-        times = [first.send(0, 1, bytes(100)) for _ in range(3)]
-        second = MeshSimulator(topo, streams=streams)
-        assert second.send(0, 1, bytes(100)) == times[0] < times[1]
-
-    def test_streams_missing_a_link_raise_topology_error(self):
-        topo = Topology.full_mesh(range(3), LOSSY_JITTER)
-        streams = link_streams(topo)
-        del streams[(2, 0)]
-        with pytest.raises(TopologyError, match=r"\(2, 0\)"):
-            MeshSimulator(topo, streams=streams)
+    def test_radio_state_and_fifo_clamp_stay_per_simulator(self):
+        # Back-to-back sends queue on the radio, and 2 ms of jitter on a 1 ms
+        # link makes the clamp hold deliveries back; a second simulator with
+        # the same seed starts from an idle radio and empty links.
+        topo = Topology.full_mesh(range(2), LinkModel(base_latency_ns=MS, jitter_stddev_ns=2 * MS))
+        first = MeshSimulator(topo, seed=9)
+        times = [first.send(0, 1, bytes(100)) for _ in range(20)]
+        second = MeshSimulator(topo, seed=9)
+        assert [second.send(0, 1, bytes(100)) for _ in range(20)] == times
+        assert times == sorted(times) and times[0] < times[-1]
 
 
-DELIVERY_TRACE_SHA256 = "9ecc45eedb6fa78653f74748729241d2994633c32f7ec6853b94f0164ee8ccfc"
+# edge -> (loss_prob, jitter stddev in ns) over 10 ms links: every directed
+# link has its own model, and the two links out of each agent differ.
+STAT_LINKS = {(0, 1): (0.05, 0.5 * MS), (0, 2): (0.2, 1.5 * MS), (1, 2): (0.5, 1.0 * MS)}
+STAT_ROUNDS = 1000
+
+
+def link_samples():
+    """Per directed link of ``STAT_LINKS``: (losses, delays in ns) over ``STAT_ROUNDS`` rounds.
+
+    Each round every agent sends one empty message to each peer; rounds are
+    50 ms apart, far beyond any delay, so the FIFO clamp never holds one back.
+    """
+    topo = Topology([0, 1, 2], {edge: LinkModel(base_latency_ns=10 * MS, jitter_stddev_ns=sd,
+                                                loss_prob=p)
+                                for edge, (p, sd) in STAT_LINKS.items()})
+    sim = MeshSimulator(topo)
+    samples = {(a, b): [0, []] for a in topo.agents for b in topo.neighbors(a)}
+    for k in range(STAT_ROUNDS):
+        sim.run_until(k * 50 * MS)
+        for (a, b), sample in samples.items():
+            t = sim.send(a, b, b"")
+            if t is None:
+                sample[0] += 1
+            else:
+                sample[1].append(t - sim.now_ns)
+    return samples
+
+
+class TestLinkStatistics:
+    """Every directed link draws from its sender's stream, and still follows its own model."""
+
+    def test_each_links_loss_share_lies_in_its_exact_binomial_interval(self):
+        for (a, b), (losses, _) in link_samples().items():
+            p, _ = STAT_LINKS[min(a, b), max(a, b)]
+            lo, hi = binomial_central_interval(STAT_ROUNDS, p, 0.99)
+            assert lo <= losses <= hi, f"{a}->{b}: {losses} lost, expected {lo}..{hi}"
+
+    def test_each_links_jitter_mean_and_spread_match_its_model(self):
+        z = statistics.NormalDist().inv_cdf(0.995)  # two-sided 99 %
+        for (a, b), (_, delays) in link_samples().items():
+            _, sd = STAT_LINKS[min(a, b), max(a, b)]
+            n = len(delays)
+            mean = statistics.fmean(delays)
+            # The sample mean is N(latency, sd^2 / n); the sample variance over
+            # sd^2 is chi-square(n - 1) / (n - 1), about N(1, 2 / (n - 1)).
+            assert abs(mean - 10 * MS) <= z * sd / math.sqrt(n), f"{a}->{b}: mean {mean}"
+            ratio = statistics.variance(delays) / sd**2
+            assert abs(ratio - 1.0) <= z * math.sqrt(2 / (n - 1)), f"{a}->{b}: variance {ratio}"
+
+
+DELIVERY_TRACE_SHA256 = "2bb47ee2047597a1bf360a780168277a910858b6c27fc37a014b791c709f85f4"
 
 
 def delivery_trace_digest():
@@ -220,18 +275,17 @@ def delivery_trace_digest():
     """
     agents = list(range(6))
     lossless = LinkModel(base_latency_ns=MS)
-    lossy = LinkModel(base_latency_ns=4 * MS, jitter_stddev_ns=0.6 * MS,
-                      loss_prob=0.3, seed=7)
+    lossy = LinkModel(base_latency_ns=4 * MS, jitter_stddev_ns=0.6 * MS, loss_prob=0.3)
     digest = hashlib.sha256()
-    for shape, link, contention in itertools.product(
-        ("full_mesh", "line"), (lossless, lossy), ("none", "shared_medium")
+    for shape, (link, seed), contention in itertools.product(
+        ("full_mesh", "line"), ((lossless, 0), (lossy, 7)), ("none", "shared_medium")
     ):
         if shape == "full_mesh":
             topo = Topology.full_mesh(agents, link)
         else:
             topo = Topology(agents, {(a, a + 1): link for a in agents[:-1]})
         sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=200_000.0,
-                                              contention=contention), record_tx=True)
+                                              contention=contention), record_tx=True, seed=seed)
         deliveries = []
         for a in agents:
             sim.register(a, lambda data, now, _a=a: deliveries.append((_a, now, data)))
@@ -250,25 +304,22 @@ def delivery_trace_digest():
     return digest.hexdigest()
 
 
-HETEROGENEOUS_TRACE_SHA256 = "08a2aeada2a94585c03a22f3e339523fe21f44f3997befd2a300b4a92525b273"
+HETEROGENEOUS_TRACE_SHA256 = "265f6ed710b271ce44ad75ce3004124856f5eeb2194a0b1b18f448223c62065a"
 
 
 def heterogeneous_trace_digest():
     """SHA-256 over every observable of a 5-agent mesh whose edges differ.
 
     Ground robots 0-2 share lossless 2 ms links; aerial robots 3 and 4 reach
-    ground robots over 9 ms links with 1.5 ms jitter and loss 0.2. Every edge
-    has its own seed, so a simulator that attached one edge's model or RNG
-    stream to another would change the trace. Every agent broadcasts 30
-    times under each contention model.
+    ground robots over 9 ms links with 1.5 ms jitter and loss 0.2, so a
+    simulator that attached one edge's model to another would change the
+    trace. Every agent broadcasts 30 times under each contention model.
     """
     ground = {(0, 1): 2 * MS, (1, 2): 2 * MS}
     air = [(3, 0), (3, 2), (4, 1), (4, 2)]
-    links = {edge: LinkModel(base_latency_ns=latency, seed=10 + k)
-             for k, (edge, latency) in enumerate(ground.items())}
-    for k, edge in enumerate(air):
-        links[edge] = LinkModel(base_latency_ns=9 * MS, jitter_stddev_ns=1.5 * MS,
-                                loss_prob=0.2, seed=20 + k)
+    links = {edge: LinkModel(base_latency_ns=latency) for edge, latency in ground.items()}
+    for edge in air:
+        links[edge] = LinkModel(base_latency_ns=9 * MS, jitter_stddev_ns=1.5 * MS, loss_prob=0.2)
     digest = hashlib.sha256()
     for contention in ("none", "shared_medium"):
         topo = Topology(list(range(5)), dict(links))
@@ -295,14 +346,25 @@ class TestDeliveryTrace:
     def test_heterogeneous_link_trace_is_pinned(self):
         assert heterogeneous_trace_digest() == HETEROGENEOUS_TRACE_SHA256
 
+    def test_heterogeneous_pin_fails_when_every_edge_gets_the_first_edges_model(self, monkeypatch):
+        init = MeshSimulator.__init__
+
+        def first_model_everywhere(sim, topology, *args, **kwargs):
+            first = next(iter(topology.links.values()))
+            topology.links = dict.fromkeys(topology.links, first)
+            init(sim, topology, *args, **kwargs)
+
+        monkeypatch.setattr(MeshSimulator, "__init__", first_model_everywhere)
+        assert heterogeneous_trace_digest() != HETEROGENEOUS_TRACE_SHA256
+
 
 class TestLinkQuality:
     def test_configured_values_are_recovered(self):
         # simulator self-consistency: latency/jitter/loss configured from a
         # mesh-radio measurement row come back within 10%
         link = LinkModel(base_latency_ns=int(4.8 * MS), jitter_stddev_ns=0.6 * MS,
-                         loss_prob=0.003, seed=5)
-        sim = two_node_sim(link)
+                         loss_prob=0.003)
+        sim = two_node_sim(link, seed=5)
         q = measure_link_quality(sim, 0, 1, payload_bytes=128, rate_hz=200, duration_s=25)
         assert abs(q.latency_mean_ns - 4.8 * MS) / (4.8 * MS) < 0.10
         assert abs(q.jitter_ns - 0.6 * MS) / (0.6 * MS) < 0.10
@@ -315,7 +377,7 @@ class TestLinkQuality:
         assert q.loss_pct == 0.0
 
     def test_heavy_loss_converges_to_configured_probability(self):
-        sim = two_node_sim(LinkModel(loss_prob=0.5, seed=9))
+        sim = two_node_sim(LinkModel(loss_prob=0.5), seed=9)
         q = measure_link_quality(sim, 0, 1, payload_bytes=64, rate_hz=500, duration_s=20)
         assert abs(q.loss_pct - 50.0) <= binomial_three_sigma_pct(0.5, 10_000)
 
@@ -350,7 +412,7 @@ class TestScalabilitySweep:
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
     def test_lossy_sweep_matches_the_loss_scaled_oracle(self):
-        [row] = scalability_sweep([4], duration_s=2.0, link=LinkModel(loss_prob=0.5, seed=3))
+        [row] = scalability_sweep([4], duration_s=2.0, link=LinkModel(loss_prob=0.5), seed=3)
         assert row.oracle_value == 100.0
         assert row.delivered_mean == pytest.approx(row.oracle_value, rel=0.10)
 
@@ -373,6 +435,19 @@ class TestMediumModel:
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ConfigError, match="per_node_bandwidth"):
             MediumModel(per_node_bandwidth_bps=0)
+
+    def test_tiny_bandwidth_rejected_before_any_send(self):
+        # At 1e-300 B/s the airtime round() in send would overflow to infinity.
+        with pytest.raises(ConfigError, match="65536 B datagram's airtime") as err:
+            MediumModel(per_node_bandwidth_bps=1e-300)
+        assert err.value.path == "network.per_node_bandwidth"
+        slowest = MediumModel(per_node_bandwidth_bps=65_536 * 1e9 / 2**63 * (1 + 1e-9))
+        sim = MeshSimulator(Topology.full_mesh([0, 1]), slowest)
+        got = []
+        sim.register(1, lambda data, now: got.append(now))
+        assert sim.send(0, 1, b"x" * 65_536) < 2**63
+        sim.drain()
+        assert len(got) == 1
 
     def test_loss_prob_range_checked(self):
         with pytest.raises(ConfigError, match="loss_prob"):
