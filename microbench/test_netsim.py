@@ -1,4 +1,5 @@
-"""Microbenchmark of the mesh simulator: one broadcast round, and building one.
+"""Microbenchmark of the mesh simulator: one broadcast round, one exchange step
+through a team's buffers, and building a simulator.
 
 Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
 needs pytest-benchmark, the ``microbench`` extra (``pip install -e
@@ -13,6 +14,12 @@ receivers. The sized rounds send payloads from 128 B to 64 KB, the range
 of the paper's perception features, and drain the simulator after each
 round, since a 64 KB round takes longer than one control tick of airtime.
 
+One exchange step is the whole message path of a navigation step: a
+ten-robot team from ``build_sim_team`` publishes its features, one 50 ms
+tick delivers them (decode and insert into the real buffers), and every
+robot awaits its neighborhood (snapshot and resolve), in best-effort and in
+blocking mode.
+
 Building a simulator over a full mesh with jitter, at 20, 100 and 300
 robots, is what every assignment test and control run pays: one link
 record per directed link and one seeded RNG stream per robot. Compare two
@@ -20,8 +27,18 @@ checkouts on one host in alternating runs: on a shared 2-core host,
 medians of the same code drifted by up to 25 % between runs.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
+from neuromesh.aggregation import (
+    SIM_POLL_NS,
+    AggregationConfig,
+    await_neighborhood,
+    build_sim_team,
+    publish_features,
+)
 from neuromesh.netsim import LinkModel, MeshSimulator, Topology
 from neuromesh.wire import header_size
 
@@ -66,6 +83,28 @@ def test_ten_robot_broadcast_round_payload_size(benchmark, payload_bytes):
         sim.drain()
 
     benchmark(one_round)
+    assert sim.delivered == sim.sent and sim.sent % 90 == 0
+
+
+@pytest.mark.parametrize("mode", ["best_effort", "blocking"])
+def test_ten_robot_exchange_step(benchmark, mode):
+    sim, team = build_sim_team(Topology.full_mesh(range(ROBOTS), LINK), seed=SEED)
+    config = AggregationConfig(mode=mode)
+    features = {a: np.full(16, a, dtype=np.float32) for a in range(ROBOTS)}
+    seqs = itertools.count(1)
+
+    def advance():
+        sim.run_for(SIM_POLL_NS)
+
+    def one_step():
+        seq = next(seqs)
+        publish_features(team, features, seq, sim.now_ns, seq % 256)
+        sim.run_for(TICK_NS)
+        return [await_neighborhood(config, team[a][1], lambda: sim.now_ns, advance,
+                                   round_index=seq % 256) for a in range(ROBOTS)]
+
+    views = benchmark(one_step)
+    assert [len(view) for view in views] == [ROBOTS - 1] * ROBOTS
     assert sim.delivered == sim.sent and sim.sent % 90 == 0
 
 

@@ -1,5 +1,6 @@
 """Microbenchmark of the wire codec: one navigation feature envelope, a team's
-decode memo, and payloads from 128 B to 64 KB.
+decode memo, payloads from 128 B to 64 KB, and a keep-latest buffer's insert
+and snapshot.
 
 Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
 needs pytest-benchmark, the ``microbench`` extra (``pip install -e
@@ -15,12 +16,18 @@ show where encode and decode stop being fixed cost: perception feature
 maps are the paper's large-payload case. Compare two checkouts on one
 host in alternating runs: on a shared 2-core host, medians of the same
 code drifted by up to 25 % between runs.
+
+The buffer cases are what one robot of a ten-robot team does per step:
+nine inserts, one from each neighbor, each accepted; then one snapshot of
+nine live slots, with and without a round filter.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from neuromesh.wire import MessageEnvelope, decode_envelope, encode_envelope
+from neuromesh.wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
 
 ENVELOPE = MessageEnvelope(sender_id=3, seq=41, timestamp_ns=2_050_000_000, round=40,
                            payload=np.random.default_rng(0).standard_normal(16).astype(np.float32))
@@ -68,3 +75,34 @@ def test_decode_payload_size(benchmark, payload_bytes):
     env = sized(payload_bytes)
     out = benchmark(decode_envelope, encode_envelope(env))
     assert out == env
+
+
+NEIGHBORS = range(1, 10)
+
+
+def test_insert_nine_neighbors(benchmark):
+    buf = NeighborBuffer(NEIGHBORS)
+    # Two envelopes per neighbor, used in turn: an envelope's seq is rewritten
+    # only while the other one is the slot's latest, so every insert is accepted.
+    envs = [[MessageEnvelope(s, 0, 0, 0, ENVELOPE.payload) for s in NEIGHBORS] for _ in range(2)]
+    seqs = itertools.count(1)
+
+    def nine_inserts():
+        seq = next(seqs)
+        accepted = 0
+        for env in envs[seq % 2]:
+            env.seq = seq
+            accepted += buf.insert(env, 0)
+        return accepted
+
+    assert benchmark(nine_inserts) == len(NEIGHBORS)
+
+
+@pytest.mark.parametrize("round_index", [None, 1], ids=["all", "round-filter"])
+def test_snapshot_nine_neighbors(benchmark, round_index):
+    buf = NeighborBuffer(NEIGHBORS, staleness_ns=10**9)
+    for seq in (1, 2):
+        for s in NEIGHBORS:
+            buf.insert(MessageEnvelope(s, seq, seq, seq, ENVELOPE.payload), seq)
+    out = benchmark(buf.snapshot, 100, round_index)
+    assert [nid for nid, _, _ in out] == list(NEIGHBORS)

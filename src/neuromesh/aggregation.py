@@ -11,11 +11,11 @@ which is what makes decentralized and centralized outputs bit-identical.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wire
 from .errors import (
     ConfigError,
     InsufficientNeighborsError,
@@ -174,9 +174,10 @@ def resolve_neighborhood(
     live = buf.snapshot(now_ns, round_index)
     features = [(nid, vec) for nid, vec, _ in live]
     if config.mode == "blocking":
-        missing = sorted(buf.neighbor_ids - {nid for nid, _ in features})
-        if not missing:
+        # A buffer holds slots for registered neighbors only, so a full count is a full set.
+        if len(features) == len(buf.neighbor_ids):
             return Resolution(ResolutionStatus.READY, features)
+        missing = sorted(buf.neighbor_ids - {nid for nid, _ in features})
         waited = 0 if waiting_since_ns is None else now_ns - waiting_since_ns
         if waited >= config.timeout_ns:
             raise NeighborhoodTimeoutError(missing, waited)
@@ -205,7 +206,13 @@ def build_team(transports, staleness_ns: int) -> dict:
     memo: dict = {}
     for transport in transports:
         buf = NeighborBuffer(transport.peers, staleness_ns=staleness_ns)
-        transport.on_receive(functools.partial(buf.insert_bytes, memo=memo))
+
+        def receive(data: bytes, now_ns: int, buf=buf) -> bool:
+            # buf.insert_bytes in one frame; both calls are looked up per message, so
+            # wrappers on wire.decode_envelope and NeighborBuffer.insert see each one.
+            return buf.insert(wire.decode_envelope(data, memo=memo), now_ns)
+
+        transport.on_receive(receive)
         team[transport.agent_id] = (transport.broadcast, buf)
     return team
 

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
 
+_TWO_PI, _sqrt, _log, _cos, _sin = 2.0 * math.pi, math.sqrt, math.log, math.cos, math.sin
+
 DEFAULT_BANDWIDTH_BPS = 6_000_000
 DEFAULT_BASE_PORT = 47000
 MAX_DATAGRAM_BYTES = 65_536  # the largest datagram LoopbackTransport receives
@@ -139,7 +141,9 @@ class MeshSimulator:
     simulator loop when the virtual clock reaches the delivery time.
     Sender a draws loss and jitter from ``random.Random(derive_seed(seed, a))``
     on every link it sends over; the streams, the FIFO clamp and the radios'
-    busy times all belong to this simulator.
+    busy times all belong to this simulator. A directed link's record holds
+    its edge's latency, jitter and loss next to the sender's stream and the
+    clamp; the jitter is ``random.gauss``'s Box-Muller step, done in place.
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
@@ -154,14 +158,15 @@ class MeshSimulator:
         self._tx_free = {a: 0 for a in topology.agents}
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
         streams = {a: random.Random(derive_seed(seed, a)) for a in transmitters}
-        # (frm, to) -> [LinkModel, the sender's RNG stream, last delivery time (FIFO clamp)]
-        self._links = {
-            (frm, to): [link, streams[frm], 0]
-            for (a, b), link in topology.links.items()
-            for frm, to in ((a, b), (b, a))
-        }
+        # (frm, to) -> [latency ns as a float, as the delay sums it, jitter sd ns,
+        # loss probability, the sender's RNG stream, last delivery time (FIFO clamp)]
+        self._links = {}
+        for (a, b), link in topology.links.items():
+            latency, jitter_sd, loss_prob = (float(link.base_latency_ns), link.jitter_stddev_ns,
+                                             link.loss_prob)
+            self._links[a, b] = [latency, jitter_sd, loss_prob, streams[a], 0]
+            self._links[b, a] = [latency, jitter_sd, loss_prob, streams[b], 0]
         self._receivers: dict = {}
-        self.sent = 0
         self.dropped = 0
         self.delivered = 0
         self.tx_log = [] if record_tx else None
@@ -169,6 +174,11 @@ class MeshSimulator:
     @property
     def now_ns(self) -> int:
         return self._now
+
+    @property
+    def sent(self) -> int:
+        """Messages sent so far: every scheduled delivery plus every drop."""
+        return self._counter + self.dropped
 
     def register(self, agent_id: int, callback) -> None:
         if agent_id not in self._tx_free:
@@ -184,8 +194,7 @@ class MeshSimulator:
         record = self._links.get((frm, to))
         if record is None:
             raise TopologyError(f"no link between {frm} and {to}")
-        link, rng, last_delivery = record
-        self.sent += 1
+        latency, jitter_sd, loss_prob, rng, last_delivery = record
         tx_start = self._tx_free[frm]
         if tx_start < self._now:
             tx_start = self._now
@@ -197,28 +206,40 @@ class MeshSimulator:
         self._tx_free[frm] = tx_end
         if self.tx_log is not None:
             self.tx_log.append((frm, tx_start, tx_end, size))
-        if link.loss_prob > 0 and rng.random() < link.loss_prob:
+        if loss_prob > 0 and rng.random() < loss_prob:
             self.dropped += 1
             return None
-        jitter = rng.gauss(0.0, link.jitter_stddev_ns) if link.jitter_stddev_ns > 0 else 0.0
-        delay = link.base_latency_ns + jitter
+        delay = latency
+        if jitter_sd > 0:  # rng.gauss(0.0, jitter_sd): same draws, same spare
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng.random() * _TWO_PI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            delay = latency + z * jitter_sd
         t = tx_end + (round(delay) if delay > 0.0 else 0)
         if t < last_delivery:  # FIFO per directed link
             t = last_delivery
-        record[2] = t
+        record[4] = t
         self._counter += 1
         heapq.heappush(self._events, (t, self._counter, to, data))
         return t
 
     def run_until(self, t_ns: int) -> None:
-        events, receivers = self._events, self._receivers
-        while events and events[0][0] <= t_ns:
-            when, _, to, payload = heapq.heappop(events)
-            self._now = when
-            self.delivered += 1
-            cb = receivers.get(to)
-            if cb is not None:
-                cb(payload, when)
+        events, receivers, pop = self._events, self._receivers, heapq.heappop
+        delivered = 0
+        try:
+            while events and events[0][0] <= t_ns:
+                when, _, to, payload = pop(events)
+                self._now = when
+                delivered += 1  # a delivery whose callback raises still counts
+                cb = receivers.get(to)
+                if cb is not None:
+                    cb(payload, when)
+        finally:
+            self.delivered += delivered
         if self._now < t_ns:
             self._now = int(t_ns)
 
@@ -228,7 +249,7 @@ class MeshSimulator:
     def drain(self) -> None:
         """Deliver everything still in flight: one ``run_until`` per batch of pending events."""
         while self._events:
-            self.run_until(max(t for t, *_ in self._events))
+            self.run_until(max(self._events)[0])
 
 
 @dataclass

@@ -20,7 +20,9 @@ Eviction removes envelopes whose sender timestamp is older than the
 staleness threshold; an envelope aged exactly the threshold is retained.
 A slot also keeps the envelope its latest one replaced, read only by a
 round-filtered snapshot: in blocking rounds a neighbor can be at most one
-round ahead of an agent still waiting, so two deep is enough.
+round ahead of an agent still waiting, so two deep is enough. A snapshot
+evicts and lists in one pass, as if it evicted first: a slot whose latest
+envelope is stale goes, even if its replaced one matches the round filter.
 Staleness compares the sender timestamp against the local clock, so
 deployments over real links must synchronize clocks externally.
 
@@ -193,13 +195,15 @@ class NeighborBuffer:
 
     def insert(self, env: MessageEnvelope, now_ns: int) -> bool:
         """Accept iff the slot is empty or ``env.seq`` strictly increases."""
-        if env.sender_id not in self._neighbors:
-            raise UnknownSenderError(env.sender_id)
+        sender = env.sender_id
         with self._lock:
-            held = self._slots.get(env.sender_id)
-            if held is not None and env.seq <= held[0].seq:
+            held = self._slots.get(sender)
+            if held is None:  # only a registered neighbor ever holds a slot
+                if sender not in self._neighbors:
+                    raise UnknownSenderError(sender)
+            elif env.seq <= held[0].seq:
                 return False
-            self._slots[env.sender_id] = (env, held[0] if held else None)
+            self._slots[sender] = (env, None if held is None else held[0])
             return True
 
     def insert_bytes(self, data: bytes, now_ns: int, memo: dict | None = None) -> bool:
@@ -209,34 +213,37 @@ class NeighborBuffer:
     def evict_stale(self, now_ns: int) -> int:
         """Drop envelopes older than the threshold; age == threshold survives."""
         with self._lock:
-            return self._evict_locked(now_ns)
-
-    def _evict_locked(self, now_ns: int) -> int:
-        stale = [
-            nid
-            for nid, (env, _) in self._slots.items()
-            if now_ns - env.timestamp_ns > self.staleness_ns
-        ]
-        for nid in stale:
-            del self._slots[nid]
-        return len(stale)
+            stale = [
+                nid
+                for nid, (env, _) in self._slots.items()
+                if now_ns - env.timestamp_ns > self.staleness_ns
+            ]
+            for nid in stale:
+                del self._slots[nid]
+            return len(stale)
 
     def snapshot(self, now_ns: int, round_index: int | None = None):
-        """Evict, then list live (neighbor_id, payload, age_ns) ascending by id.
+        """Evict, then list live (neighbor_id, payload, age_ns) ascending by id, in one pass.
 
         ``round_index`` restricts the view to envelopes tagged with that
         communication round, falling back to a slot's previous envelope
         when that one carries the round and is not stale.
         """
+        staleness = self.staleness_ns
         with self._lock:
-            self._evict_locked(now_ns)
+            slots = self._slots
             out = []
-            for nid in sorted(self._slots):
-                env, prev = self._slots[nid]
+            for nid, (env, prev) in sorted(slots.items()):
+                age = now_ns - env.timestamp_ns
+                if age > staleness:
+                    del slots[nid]
+                    continue
                 if round_index is not None and env.round != round_index:
-                    env = prev
-                    if (env is None or env.round != round_index
-                            or now_ns - env.timestamp_ns > self.staleness_ns):
+                    if prev is None or prev.round != round_index:
                         continue
-                out.append((nid, env.payload, now_ns - env.timestamp_ns))
+                    age = now_ns - prev.timestamp_ns
+                    if age > staleness:
+                        continue
+                    env = prev
+                out.append((nid, env.payload, age))
             return out

@@ -212,6 +212,45 @@ class TestSenderStreams:
         assert times == sorted(times) and times[0] < times[-1]
 
 
+class TestRaisingReceiver:
+    def test_a_raising_callback_leaves_the_counters_whole_and_the_queue_in_order(self):
+        # Lossy jittered links give drops and cross-link reordering; the
+        # receive callback records each delivery, then raises on the ninth.
+        sim = MeshSimulator(Topology.full_mesh(range(3), LOSSY_JITTER), seed=5)
+        deliveries = []
+
+        class Boom(Exception):
+            pass
+
+        def receiver(agent):
+            def cb(data, now):
+                deliveries.append((now, agent, data))
+                if len(deliveries) == 9:
+                    raise Boom
+            return cb
+
+        for a in range(3):
+            sim.register(a, receiver(a))
+        sends = []  # (delivery time, send index, receiver, data) of each scheduled send
+        for rnd in range(8):
+            for frm, to in itertools.permutations(range(3), 2):
+                data = bytes([frm, to, rnd])
+                t = sim.send(frm, to, data)
+                if t is not None:
+                    sends.append((t, len(sends), to, data))
+        assert sim.dropped > 0 and len(sends) > 9
+        with pytest.raises(Boom):
+            sim.run_until(max(sends)[0])
+        # The delivery that raised counts as delivered, and the clock stops at it.
+        assert sim.delivered == len(deliveries) == 9
+        assert sim.now_ns == deliveries[-1][0]
+        in_flight = len(sends) - 9
+        assert sim.sent == sim.delivered + sim.dropped + in_flight == 8 * 6
+        sim.run_until(sim.now_ns + 100 * MS)
+        assert sim.delivered == len(sends) and sim.sent == sim.delivered + sim.dropped
+        assert deliveries == [(t, to, data) for t, _, to, data in sorted(sends)]
+
+
 # edge -> (loss_prob, jitter stddev in ns) over 10 ms links: every directed
 # link has its own model, and the two links out of each agent differ.
 STAT_LINKS = {(0, 1): (0.05, 0.5 * MS), (0, 2): (0.2, 1.5 * MS), (1, 2): (0.5, 1.0 * MS)}

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuromesh.errors import (
@@ -305,6 +305,80 @@ class TestNeighborBuffer:
         buf.insert(make_env(seq=1, ts=1000), now_ns=1000)
         [(_, _, age)] = buf.snapshot(4000)
         assert age == 3000
+
+
+STALE_NS = 10
+
+
+def evict_then_list(slots, now_ns, round_index, staleness_ns):
+    """The two-step snapshot rule, applied to a copy of a buffer's slots.
+
+    First every slot whose latest envelope is stale is deleted; then the live
+    slots are listed ascending by id, a round filter falling back to the
+    replaced envelope when that one carries the round and is not stale.
+    """
+    for nid in [nid for nid, (env, _) in slots.items() if now_ns - env.timestamp_ns > staleness_ns]:
+        del slots[nid]
+    out = []
+    for nid in sorted(slots):
+        env, prev = slots[nid]
+        if round_index is not None and env.round != round_index:
+            env = prev
+            if (env is None or env.round != round_index
+                    or now_ns - env.timestamp_ns > staleness_ns):
+                continue
+        out.append((nid, env.payload, now_ns - env.timestamp_ns))
+    return out
+
+
+def by_identity(entries):
+    return [(nid, id(payload), age) for nid, payload, age in entries]
+
+
+# An insert is (sender, seq step, clock step, round); sender 4 is not a
+# neighbor. A sender's seq mostly grows, so most inserts are accepted, and
+# stamps follow a clock that mostly advances, by up to 1.5 thresholds a step,
+# so a slot's replaced envelope can be stale while its latest is live.
+INSERT_OPS = st.tuples(st.integers(1, 4), st.integers(-1, 2), st.integers(-3, 15),
+                       st.integers(0, 2))
+# A snapshot is (offset of its now from the clock, round filter or None):
+# offsets near STALE_NS put the latest stamps at and around the threshold.
+SNAPSHOT_OPS = st.tuples(st.integers(-3, 13), st.none() | st.integers(0, 2))
+
+
+class TestOnePassSnapshot:
+    @given(st.lists(st.one_of(INSERT_OPS, SNAPSHOT_OPS), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    # The replaced envelope matches the filter but is stale; the latest is live.
+    @example([(1, 1, 0, 1), (1, 1, 20, 0), (0, 1)])
+    # The latest envelope is stale, though its replaced one matches and is live.
+    @example([(1, 1, 20, 0), (1, 1, -3, 1), (8, 0)])
+    # An envelope aged exactly the threshold, and one a nanosecond older.
+    @example([(2, 1, 5, 0), (3, 1, 1, 1), (STALE_NS, None), (STALE_NS, 1)])
+    def test_snapshot_equals_evict_then_list(self, ops):
+        buf = NeighborBuffer([1, 2, 3], staleness_ns=STALE_NS)
+        clock, seqs = 0, dict.fromkeys(range(1, 5), 0)
+        for k, op in enumerate(ops):
+            if len(op) == 2:
+                offset, round_index = op
+                now = clock + offset
+                slots = dict(buf._slots)
+                want = evict_then_list(slots, now, round_index, STALE_NS)
+                assert by_identity(buf.snapshot(now, round_index)) == by_identity(want)
+                assert {nid: tuple(map(id, held)) for nid, held in buf._slots.items()} == \
+                    {nid: tuple(map(id, held)) for nid, held in slots.items()}
+                continue
+            sender, seq_step, step, round_ = op
+            seqs[sender] = max(0, seqs[sender] + seq_step)
+            ts = max(0, clock + step)
+            clock = max(clock, ts)
+            env = make_env(sender=sender, seq=seqs[sender], ts=ts, round_=round_,
+                           payload=np.array([k], dtype=np.float32))
+            if sender == 4:
+                with pytest.raises(UnknownSenderError):
+                    buf.insert(env, now_ns=ts)
+            else:
+                buf.insert(env, now_ns=ts)
 
 
 def stored_bytes(memo):
