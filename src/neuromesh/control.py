@@ -12,6 +12,18 @@ has its neighborhood, one pairwise call over every feature difference, one
 decoder call and one softplus over the active robots. Each robot then
 draws its action from its own generator in ascending id, so the stacked
 step replays bit for bit what per-robot chains compute.
+
+The loop keeps the team's state stacked too, one row per robot in
+ascending id: (A, 2) float64 positions and goals, a forward-speed vector,
+headings as Python floats and a reached mask. A step takes each heading's
+unit vector from libm, builds one (A, 8) observation block, moves the
+active rows in one numpy expression, wraps each new heading once, and
+checks collisions (over index pairs computed once per run) and goals with
+one ``np.hypot`` each. ``wrap_angle`` is idempotent, so the single wrap
+gives the bits of the per-robot path, which wrapped in ``unicycle_step``
+and again in ``UnicycleState``. ``build_observation``, ``unicycle_step``
+and ``_min_pairwise`` are the one-robot (or dict) cases of the stacked
+helpers.
 """
 
 from __future__ import annotations
@@ -63,25 +75,35 @@ class UnicycleState:
             raise ShapeError(f"position must be 2-D, got shape {self.position.shape}")
         self.heading = wrap_angle(float(self.heading))
 
-    def heading_vector(self) -> np.ndarray:
-        return np.array([math.cos(self.heading), math.sin(self.heading)])
+
+def _goal_vector(goal, robot=None) -> np.ndarray:
+    goal = np.ascontiguousarray(goal, dtype=np.float64)
+    if goal.shape != (2,):
+        owner = "goal" if robot is None else f"goal of robot {robot}"
+        raise ShapeError(f"{owner} must be 2-D, got shape {goal.shape}")
+    return goal
+
+
+def heading_vectors(headings) -> np.ndarray:
+    """(A, 2) unit vectors, from one libm cos and sin per heading."""
+    return np.array([(math.cos(h), math.sin(h)) for h in headings])
+
+
+def stacked_observations(positions, goals, forward_speeds, units) -> np.ndarray:
+    """(A, 8) float32 rows: goal delta, position, heading unit vector, lookahead point.
+
+    ``positions`` and ``goals`` are (A, 2), ``forward_speeds`` is (A,) and
+    ``units`` is :func:`heading_vectors` of the robots' headings.
+    """
+    lookahead = positions + forward_speeds[:, None] * units
+    return np.concatenate([goals - positions, positions, units, lookahead], axis=1).astype(DTYPE)
 
 
 def build_observation(state: UnicycleState, goal) -> np.ndarray:
-    """8-vector: goal delta, position, heading unit vector, lookahead point."""
-    goal = np.ascontiguousarray(goal, dtype=np.float64)
-    if goal.shape != (2,):
-        raise ShapeError(f"goal must be 2-D, got shape {goal.shape}")
-    u = state.heading_vector()
-    obs = np.concatenate(
-        [
-            goal - state.position,
-            state.position,
-            u,
-            state.position + state.forward_speed * u,
-        ]
-    )
-    return obs.astype(DTYPE)
+    """8-vector for one robot: the one-row case of :func:`stacked_observations`."""
+    return stacked_observations(state.position[None], _goal_vector(goal)[None],
+                                np.array([state.forward_speed], dtype=np.float64),
+                                heading_vectors([state.heading]))[0]
 
 
 @dataclass
@@ -178,14 +200,28 @@ def beta_mean_action(params: BetaParams,
     return _map_unit(mv, v_bounds), _map_unit(mw, omega_bounds)
 
 
-def unicycle_step(state: UnicycleState, forward_speed: float, angular_speed: float,
-                  dt: float) -> UnicycleState:
-    """Standard kinematics: advance along the current heading, then turn."""
+def stacked_unicycle_step(positions, headings, units, forward_speeds, angular_speeds,
+                          dt: float):
+    """Standard kinematics for a stack of robots: each advances along its
+    current heading, then turns.
+
+    ``positions`` is (A, 2), ``units`` is :func:`heading_vectors` of the
+    ``headings`` and ``forward_speeds`` is (A,). Returns the new (A, 2)
+    positions and the list of new headings, each wrapped once.
+    """
     if dt <= 0:
         raise ShapeError(f"dt must be positive, got {dt}")
-    new_position = state.position + forward_speed * state.heading_vector() * dt
-    new_heading = wrap_angle(state.heading + angular_speed * dt)
-    return UnicycleState(new_position, new_heading, forward_speed, angular_speed)
+    new_positions = positions + (forward_speeds[:, None] * units) * dt
+    return new_positions, [wrap_angle(h + w * dt) for h, w in zip(headings, angular_speeds)]
+
+
+def unicycle_step(state: UnicycleState, forward_speed: float, angular_speed: float,
+                  dt: float) -> UnicycleState:
+    """One robot's step: the one-row case of :func:`stacked_unicycle_step`."""
+    positions, headings = stacked_unicycle_step(
+        state.position[None], [state.heading], heading_vectors([state.heading]),
+        np.array([forward_speed], dtype=np.float64), [angular_speed], dt)
+    return UnicycleState(positions[0], headings[0], forward_speed, angular_speed)
 
 
 def scripted_expert_action(state: UnicycleState, goal,
@@ -230,11 +266,17 @@ class NavigationOutcome:
     failure: str = ""
 
 
-def _min_pairwise(positions) -> float:
-    points = np.array([positions[a] for a in sorted(positions)]).reshape(-1, 2)
-    i, j = np.triu_indices(len(points), k=1)
+def min_pairwise_distance(points, pairs) -> float:
+    """Smallest distance between the rows (i, j) of an (A, 2) stack, over the
+    index arrays ``pairs`` (as ``np.triu_indices`` gives them); inf if none."""
+    i, j = pairs
     delta = points[i] - points[j]
     return float(np.hypot(delta[:, 0], delta[:, 1]).min(initial=math.inf))
+
+
+def _min_pairwise(positions) -> float:
+    points = np.array([positions[a] for a in sorted(positions)]).reshape(-1, 2)
+    return min_pairwise_distance(points, np.triu_indices(len(points), k=1))
 
 
 def run_navigation_scenario(
@@ -259,7 +301,9 @@ def run_navigation_scenario(
     u8); best-effort takes the latest live ones. Each agent samples actions
     from its own generator seeded with ``params.seed`` XOR agent_id, and
     ``seed`` seeds the mesh's loss and jitter streams, one per sending robot
-    (see ``MeshSimulator``), so runs replay bit-for-bit.
+    (see ``MeshSimulator``), so runs replay bit-for-bit. Every goal must be
+    a 2-vector, for either policy; ShapeError names the first robot whose
+    goal is not.
     """
     if len(initial_states) < 2:
         raise ShapeError("navigation needs a team of at least 2 robots")
@@ -269,84 +313,91 @@ def run_navigation_scenario(
         raise ShapeError("learned navigation needs a ControlPolicy")
     params = params or NavigationParams()
     agents = sorted(initial_states)
+    goal_rows = np.array([_goal_vector(goals[a], a) for a in agents])
     topology = topology or Topology.full_mesh(agents)
     agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
     blocking = agg_config.mode == "blocking"
 
     sim, team = build_sim_team(topology, medium, staleness_ns=500_000_000, seed=seed)
+    buffers = [team[a][1] for a in agents]
 
-    states = {a: replace(initial_states[a]) for a in agents}
-    goal_vecs = {a: np.ascontiguousarray(goals[a], dtype=np.float64) for a in agents}
-    rngs = {a: random.Random(derive_seed(params.seed ^ a)) for a in agents}
-    reached = {a: False for a in agents}
+    # The team's state, one row per robot in ascending id.
+    starts = [replace(initial_states[a]) for a in agents]
+    positions = np.array([s.position for s in starts])
+    headings = [s.heading for s in starts]
+    speeds = np.array([s.forward_speed for s in starts], dtype=np.float64)
+    reached = np.zeros(len(agents), dtype=bool)
+    rngs = [random.Random(derive_seed(params.seed ^ a)) for a in agents]
     dt = 1.0 / params.control_rate_hz
     tick_ns = int(1e9 / params.control_rate_hz)
 
     trajectory: list = []
-    min_distance = _min_pairwise({a: states[a].position for a in agents})
+    pairs = np.triu_indices(len(agents), k=1)
+    min_distance = min_pairwise_distance(positions, pairs)
     collided = min_distance < params.collision_radius_m
     steps_taken = 0
 
     failure = ""
     try:
         for step in range(params.max_steps):
-            if collided or all(reached.values()):
+            if collided or reached.all():
                 break
             steps_taken = step + 1
             round_tag = step % 256
-            features = {}
+            units = heading_vectors(headings)
             if not scripted:
-                obs = np.stack([build_observation(states[a], goal_vecs[a]) for a in agents])
-                features = dict(zip(agents, mlp_forward(policy.encoder, obs)))
-                publish_features(team, features, step + 1, sim.now_ns, round_tag)
+                features = mlp_forward(policy.encoder,
+                                       stacked_observations(positions, goal_rows, speeds, units))
+                publish_features(team, dict(zip(agents, features)), step + 1, sim.now_ns,
+                                 round_tag)
             sim.run_for(tick_ns)
 
-            active = [a for a in agents if not reached[a]]
+            active = np.flatnonzero(~reached)
             if scripted:
-                actions = [scripted_expert_action(states[a], goal_vecs[a], params.v_bounds,
-                                                  params.omega_bounds) for a in active]
+                actions = [scripted_expert_action(UnicycleState(positions[i], headings[i]),
+                                                  goal_rows[i], params.v_bounds,
+                                                  params.omega_bounds) for i in active]
             else:
                 neighborhoods = [
                     [vec for _, vec in await_neighborhood(
-                        agg_config, team[a][1], lambda: sim.now_ns,
+                        agg_config, buffers[i], lambda: sim.now_ns,
                         lambda: sim.run_for(SIM_POLL_NS), round_tag if blocking else None)]
-                    for a in active
+                    for i in active
                 ]
-                betas = decode_team(policy, np.stack([features[a] for a in active]),
-                                    neighborhoods)
+                betas = decode_team(policy, features[active], neighborhoods)
                 if params.deterministic_actions:
                     actions = [beta_mean_action(beta, params.v_bounds, params.omega_bounds)
                                for beta in betas]
                 else:
-                    actions = [beta_sample(beta, rngs[a], params.v_bounds, params.omega_bounds)
-                               for a, beta in zip(active, betas)]
-            for a, (v, omega) in zip(active, actions):
-                states[a] = unicycle_step(states[a], v, omega, dt)
+                    actions = [beta_sample(beta, rngs[i], params.v_bounds, params.omega_bounds)
+                               for i, beta in zip(active, betas)]
+            forward, angular = zip(*actions)
+            speeds[active] = forward
+            positions[active], turned = stacked_unicycle_step(
+                positions[active], [headings[i] for i in active], units[active],
+                speeds[active], angular, dt)
+            for i, heading in zip(active, turned):
+                headings[i] = heading
 
-            positions = {a: states[a].position for a in agents}
-            d = _min_pairwise(positions)
+            d = min_pairwise_distance(positions, pairs)
             min_distance = min(min_distance, d)
             if d < params.collision_radius_m:
                 collided = True
-            for a in agents:
-                if np.hypot(*(positions[a] - goal_vecs[a])) <= params.success_radius_m:
-                    reached[a] = True
+            to_goal = positions - goal_rows
+            reached |= np.hypot(to_goal[:, 0], to_goal[:, 1]) <= params.success_radius_m
             if record_trajectory:
-                for a in agents:
-                    trajectory.append(
-                        (step, a, float(states[a].position[0]), float(states[a].position[1]),
-                         states[a].heading)
-                    )
+                trajectory.extend((step, a, x, y, h) for a, (x, y), h
+                                  in zip(agents, positions.tolist(), headings))
     except (NeighborhoodTimeoutError, InsufficientNeighborsError) as exc:
         failure = str(exc)
 
-    success = all(reached.values()) and not collided and not failure
+    success = bool(reached.all()) and not collided and not failure
     return NavigationOutcome(
         success=success,
         steps=steps_taken,
         min_pairwise_distance_m=min_distance,
         collided=collided,
-        reached=[reached[a] for a in agents],
+        reached=reached.tolist(),
         trajectory=trajectory,
         failed=bool(failure),
         failure=failure,

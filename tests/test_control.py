@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuromesh.control import (
@@ -16,9 +16,13 @@ from neuromesh.control import (
     beta_mean_action,
     beta_sample,
     build_observation,
+    heading_vectors,
+    min_pairwise_distance,
     policy_forward,
     run_navigation_scenario,
     scripted_expert_action,
+    stacked_observations,
+    stacked_unicycle_step,
     unicycle_step,
     wrap_angle,
 )
@@ -192,6 +196,115 @@ class TestUnicycleStep:
         assert abs(math.cos(wrapped) - math.cos(theta)) < 1e-9
 
 
+class TestWrapAngleIsIdempotent:
+    """The loop wraps each new heading once, where per-robot states wrapped
+    it twice (in ``unicycle_step`` and again in ``UnicycleState``). Every
+    output w of ``wrap_angle`` is r - pi rounded, for a float r in (0, 2pi]:
+    exact for r >= pi/2 (Sterbenz), so w + pi gives back r. Otherwise w lies
+    in (-pi, -pi/2] (r is a multiple of 2**-51, so w is not -pi) and w + pi
+    is exact too. So a second wrap keeps the bits."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(math.pi / 2)
+    @example(-math.pi / 2)
+    @example(2 * math.pi)
+    @example(-2 * math.pi)
+    @example(math.nextafter(2 * math.pi, 0.0))
+    @example(math.nextafter(2 * math.pi, 7.0))
+    @example(math.nextafter(-math.pi, 0.0))
+    @example(5e-324)
+    @settings(max_examples=2000, deadline=None)
+    def test_second_wrap_keeps_the_bits(self, theta):
+        once = wrap_angle(theta)
+        assert -math.pi < once <= math.pi
+        assert wrap_angle(once).hex() == once.hex()
+
+
+@st.composite
+def stacked_teams(draw):
+    """A team of 1 to 12 robots: poses, goals, speeds, turn rates and which
+    robots are still driving."""
+    robots = draw(st.integers(1, 12))
+    coords = st.floats(-100.0, 100.0, allow_nan=False)
+
+    def rows(elements):
+        return draw(st.lists(elements, min_size=robots, max_size=robots))
+
+    return {
+        "positions": np.array(rows(st.tuples(coords, coords)), dtype=np.float64).reshape(-1, 2),
+        "goals": np.array(rows(st.tuples(coords, coords)), dtype=np.float64).reshape(-1, 2),
+        "headings": [wrap_angle(h) for h in rows(st.floats(-10.0, 10.0))],
+        "speeds": np.array(rows(st.floats(0.0, 1.0)), dtype=np.float64),
+        "turns": rows(st.floats(-1.0, 1.0)),
+        "active": np.array(rows(st.booleans()), dtype=bool),
+        "dt": draw(st.sampled_from([0.05, 0.1, 1.0 / 30.0])),
+    }
+
+
+def _robot(team, i):
+    return UnicycleState(team["positions"][i], team["headings"][i], team["speeds"][i])
+
+
+class TestStackedTeamState:
+    """Each row of the stacked helpers equals the one-robot call bit for bit."""
+
+    @given(stacked_teams())
+    @settings(max_examples=150, deadline=None)
+    def test_observation_rows_match_one_robot_calls(self, team):
+        obs = stacked_observations(team["positions"], team["goals"], team["speeds"],
+                                   heading_vectors(team["headings"]))
+        assert obs.dtype == np.float32 and obs.shape == (len(team["headings"]), 8)
+        for i, row in enumerate(obs):
+            robot = _robot(team, i)
+            assert row.tobytes() == build_observation(robot, team["goals"][i]).tobytes()
+            u = np.array([math.cos(robot.heading), math.sin(robot.heading)])
+            p, g = robot.position, team["goals"][i]
+            old = np.concatenate([g - p, p, u, p + robot.forward_speed * u]).astype(F32)
+            assert row.tobytes() == old.tobytes()
+
+    @given(stacked_teams())
+    @settings(max_examples=150, deadline=None)
+    def test_moving_active_rows_matches_one_robot_steps(self, team):
+        active = np.flatnonzero(team["active"])
+        positions, headings = team["positions"].copy(), list(team["headings"])
+        units = heading_vectors(headings)
+        speeds = team["speeds"][active]
+        turns = [team["turns"][i] for i in active]
+        positions[active], turned = stacked_unicycle_step(
+            positions[active], [headings[i] for i in active], units[active], speeds, turns,
+            team["dt"])
+        for i, heading in zip(active, turned):
+            headings[i] = heading
+        for i in range(len(headings)):
+            if not team["active"][i]:
+                assert positions[i].tobytes() == team["positions"][i].tobytes()
+                assert headings[i].hex() == team["headings"][i].hex()
+                continue
+            robot = _robot(team, i)
+            one = unicycle_step(robot, float(team["speeds"][i]), team["turns"][i], team["dt"])
+            assert positions[i].tobytes() == one.position.tobytes()
+            assert headings[i].hex() == one.heading.hex()
+            u = np.array([math.cos(robot.heading), math.sin(robot.heading)])
+            old = robot.position + float(team["speeds"][i]) * u * team["dt"]
+            assert positions[i].tobytes() == old.tobytes()
+            twice = wrap_angle(wrap_angle(robot.heading + team["turns"][i] * team["dt"]))
+            assert headings[i].hex() == twice.hex()
+
+    @given(stacked_teams())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_checks_match_per_robot_ones(self, team):
+        positions, goals = team["positions"], team["goals"]
+        pairs = np.triu_indices(len(positions), k=1)
+        want = _min_pairwise(dict(enumerate(positions)))
+        assert min_pairwise_distance(positions, pairs) == want
+        to_goal = positions - goals
+        dist = np.hypot(to_goal[:, 0], to_goal[:, 1])
+        for i in range(len(positions)):
+            assert dist[i].tobytes() == np.hypot(*(positions[i] - goals[i])).tobytes()
+
+
 class TestMinPairwise:
     def test_matches_double_loop_over_seeded_layouts(self):
         rng = np.random.default_rng(8)
@@ -302,6 +415,17 @@ class TestNavigationScenario:
         assert out.steps == 1
         assert "neighbors" in out.failure
 
+    @pytest.mark.parametrize("scripted", [True, False], ids=["scripted", "learned"])
+    @pytest.mark.parametrize("goal", [np.array([1.0]), np.zeros(3), np.zeros((2, 1))],
+                             ids=["one-component", "three-component", "column"])
+    def test_malformed_goal_is_rejected_before_the_first_step(self, scripted, goal):
+        states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0)}
+        goals = {0: np.array([-1.0, 2.0]), 1: goal}
+        with pytest.raises(ShapeError, match="goal of robot 1 must be 2-D"):
+            run_navigation_scenario(states, goals, scripted=scripted,
+                                    policy=None if scripted else ControlPolicy.random(seed=1),
+                                    params=NavigationParams(max_steps=20))
+
     def test_needs_at_least_two_robots(self):
         with pytest.raises(ShapeError, match="2"):
             run_navigation_scenario({0: state(0, 0)}, {0: np.zeros(2)}, scripted=True)
@@ -313,15 +437,16 @@ class TestNavigationScenario:
         assert v2 > v  # aligned robot drives faster
 
 
-def _circle_team(n, radius_m, at_goal=()):
+def _circle_team(n, radius_m, at_goal=(), facing=0.5):
     """n robots on a circle, each heading for the opposite point; robots in
-    ``at_goal`` start on their goal, so they reach it at the first step."""
+    ``at_goal`` start on their goal, so they reach it at the first step.
+    Robot a starts at heading angle_a + ``facing``: pi faces the centre."""
     states, goals = {}, {}
     for a in range(n):
         angle = 2.0 * math.pi * a / n
         start = np.array([radius_m * math.cos(angle), radius_m * math.sin(angle)])
         goals[a] = start.copy() if a in at_goal else -start
-        states[a] = state(*start, heading=angle + 0.5)
+        states[a] = state(*start, heading=angle + facing)
     return states, goals
 
 
@@ -388,3 +513,94 @@ def _trajectory_digest(case: str) -> str:
 @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
 def test_learned_trajectories_match_pins(case):
     assert _trajectory_digest(case) == TRAJECTORY_PINS[case]
+
+
+def _shifted_goals(states, offset):
+    return {a: s.position + np.asarray(offset) for a, s in states.items()}
+
+
+def _scripted(team, max_steps=200):
+    states, goals = team
+    return run_navigation_scenario(states, goals, scripted=True,
+                                   params=NavigationParams(max_steps=max_steps),
+                                   record_trajectory=True)
+
+
+def _learned_inward(robots, radius_m, mode):
+    states, goals = _circle_team(robots, radius_m, at_goal=(1,), facing=math.pi)
+    policy = (ControlPolicy.random(feature_dim=8, hidden=16, seed=5) if robots == 3
+              else ControlPolicy.random(seed=11))
+    return run_navigation_scenario(
+        states, goals, policy=policy, params=NavigationParams(max_steps=60, seed=23),
+        topology=Topology.full_mesh(states, JITTER[0]), agg_config=AggregationConfig(mode=mode),
+        record_trajectory=True, seed=JITTER[1],
+    )
+
+
+def _head_on():
+    states = {0: state(-1.0, 0.0, heading=0.0), 1: state(1.0, 0.0, heading=math.pi)}
+    return states, {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
+
+
+def _ten_shifted():
+    states, _ = _circle_team(10, 5.0)
+    goals = _shifted_goals(states, (0.0, 2.0))
+    goals[1] = states[1].position.copy()
+    return states, goals
+
+
+# name -> (run, (steps, collided, success)). The scripted policy, runs that
+# end in a collision (one of them before the first step) and robots that
+# start on their goal.
+OUTCOME_CASES = {
+    "scripted-3-circle-at-goal": (lambda: _scripted(_circle_team(3, 3.0, at_goal=(1,))),
+                                  (200, False, False)),
+    "scripted-10-circle-at-goal": (lambda: _scripted(_circle_team(10, 5.0, at_goal=(1,))),
+                                   (200, False, False)),
+    "scripted-10-shifted-at-goal": (lambda: _scripted(_ten_shifted()), (127, False, True)),
+    "scripted-2-head-on-collision": (lambda: _scripted(_head_on()), (34, True, False)),
+    "learned-3-inward-collision": (lambda: _learned_inward(3, 0.6, "best_effort"),
+                                   (35, True, False)),
+    "learned-10-inward-collision-blocking": (lambda: _learned_inward(10, 1.5, "blocking"),
+                                             (59, True, False)),
+    "learned-3-start-collided": (lambda: _learned_inward(3, 0.1, "best_effort"),
+                                 (0, True, False)),
+}
+
+# SHA-256 of each case's trajectory, steps, collision flag, reached flags and
+# minimum distance, recorded before the control loop kept one stacked team
+# state per run.
+OUTCOME_PINS = {
+    "scripted-3-circle-at-goal":
+        "e03c3d6e2c8848d0c98e7443c504d727b233db081f78c814ed57215099e56fb4",
+    "scripted-10-circle-at-goal":
+        "2cbcecaff6a265f43684f403c56f7638d414b6def60e43741de502c9fdee3abe",
+    "scripted-10-shifted-at-goal":
+        "711d67c921e12cd97d91dd4eb1a7d3dc069da4dba07d6506d38a0285acae25ce",
+    "scripted-2-head-on-collision":
+        "ca2584bf6c0d018745a0085db93d2be074e46f7ab56b9ee0c32b44a287ffe6f9",
+    "learned-3-inward-collision":
+        "368734783d47b5597a5257e7dcc5efb6d8e23709f700b5e576b696479bfe673e",
+    "learned-10-inward-collision-blocking":
+        "ee79b36d3ca8996639d978c8fec2a45143ee5ad3a69aedc93b5c89dc8d8fe47a",
+    "learned-3-start-collided":
+        "5a6acfcebffe0ea3e9fedd12631dd4e15c7eea6a06cc75cfec11cc66e21066fa",
+}
+
+
+def _outcome_digest(out) -> str:
+    digest = hashlib.sha256()
+    for step, agent, x, y, heading in out.trajectory:
+        digest.update(f"{step} {agent} {x.hex()} {y.hex()} {heading.hex()}\n".encode())
+    digest.update(f"{out.steps} {out.collided} {out.reached} "
+                  f"{out.min_pairwise_distance_m.hex()}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(OUTCOME_CASES))
+def test_scripted_and_collision_outcomes_match_pins(case):
+    run, (steps, collided, success) = OUTCOME_CASES[case]
+    out = run()
+    assert not out.failed
+    assert (out.steps, out.collided, out.success) == (steps, collided, success)
+    assert _outcome_digest(out) == OUTCOME_PINS[case]
