@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Paired comparison of one microbench case between two checkouts.
+"""Paired comparison of one microbench case, or one benchmark workload, between two checkouts.
 
     python microbench/paired.py PARENT CHANGE CASE [--blocks 20] [--calls 20]
+    python microbench/paired.py PARENT CHANGE --bench WORKLOAD [--blocks 10] [--seed 0] [--seconds 55]
 
 PARENT and CHANGE are the roots of two neuromesh checkouts. CASE names one
 case of this directory, such as ``test_control.py::test_ten_robot_learned_run[20]``:
@@ -19,6 +20,15 @@ process makes one untimed call of the benchmarked function and then times
 median over blocks, the median of the per-block ratios CHANGE / PARENT and
 the number of blocks CHANGE won (ratio below 1). Its last line is the
 summary as one JSON object.
+
+With ``--bench``, a block is a pair of whole ``bench/run.py --workload
+WORKLOAD --seed S --seconds T`` runs, one per checkout, each with that
+checkout's own ``bench/`` and in the same alternating order. Each run must
+report ``correct``. The output gives each pair's ``units_per_s`` and their
+ratio CHANGE / PARENT, with the pair's other metrics, then each side's
+median, the parent runs' spread between quartiles, the median ratio and
+the number of pairs CHANGE won (ratio above 1: more units per second is
+better). The JSON summary adds each metric's median on both sides.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from pathlib import Path
 MICROBENCH = Path(__file__).resolve().parent
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 PROCESS_TIMEOUT_S = 600.0
+BENCH_METRIC = "units_per_s"
 
 
 def parse_case(case: str) -> tuple[str, str, str | None]:
@@ -117,12 +128,17 @@ def run_side(checkout: Path, args) -> float:
     return statistics.median(json.loads(proc.stdout.splitlines()[-1])["ns"])
 
 
-def compare(args) -> dict:
+def alternating(args, run):
+    """Per block, its index and ``{side: run(checkout, args)}``, PARENT first in odd blocks."""
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    old, new, ratios = [], [], []
     for block in range(args.blocks):
         order = ["parent", "change"] if block % 2 == 0 else ["change", "parent"]
-        value = {side: run_side(sides[side], args) for side in order}
+        yield block, {side: run(sides[side], args) for side in order}
+
+
+def compare(args) -> dict:
+    old, new, ratios = [], [], []
+    for block, value in alternating(args, run_side):
         old.append(value["parent"])
         new.append(value["change"])
         ratios.append(value["change"] / value["parent"])
@@ -144,26 +160,108 @@ def compare(args) -> dict:
     return summary
 
 
+def bench_metrics(output: str) -> dict:
+    """Name -> value of each metric a correct ``bench/run.py`` output ends with."""
+    try:
+        result = json.loads(output.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if not result.get("correct"):
+        raise RuntimeError(f"benchmark run not correct:\n{output.strip()[-2000:]}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def bench_summary(workload: str, pairs) -> dict:
+    """Summary of (parent output, change output) pairs of ``bench/run.py`` runs.
+
+    ``medians`` holds each metric's [parent, change] medians over the pairs.
+    """
+    runs = [(bench_metrics(p), bench_metrics(c)) for p, c in pairs]
+    old = [p[BENCH_METRIC] for p, _ in runs]
+    new = [c[BENCH_METRIC] for _, c in runs]
+    ratios = [c / p for p, c in zip(old, new)]
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+    return {
+        "workload": workload,
+        "pairs": len(ratios),
+        "ratios": ratios,
+        "parent": statistics.median(old),
+        "change": statistics.median(new),
+        "parent_iqr": q3 - q1,
+        "ratio": statistics.median(ratios),
+        "won": sum(r > 1.0 for r in ratios),
+        "medians": {name: [statistics.median(p[name] for p, _ in runs),
+                           statistics.median(c[name] for _, c in runs)] for name in runs[0][0]},
+    }
+
+
+def run_bench(checkout: Path, args) -> str:
+    """The output of one ``bench/run.py`` run of ``checkout``, from its own root."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "bench" / "run.py"), "--workload", args.bench,
+         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+        env=env, cwd=checkout, capture_output=True, text=True,
+        timeout=PROCESS_TIMEOUT_S,
+    )
+    if proc.returncode != 0:
+        output = (proc.stdout + proc.stderr)[-2000:]
+        raise RuntimeError(f"bench/run.py failed on {checkout}:\n{output}")
+    return proc.stdout
+
+
+def compare_bench(args) -> dict:
+    pairs = []
+    for block, output in alternating(args, run_bench):
+        pairs.append((output["parent"], output["change"]))
+        old, new = (bench_metrics(output[side]) for side in ("parent", "change"))
+        print(f"pair {block + 1}: parent {old[BENCH_METRIC]:.6g}, change {new[BENCH_METRIC]:.6g} "
+              f"{BENCH_METRIC}, ratio {new[BENCH_METRIC] / old[BENCH_METRIC]:.4f}; "
+              + ", ".join(f"{name} {old[name]:.6g} -> {new[name]:.6g}"
+                          for name in old if name != BENCH_METRIC), flush=True)
+    summary = bench_summary(args.bench, pairs)
+    print(f"{args.bench} {BENCH_METRIC}: parent median {summary['parent']:.6g} "
+          f"(IQR {summary['parent_iqr']:.3g}), change median {summary['change']:.6g}; "
+          f"paired median change/parent {summary['ratio']:.4f} "
+          f"({(summary['ratio'] - 1) * 100:+.1f} %), change won {summary['won']} of "
+          f"{summary['pairs']} pairs")
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
-    parser.add_argument("checkouts", nargs="*", metavar="PARENT CHANGE")
-    parser.add_argument("case", metavar="CASE")
+    parser.add_argument("operands", nargs="+", metavar="PARENT CHANGE [CASE]")
     parser.add_argument("--blocks", type=int, default=20)
     parser.add_argument("--calls", type=int, default=20, help="timed calls per block and side")
+    parser.add_argument("--bench", metavar="WORKLOAD",
+                        help="alternate whole bench/run.py runs of WORKLOAD instead of a case")
+    parser.add_argument("--seed", type=int, default=0, help="bench/run.py --seed")
+    parser.add_argument("--seconds", type=float, default=55.0, help="bench/run.py --seconds")
     args = parser.parse_args(argv)
     if min(args.blocks, args.calls) < 1:
         parser.error("--blocks and --calls must be at least 1")
     if args.worker:
+        args.case, = args.operands
         try:
             print(json.dumps(worker(Path(args.worker).resolve(), args.case, args.calls)))
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
         return 0
-    if len(args.checkouts) != 2:
+    if args.bench:
+        if len(args.operands) != 2:
+            parser.error("give two checkouts, PARENT and CHANGE, with --bench")
+        args.parent, args.change = args.operands
+        try:
+            print(json.dumps(compare_bench(args)))
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        return 0
+    if len(args.operands) != 3:
         parser.error("give two checkouts, PARENT and CHANGE, before CASE")
-    args.parent, args.change = args.checkouts
+    args.parent, args.change, args.case = args.operands
     try:
         file, _, _ = parse_case(args.case)
     except ValueError as exc:

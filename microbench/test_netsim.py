@@ -1,5 +1,6 @@
 """Microbenchmark of the mesh simulator: one broadcast round, one exchange step
-through a team's buffers, and building a simulator.
+through a team's buffers, a drained burst, relays sent from receive
+callbacks, and building a simulator.
 
 Lives outside ``testpaths``, so the tier-1 suite does not collect it. It
 needs pytest-benchmark, the ``microbench`` extra (``pip install -e
@@ -19,6 +20,14 @@ ten-robot team from ``build_sim_team`` publishes its features, one 50 ms
 tick delivers them (decode and insert into the real buffers), and every
 robot awaits its neighborhood (snapshot and resolve), in best-effort and in
 blocking mode.
+
+A burst is what an assignment test puts on the wire: every robot of a full
+mesh sends one envelope to each peer, and ``drain`` then delivers all 380
+(n = 20) or 9,900 (n = 100) of them. The relay case adds receive callbacks
+that send: 40 robots put 1,560 deliveries in flight, and each delivery's
+receiver forwards it to the next robot until 20,000 relays have gone out,
+so a queue that re-sorted its pending deliveries per callback send would
+show here.
 
 Building a simulator over a full mesh with jitter, at 20, 100 and 300
 robots, is what every assignment test and control run pays: one link
@@ -106,6 +115,57 @@ def test_ten_robot_exchange_step(benchmark, mode):
     views = benchmark(one_step)
     assert [len(view) for view in views] == [ROBOTS - 1] * ROBOTS
     assert sim.delivered == sim.sent and sim.sent % 90 == 0
+
+
+@pytest.mark.parametrize("robots", [20, 100])
+def test_full_mesh_burst_drained(benchmark, robots):
+    sim = MeshSimulator(Topology.full_mesh(range(robots), LINK), seed=SEED)
+    for a in range(robots):
+        sim.register(a, lambda data, now_ns: None)
+
+    def one_burst():
+        for a in range(robots):
+            for b in range(robots):
+                if a != b:
+                    sim.send(a, b, BLOB)
+        sim.drain()
+
+    benchmark(one_burst)
+    assert sim.delivered == sim.sent and sim.sent % (robots * (robots - 1)) == 0
+
+
+RELAY_ROBOTS = 40
+RELAYS = 20_000
+
+
+def test_relays_from_receive_callbacks(benchmark):
+    sim = MeshSimulator(Topology.full_mesh(range(RELAY_ROBOTS), LINK), seed=SEED)
+    budget = [0]
+
+    def forward_to_next(a):
+        nxt = (a + 1) % RELAY_ROBOTS
+
+        def cb(data, now_ns):
+            if budget[0]:
+                budget[0] -= 1
+                sim.send(a, nxt, data)
+
+        return cb
+
+    for a in range(RELAY_ROBOTS):
+        sim.register(a, forward_to_next(a))
+
+    def one_burst():
+        budget[0] = RELAYS
+        for a in range(RELAY_ROBOTS):
+            for b in range(RELAY_ROBOTS):
+                if a != b:
+                    sim.send(a, b, BLOB)
+        sim.drain()
+
+    benchmark(one_burst)
+    per_burst = RELAY_ROBOTS * (RELAY_ROBOTS - 1) + RELAYS
+    assert sim.delivered == sim.sent and sim.sent % per_burst == 0
 
 
 @pytest.mark.parametrize("robots", [20, 100, 300])

@@ -36,6 +36,13 @@ def test_hungarian_solve(benchmark, case):
 SCENARIO_N = 20
 SCENARIOS = {
     "expert-lossless-20": {},
+    # assign_expert's link and aggregation: 4.8 ms latency, 0.6 ms jitter, blocking
+    "expert-jitter-20": {
+        "agg_config": AggregationConfig(mode="blocking"),
+        "topology": Topology.full_mesh(
+            range(SCENARIO_N), LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0)),
+        "seed": 11,
+    },
     "expert-lossy-best-effort-20": {
         "agg_config": AggregationConfig(mode="best_effort"),
         "topology": Topology.full_mesh(range(SCENARIO_N), LinkModel(loss_prob=0.05)), "seed": 3,

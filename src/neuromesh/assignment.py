@@ -341,7 +341,9 @@ def run_assignment_scenario(
 
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
-    lives only as long as this call.
+    lives only as long as this call. In expert mode each distinct received
+    payload is dequantized once, and each robot's matrix is copied out of
+    that one table.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -374,27 +376,39 @@ def run_assignment_scenario(
     memo: dict = {}
     cost_opt = hungarian_solve(cost, memo=memo).total_cost
     choices: list[int] = []
+    now, advance = (lambda: sim.now_ns), (lambda: sim.run_for(SIM_POLL_NS))
     try:
-        gathered = {
-            a: await_neighborhood(agg_config, team[a][1], lambda: sim.now_ns,
-                                  lambda: sim.run_for(SIM_POLL_NS))
-            for a in topology.agents
-        }
+        gathered = {a: await_neighborhood(agg_config, team[a][1], now, advance)
+                    for a in topology.agents}
     except (NeighborhoodTimeoutError, InsufficientNeighborsError) as exc:
         return AssignmentOutcome(
             choices=[], covered_goals=0, cost_out=None, cost_opt=cost_opt,
             failed=True, failure=str(exc),
         )
 
-    index_of = {a: i for i, a in enumerate(topology.agents)}
-    for a in topology.agents:
-        block = _dequantize_rows([vec for _, vec in gathered[a]], dim)
-        if mode == "expert":
-            local = np.zeros_like(cost)
-            local[index_of[a]] = features[a]
-            local[[index_of[nid] for nid, _ in gathered[a]]] = block
-            choices.append(hungarian_solve(local, memo=memo).goals[index_of[a]])
-        else:
+    if mode == "expert":
+        # One table row per distinct received payload object, after a zero row
+        # for the rows a robot never heard: the receivers of one broadcast
+        # share its decoded payload, so it is dequantized once per test.
+        index_of = {a: i for i, a in enumerate(topology.agents)}
+        rows, row_of, picks = [np.zeros(0, dtype=DTYPE)], {}, []
+        for a in topology.agents:
+            pick = [0] * n
+            for nid, vec in gathered[a]:
+                k = row_of.get(id(vec))
+                if k is None:  # ``rows`` keeps vec alive, so no other payload takes its id
+                    k = row_of[id(vec)] = len(rows)
+                    rows.append(vec)
+                pick[index_of[nid]] = k
+            picks.append(pick)
+        table = _dequantize_rows(rows, dim).astype(cost.dtype)
+        for i, a in enumerate(topology.agents):
+            local = table[picks[i]]
+            local[i] = features[a]
+            choices.append(hungarian_solve(local, memo=memo).goals[i])
+    else:
+        for a in topology.agents:
+            block = _dequantize_rows([vec for _, vec in gathered[a]], dim)
             if len(block):
                 h = attention_forward(model.attention, features[a], block)
             else:

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
 
+_heappush = heapq.heappush
 _TWO_PI, _sqrt, _log, _cos, _sin = 2.0 * math.pi, math.sqrt, math.log, math.cos, math.sin
 
 DEFAULT_BANDWIDTH_BPS = 6_000_000
@@ -144,6 +145,12 @@ class MeshSimulator:
     busy times all belong to this simulator. A directed link's record holds
     its edge's latency, jitter and loss next to the sender's stream and the
     clamp; the jitter is ``random.gauss``'s Box-Muller step, done in place.
+
+    Deliveries run in (time, send order). A send made outside ``run_until``
+    appends to a pending list, which the next ``run_until`` sorts once,
+    latest first, and then pops from the end; a send made from a receive
+    callback, while the loop runs, is pushed onto a min-heap instead, and
+    the loop takes whichever of the list's tail and the heap's head is first.
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
@@ -153,7 +160,10 @@ class MeshSimulator:
         transmitters = {a for edge in topology.links for a in edge}  # agents with a link
         self._bandwidth = self.medium.effective_bandwidth(len(transmitters))
         self._now = 0
-        self._events: list = []
+        self._pending: list = []  # (time, send index, to, data), latest first once sorted
+        self._unsorted = False  # sends appended to _pending since its last sort
+        self._heap: list = []  # sends made while the loop runs
+        self._running = 0  # run_until calls in progress, nested ones included
         self._counter = 0
         self._tx_free = {a: 0 for a in topology.agents}
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
@@ -223,22 +233,43 @@ class MeshSimulator:
         if t < last_delivery:  # FIFO per directed link
             t = last_delivery
         record[4] = t
-        self._counter += 1
-        heapq.heappush(self._events, (t, self._counter, to, data))
+        count = self._counter + 1
+        self._counter = count
+        if self._running:
+            _heappush(self._heap, (t, count, to, data))
+        else:
+            self._pending.append((t, count, to, data))
+            self._unsorted = True
         return t
 
     def run_until(self, t_ns: int) -> None:
-        events, receivers, pop = self._events, self._receivers, heapq.heappop
+        pending, heap, receivers, pop = self._pending, self._heap, self._receivers, heapq.heappop
+        if self._unsorted:
+            pending.sort(reverse=True)
+            self._unsorted = False
+        self._running += 1
         delivered = 0
         try:
-            while events and events[0][0] <= t_ns:
-                when, _, to, payload = pop(events)
+            while True:
+                if heap and not (pending and pending[-1] < heap[0]):
+                    when, _, to, payload = heap[0]
+                    if when > t_ns:
+                        break
+                    pop(heap)
+                elif pending:
+                    when, _, to, payload = pending[-1]
+                    if when > t_ns:
+                        break
+                    pending.pop()
+                else:
+                    break
                 self._now = when
                 delivered += 1  # a delivery whose callback raises still counts
                 cb = receivers.get(to)
                 if cb is not None:
                     cb(payload, when)
         finally:
+            self._running -= 1
             self.delivered += delivered
         if self._now < t_ns:
             self._now = int(t_ns)
@@ -248,8 +279,9 @@ class MeshSimulator:
 
     def drain(self) -> None:
         """Deliver everything still in flight: one ``run_until`` per batch of pending events."""
-        while self._events:
-            self.run_until(max(self._events)[0])
+        pending, heap = self._pending, self._heap
+        while pending or heap:
+            self.run_until(max(max(q) for q in (pending, heap) if q)[0])
 
 
 @dataclass

@@ -183,7 +183,7 @@ class NeighborBuffer:
     """
 
     def __init__(self, neighbor_ids, staleness_ns: int = DEFAULT_STALENESS_NS):
-        self._neighbors = frozenset(int(n) for n in neighbor_ids)
+        self._neighbors = frozenset(map(int, neighbor_ids))
         self.staleness_ns = int(staleness_ns)
         # sender -> (latest envelope, the envelope it replaced or None)
         self._slots: dict[int, tuple[MessageEnvelope, MessageEnvelope | None]] = {}

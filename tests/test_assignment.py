@@ -478,3 +478,53 @@ class TestScenarioSolveMemo:
         run_assignment_scenario(costs, mode="expert", **lossy_best_effort(n))
         assert len(log.matrices) == n + 1
         assert 1 < len(log.duals) == len(set(log.matrices)) < n + 1
+
+
+PIN_N = 20
+BENCH_LINK = LinkModel(base_latency_ns=4_800_000, jitter_stddev_ns=600_000.0)
+MATRIX_PIN_CASES = {
+    "benchmark-link": {"topology": Topology.full_mesh(range(PIN_N), BENCH_LINK), "seed": 11},
+    "truncating-budget": {"message_budget_bytes": 40},
+    "lossy-best-effort": lossy_best_effort(PIN_N),
+    "silenced-best-effort": {"agg_config": AggregationConfig(mode="best_effort"),
+                             "silenced": {5}},
+    "silenced-blocking": {"agg_config": AggregationConfig(timeout_ns=50_000_000,
+                                                          mode="blocking"),
+                          "silenced": {5}},
+}
+# (calls, SHA-256 over the dtype, shape and bytes of every matrix passed to
+# hungarian_solve, in call order) over two n = 20 expert tests per case: each
+# test solves the true matrix and then one per robot, unless it fails first.
+MATRIX_PINS = {
+    "benchmark-link":
+        (42, "de08ae62b42e6a0254589e9648e9da59ef416266434ffb2170c5d5aae0982c7b"),
+    "truncating-budget":
+        (42, "1b5bedbfa11edb6e89b8286262ae0c1f0df07184bed07a0620772a2d3f9eb548"),
+    "lossy-best-effort":
+        (42, "f75361c21e4e3d20134aae7f03e6a7e65a8fb275c046050d852b604ad33bfa4c"),
+    "silenced-best-effort":
+        (42, "a3ea236bd3aca6192a86a940138ffadf7f478eaa6f66669c591c4c4e7cc151a6"),
+    "silenced-blocking":
+        (2, "9673e307b281cefae313e50dfb880f8cb8a7254ce488aa09fbf0dcb205a1b4bc"),
+}
+
+
+class TestSolvedMatrixPins:
+    @pytest.mark.parametrize("case", list(MATRIX_PIN_CASES))
+    def test_every_solved_matrix_is_pinned(self, monkeypatch, case):
+        digest, calls = hashlib.sha256(), 0
+        solve = assignment_mod.hungarian_solve
+
+        def hashing(costs, **kwargs):
+            nonlocal calls
+            calls += 1
+            m = np.asarray(costs)
+            digest.update(repr((m.dtype.str, m.shape)).encode() + m.tobytes())
+            return solve(costs, **kwargs)
+
+        monkeypatch.setattr(assignment_mod, "hungarian_solve", hashing)
+        rng = np.random.default_rng(83)
+        for _ in range(2):
+            costs = rng.uniform(1, 10, size=(PIN_N, PIN_N)).astype(F32)
+            run_assignment_scenario(costs, mode="expert", **MATRIX_PIN_CASES[case])
+        assert (calls, digest.hexdigest()) == MATRIX_PINS[case]

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuromesh.errors import ConfigError, MeasurementError, TopologyError
 from neuromesh.netsim import (
@@ -249,6 +252,158 @@ class TestRaisingReceiver:
         sim.run_until(sim.now_ns + 100 * MS)
         assert sim.delivered == len(sends) and sim.sent == sim.delivered + sim.dropped
         assert deliveries == [(t, to, data) for t, _, to, data in sorted(sends)]
+
+
+class HeapModel:
+    """Reference for the simulator's event queue: its link arithmetic over one ``heapq``.
+
+    Each scheduled delivery is pushed as (time, send index, receiver, bytes)
+    and popped in that order. ``run_until`` and ``drain`` keep the
+    simulator's contract: a delivery whose callback raises still counts,
+    the clock stops at it, and ``drain`` runs until the queue is empty.
+    """
+
+    def __init__(self, topology, medium, seed):
+        transmitters = {a for edge in topology.links for a in edge}
+        self.bandwidth = medium.effective_bandwidth(len(transmitters))
+        self.streams = {a: random.Random(derive_seed(seed, a)) for a in transmitters}
+        self.links = {}
+        for (a, b), link in topology.links.items():
+            self.links[a, b] = self.links[b, a] = link
+        self.last = {}  # directed link -> its latest delivery time
+        self.tx_free = dict.fromkeys(topology.agents, 0)
+        self.events = []
+        self.receivers = {}
+        self.now_ns = self.scheduled = self.dropped = self.delivered = 0
+
+    @property
+    def sent(self):
+        return self.scheduled + self.dropped
+
+    def register(self, agent, callback):
+        self.receivers[agent] = callback
+
+    def send(self, frm, to, data):
+        link, rng = self.links[frm, to], self.streams[frm]
+        tx_end = max(self.tx_free[frm], self.now_ns) + round(len(data) * 1e9 / self.bandwidth)
+        self.tx_free[frm] = tx_end
+        if link.loss_prob > 0 and rng.random() < link.loss_prob:
+            self.dropped += 1
+            return None
+        delay = link.base_latency_ns
+        if link.jitter_stddev_ns > 0:
+            delay += rng.gauss(0.0, link.jitter_stddev_ns)
+        t = max(tx_end + (round(delay) if delay > 0 else 0), self.last.get((frm, to), 0))
+        self.last[frm, to] = t
+        self.scheduled += 1
+        heapq.heappush(self.events, (t, self.scheduled, to, data))
+        return t
+
+    def run_until(self, t_ns):
+        while self.events and self.events[0][0] <= t_ns:
+            when, _, to, data = heapq.heappop(self.events)
+            self.now_ns = when
+            self.delivered += 1
+            callback = self.receivers.get(to)
+            if callback is not None:
+                callback(data, when)
+        self.now_ns = max(self.now_ns, t_ns)
+
+    def drain(self):
+        while self.events:
+            self.run_until(max(self.events)[0])
+
+
+class Boom(Exception):
+    pass
+
+
+QUIET, RELAY, RAISE, NESTED = range(4)  # what a receiver does with a message
+RELAY_HOPS = 2
+
+
+def play(system, topo, schedule):
+    """Run ``schedule`` on a simulator or a ``HeapModel``; returns everything it observed.
+
+    A message's first byte names its receiver's action: relay it to every
+    peer (up to ``RELAY_HOPS`` hops), raise, or run the clock on by the
+    message's third byte times 0.1 ms from inside the callback.
+    """
+    log = []
+
+    def receiver(agent):
+        peers = topo.neighbors(agent)
+
+        def cb(data, now):
+            log.append((agent, now, data))
+            action, hops, param = data[:3]
+            if action == RELAY and hops < RELAY_HOPS:
+                for b in peers:
+                    relayed = bytes([action, hops + 1, param]) + data[3:]
+                    log.append(("relay", agent, b, system.send(agent, b, relayed)))
+            elif action == RAISE:
+                raise Boom
+            elif action == NESTED:
+                system.run_until(now + param * MS // 10)
+
+        return cb
+
+    for a in topo.agents:
+        system.register(a, receiver(a))
+    edges = sorted(topo.links)
+    for step in schedule + [("drain",)]:
+        try:
+            if step[0] == "send":
+                _, edge, flip, action, param, size = step
+                frm, to = edges[edge % len(edges)][::-1 if flip else 1]
+                data = bytes([action, 0, param]) + bytes(size)
+                log.append(("send", frm, to, system.send(frm, to, data)))
+            elif step[0] == "run_until":
+                system.run_until(system.now_ns + step[1])
+            else:
+                system.drain()
+        except Boom:
+            log.append("boom")
+        log.append((system.now_ns, system.sent, system.delivered, system.dropped))
+    while True:  # each raise delivers one message, so this ends
+        try:
+            system.drain()
+            break
+        except Boom:
+            log.append("boom")
+    log.append((system.now_ns, system.sent, system.delivered, system.dropped))
+    return log
+
+
+@st.composite
+def queue_scenarios(draw):
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    link = st.builds(LinkModel, base_latency_ns=st.sampled_from([0, MS // 2, 2 * MS, 5 * MS]),
+                     jitter_stddev_ns=st.sampled_from([0.0, 0.3 * MS, 2.0 * MS]),
+                     loss_prob=st.sampled_from([0.0, 0.3]))
+    topo = Topology(list(range(n)), {edge: draw(link) for edge in edges})
+    medium = MediumModel(per_node_bandwidth_bps=draw(st.sampled_from([200_000.0, 6e6])),
+                         contention=draw(st.sampled_from(["none", "shared_medium"])))
+    step = st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 9), st.booleans(),
+                  st.sampled_from([QUIET, QUIET, RELAY, RAISE, NESTED]), st.integers(0, 40),
+                  st.integers(0, 64)),
+        st.tuples(st.just("run_until"), st.integers(-MS, 8 * MS)),
+        st.tuples(st.just("drain")),
+    )
+    schedule = draw(st.lists(step, max_size=40))
+    return topo, medium, draw(st.integers(0, 2**16)), schedule
+
+
+class TestEventQueue:
+    @given(queue_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_simulator_matches_a_heap_model(self, scenario):
+        topo, medium, seed, schedule = scenario
+        want = play(HeapModel(topo, medium, seed), topo, schedule)
+        assert play(MeshSimulator(topo, medium, seed=seed), topo, schedule) == want
 
 
 # edge -> (loss_prob, jitter stddev in ns) over 10 ms links: every directed
