@@ -30,8 +30,11 @@ so a queue that re-sorted its pending deliveries per callback send would
 show here.
 
 Building a simulator over a full mesh with jitter, at 20, 100 and 300
-robots, is what every assignment test and control run pays: one link
-record per directed link and one seeded RNG stream per robot. Compare two
+robots, is what every assignment test and control run pays: one seeded RNG
+stream per robot, a FIFO-clamp slot per directed link and a radio per robot.
+The first simulator over a topology also builds its link plan, one record
+per directed link; its case builds a new topology, untimed, before each
+round, so that every timed build makes a new plan. Compare two
 checkouts on one host in alternating runs: on a shared 2-core host,
 medians of the same code drifted by up to 25 % between runs.
 """
@@ -171,5 +174,20 @@ def test_relays_from_receive_callbacks(benchmark):
 @pytest.mark.parametrize("robots", [20, 100, 300])
 def test_build_full_mesh_simulator(benchmark, robots):
     topo = Topology.full_mesh(range(robots), LINK)
+    MeshSimulator(topo, seed=SEED)  # the first simulator builds the topology's link plan
     sim = benchmark(MeshSimulator, topo, seed=SEED)
-    assert len(sim._links) == robots * (robots - 1)
+    assert_full_mesh(sim, topo, robots)
+
+
+@pytest.mark.parametrize("robots", [20, 100, 300])
+def test_build_first_simulator_of_a_topology(benchmark, robots):
+    def new_topology():
+        return (Topology.full_mesh(range(robots), LINK),), {"seed": SEED}
+
+    sim = benchmark.pedantic(MeshSimulator, setup=new_topology, rounds=10)
+    assert_full_mesh(sim, sim.topology, robots)
+
+
+def assert_full_mesh(sim, topo, robots):
+    assert len(topo.link_plan().links) == robots * (robots - 1)
+    assert sim.send(robots - 1, 0, BLOB) is not None and sim.sent == 1

@@ -41,6 +41,7 @@ from .tensors import (
 )
 
 BRUTE_FORCE_LIMIT = 9
+_GATHER_FLOATS = 1 << 21  # float64 entries per gathered block of robot matrices: 16 MiB
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
@@ -51,13 +52,21 @@ class Assignment:
     total_cost: float
 
 
-def _as_cost_matrix(costs) -> np.ndarray:
+def _square(costs) -> np.ndarray:
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"cost matrix must be square, got shape {c.shape}")
+    return c
+
+
+def _finite(c: np.ndarray) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ShapeError("cost matrix contains non-finite entries")
     return c
+
+
+def _as_cost_matrix(costs) -> np.ndarray:
+    return _finite(_square(costs))
 
 
 def _total(cost: np.ndarray, goals) -> float:
@@ -165,18 +174,18 @@ def hungarian_solve(costs, *, memo: dict | None = None) -> Assignment:
     goal vector. ``memo`` maps the float64 bytes of each matrix solved
     through it to its answer, so a repeated matrix is not solved again.
     """
-    cost = _as_cost_matrix(costs)
+    cost = _square(costs)
     if not cost.size:
         return Assignment([], 0.0)
     if memo is None:
-        return _solve(cost)
-    key = cost.tobytes()
+        return _solve(_finite(cost))
+    key = cost.tobytes()  # a square matrix's byte count fixes its shape
     hit = memo.get(key)
     if hit is None:
-        out = _solve(cost)
+        out = _solve(_finite(cost))
         memo[key] = (tuple(out.goals), out.total_cost)
         return out
-    return Assignment(list(hit[0]), hit[1])
+    return Assignment(list(hit[0]), hit[1])  # its bytes passed the finiteness scan
 
 
 def _solve(cost: np.ndarray) -> Assignment:
@@ -250,14 +259,18 @@ def quantize_message(feature, budget_bytes: int) -> tuple[bytes, np.ndarray]:
     Keeps the first floor(budget / 4) components, so any budget of at
     least 4x the dimension round-trips losslessly.
     """
+    payload, dim = _truncate(feature, budget_bytes)
+    return payload, dequantize_message(payload, dim)
+
+
+def _truncate(feature, budget_bytes: int) -> tuple[bytes, int]:
+    """``quantize_message``'s payload and the feature's dimension, without decoding."""
     if budget_bytes < 4:
         raise ShapeError(f"budget {budget_bytes} B cannot carry a single float32")
     vec = np.ascontiguousarray(feature, dtype=DTYPE)
     if vec.ndim != 1:
         raise ShapeError(f"feature must be 1-D, got shape {vec.shape}")
-    keep = min(vec.shape[0], budget_bytes // 4)
-    payload = vec[:keep].astype("<f4").tobytes()
-    return payload, dequantize_message(payload, vec.shape[0])
+    return vec[: budget_bytes // 4].astype("<f4").tobytes(), vec.shape[0]
 
 
 def dequantize_message(payload: bytes, dim: int) -> np.ndarray:
@@ -342,8 +355,8 @@ def run_assignment_scenario(
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
     lives only as long as this call. In expert mode each distinct received
-    payload is dequantized once, and each robot's matrix is copied out of
-    that one table.
+    payload is dequantized once, and one gather copies every robot's matrix
+    out of that one table.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -359,16 +372,17 @@ def run_assignment_scenario(
 
     sim, team = build_sim_team(topology, medium, staleness_ns=10**12, seed=seed)
 
+    own = cost.astype(DTYPE)  # row i: robot i's own cost row, in float32
     if mode == "expert":
-        features = {a: cost[i].astype(DTYPE) for i, a in enumerate(topology.agents)}
+        features = dict(zip(topology.agents, own))
     else:
-        features = dict(zip(topology.agents, mlp_forward(model.encoder, cost.astype(DTYPE))))
+        features = dict(zip(topology.agents, mlp_forward(model.encoder, own)))
     dim = next(iter(features.values())).shape[0]
 
     sent = {a: features[a] for a in topology.agents if a not in silenced}
     if message_budget_bytes is not None:
         for a, vec in sent.items():
-            payload, _ = quantize_message(vec, message_budget_bytes)
+            payload, _ = _truncate(vec, message_budget_bytes)
             sent[a] = np.frombuffer(payload, dtype="<f4")
     publish_features(team, sent, 1, sim.now_ns, 0)
     sim.drain()  # one control tick: let the exchange land before aggregating
@@ -402,10 +416,15 @@ def run_assignment_scenario(
                 pick[index_of[nid]] = k
             picks.append(pick)
         table = _dequantize_rows(rows, dim).astype(cost.dtype)
-        for i, a in enumerate(topology.agents):
-            local = table[picks[i]]
-            local[i] = features[a]
-            choices.append(hungarian_solve(local, memo=memo).goals[i])
+        # Robot i's matrix is slice i of one gathered (robots, n, n) block, with
+        # its own row set in place; a large team gathers in bounded chunks.
+        step = max(1, _GATHER_FLOATS // (n * dim))
+        for lo in range(0, n, step):
+            block = table[picks[lo : lo + step]]
+            mine = np.arange(len(block))
+            block[mine, lo + mine] = own[lo : lo + step]
+            for k, local in enumerate(block):
+                choices.append(hungarian_solve(local, memo=memo).goals[lo + k])
     else:
         for a in topology.agents:
             block = _dequantize_rows([vec for _, vec in gathered[a]], dim)

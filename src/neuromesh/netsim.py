@@ -39,6 +39,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
@@ -57,7 +58,7 @@ def derive_seed(base: int, *parts: int) -> int:
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkModel:
     base_latency_ns: int = 0
     jitter_stddev_ns: float = 0.0
@@ -93,9 +94,29 @@ class MediumModel:
         return self.per_node_bandwidth_bps
 
 
+class LinkPlan(NamedTuple):
+    """A topology's directed links, as every simulator over it reads them.
+
+    ``links`` maps (frm, to) to (latency ns as a float, as the delay sums it,
+    jitter sd ns, loss probability, link index, sender index). ``senders``
+    lists the agents with at least one link, ascending: sender index k is
+    ``senders[k]``. A simulator keeps one FIFO-clamp slot per link index and
+    one radio and RNG stream per sender index.
+    """
+
+    links: dict
+    senders: list[int]
+
+
 @dataclass
 class Topology:
-    """Undirected adjacency with a link model per edge."""
+    """Undirected adjacency with a link model per edge.
+
+    The first simulator over a topology builds its :class:`LinkPlan`, and
+    later ones reuse it. Assigning a new dict to ``links`` checks and indexes
+    it as construction does, and drops the plan; an edit of the dict in
+    place is seen by neither the adjacency nor the plan.
+    """
 
     agents: list[int]
     links: dict = field(default_factory=dict)  # (lo, hi) -> LinkModel
@@ -112,9 +133,19 @@ class Topology:
 
     def __post_init__(self):
         self.agents = sorted(int(a) for a in self.agents)
+        self._index(self.links)
+
+    def __setattr__(self, name, value):
+        if name == "links" and "_adjacency" in self.__dict__:
+            self._index(value)  # a reassigned edge set: check it and drop the plan
+        else:
+            super().__setattr__(name, value)
+
+    def _index(self, links: dict) -> None:
+        """Check and normalize ``links``, and build its adjacency."""
         known = set(self.agents)
         normalized = {}
-        for (a, b), link in self.links.items():
+        for (a, b), link in links.items():
             if a == b:
                 raise TopologyError(f"self-edge on agent {a}")
             if a not in known or b not in known:
@@ -123,16 +154,32 @@ class Topology:
             if key in normalized:
                 raise TopologyError(f"edge {key} listed twice")
             normalized[key] = link
-        self.links = normalized
         adjacency = {a: [] for a in self.agents}
         for a, b in normalized:
             adjacency[a].append(b)
             adjacency[b].append(a)
+        super().__setattr__("links", normalized)
         self._adjacency = {a: sorted(peers) for a, peers in adjacency.items()}
+        self._plan = None  # built by the first simulator over these links
 
     def neighbors(self, a: int) -> list[int]:
         """Peers of ``a`` in ascending id, as a fresh list the caller may mutate."""
         return list(self._adjacency.get(a, ()))
+
+    def link_plan(self) -> LinkPlan:
+        """The directed-link plan of ``links``, built on the first call."""
+        if self._plan is not None:
+            return self._plan
+        senders = sorted(set().union(*self.links))
+        sender_index = {a: k for k, a in enumerate(senders)}
+        links = {}
+        for k, ((a, b), link) in enumerate(self.links.items()):
+            latency, jitter_sd, loss_prob = (float(link.base_latency_ns), link.jitter_stddev_ns,
+                                             link.loss_prob)
+            links[a, b] = (latency, jitter_sd, loss_prob, 2 * k, sender_index[a])
+            links[b, a] = (latency, jitter_sd, loss_prob, 2 * k + 1, sender_index[b])
+        self._plan = LinkPlan(links, senders)
+        return self._plan
 
 
 class MeshSimulator:
@@ -142,9 +189,9 @@ class MeshSimulator:
     simulator loop when the virtual clock reaches the delivery time.
     Sender a draws loss and jitter from ``random.Random(derive_seed(seed, a))``
     on every link it sends over; the streams, the FIFO clamp and the radios'
-    busy times all belong to this simulator. A directed link's record holds
-    its edge's latency, jitter and loss next to the sender's stream and the
-    clamp; the jitter is ``random.gauss``'s Box-Muller step, done in place.
+    busy times all belong to this simulator, while the link constants come
+    from the topology's :class:`LinkPlan`, shared by every simulator over it.
+    The jitter is ``random.gauss``'s Box-Muller step, done in place.
 
     Deliveries run in (time, send order). A send made outside ``run_until``
     appends to a pending list, which the next ``run_until`` sorts once,
@@ -157,25 +204,19 @@ class MeshSimulator:
                  record_tx: bool = False, seed: int = 0):
         self.topology = topology
         self.medium = medium or MediumModel()
-        transmitters = {a for edge in topology.links for a in edge}  # agents with a link
-        self._bandwidth = self.medium.effective_bandwidth(len(transmitters))
+        plan = topology.link_plan()
+        self._links = plan.links
+        self._bandwidth = self.medium.effective_bandwidth(len(plan.senders))
         self._now = 0
         self._pending: list = []  # (time, send index, to, data), latest first once sorted
         self._unsorted = False  # sends appended to _pending since its last sort
         self._heap: list = []  # sends made while the loop runs
         self._running = 0  # run_until calls in progress, nested ones included
         self._counter = 0
-        self._tx_free = {a: 0 for a in topology.agents}
+        self._streams = [random.Random(derive_seed(seed, a)) for a in plan.senders]
+        self._tx_free = [0] * len(plan.senders)  # per sender index
+        self._clamp = [0] * len(plan.links)  # last delivery time per link index
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
-        streams = {a: random.Random(derive_seed(seed, a)) for a in transmitters}
-        # (frm, to) -> [latency ns as a float, as the delay sums it, jitter sd ns,
-        # loss probability, the sender's RNG stream, last delivery time (FIFO clamp)]
-        self._links = {}
-        for (a, b), link in topology.links.items():
-            latency, jitter_sd, loss_prob = (float(link.base_latency_ns), link.jitter_stddev_ns,
-                                             link.loss_prob)
-            self._links[a, b] = [latency, jitter_sd, loss_prob, streams[a], 0]
-            self._links[b, a] = [latency, jitter_sd, loss_prob, streams[b], 0]
         self._receivers: dict = {}
         self.dropped = 0
         self.delivered = 0
@@ -191,7 +232,7 @@ class MeshSimulator:
         return self._counter + self.dropped
 
     def register(self, agent_id: int, callback) -> None:
-        if agent_id not in self._tx_free:
+        if agent_id not in self.topology._adjacency:
             raise TopologyError(f"agent {agent_id} not in topology")
         self._receivers[agent_id] = callback
 
@@ -201,11 +242,12 @@ class MeshSimulator:
         Transmission always consumes the sender's airtime; the Bernoulli
         loss draw then decides whether the receiver ever sees the message.
         """
-        record = self._links.get((frm, to))
-        if record is None:
+        link = self._links.get((frm, to))
+        if link is None:
             raise TopologyError(f"no link between {frm} and {to}")
-        latency, jitter_sd, loss_prob, rng, last_delivery = record
-        tx_start = self._tx_free[frm]
+        latency, jitter_sd, loss_prob, index, sender = link
+        tx_free = self._tx_free
+        tx_start = tx_free[sender]
         if tx_start < self._now:
             tx_start = self._now
         size = len(data)
@@ -213,14 +255,15 @@ class MeshSimulator:
         if tx_ns is None:  # the bandwidth is fixed, so airtime depends on the size alone
             tx_ns = self._airtime[size] = round(size * 1e9 / self._bandwidth)
         tx_end = tx_start + tx_ns
-        self._tx_free[frm] = tx_end
+        tx_free[sender] = tx_end
         if self.tx_log is not None:
             self.tx_log.append((frm, tx_start, tx_end, size))
-        if loss_prob > 0 and rng.random() < loss_prob:
+        if loss_prob > 0 and self._streams[sender].random() < loss_prob:
             self.dropped += 1
             return None
         delay = latency
         if jitter_sd > 0:  # rng.gauss(0.0, jitter_sd): same draws, same spare
+            rng = self._streams[sender]
             z = rng.gauss_next
             rng.gauss_next = None
             if z is None:
@@ -230,9 +273,10 @@ class MeshSimulator:
                 rng.gauss_next = _sin(x2pi) * g2rad
             delay = latency + z * jitter_sd
         t = tx_end + (round(delay) if delay > 0.0 else 0)
-        if t < last_delivery:  # FIFO per directed link
-            t = last_delivery
-        record[4] = t
+        clamp = self._clamp
+        if t < clamp[index]:  # FIFO per directed link
+            t = clamp[index]
+        clamp[index] = t
         count = self._counter + 1
         self._counter = count
         if self._running:

@@ -233,6 +233,34 @@ class TestSolveMemo:
         assert hungarian_solve(np.zeros((0, 0)), memo=memo) == Assignment([], 0.0)
         assert memo == {}
 
+    def test_a_warm_memo_still_rejects_bad_shapes_and_non_finite_entries(self):
+        # A hit skips the finiteness scan, so the shape check must come first:
+        # a 10 x 40 matrix has the byte count of a memoized 20 x 20 one.
+        square = np.random.default_rng(8).uniform(0.0, 10.0, size=(20, 20))
+        memo = {}
+        hungarian_solve(square, memo=memo)
+        with pytest.raises(ShapeError, match="square"):
+            hungarian_solve(square.reshape(10, 40), memo=memo)
+        with pytest.raises(ShapeError, match="square"):
+            hungarian_solve(square.reshape(400), memo=memo)
+        for bad in (np.nan, np.inf):
+            poisoned = square.copy()
+            poisoned[3, 7] = bad
+            with pytest.raises(ShapeError, match="non-finite"):
+                hungarian_solve(poisoned, memo=memo)
+        assert len(memo) == 1
+
+    @given(kind=st.sampled_from(["random", "integer-ties", "all-equal", "float32"]),
+           n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_memo_no_memo_and_brute_force_agree(self, kind, n, seed):
+        cost = certificate_matrix(kind, n, seed)
+        memo = {}
+        want = brute_force_solve(cost)
+        assert hungarian_solve(cost) == want
+        assert hungarian_solve(cost, memo=memo) == want  # a miss
+        assert hungarian_solve(cost, memo=memo) == want  # a hit
+
 
 class TestBruteForce:
     def test_two_by_two(self):
@@ -509,22 +537,34 @@ MATRIX_PINS = {
 }
 
 
+def solved_matrices_pin(monkeypatch, case) -> tuple[int, str]:
+    """(calls, digest) as ``MATRIX_PINS`` records them, for two tests of ``case``."""
+    digest, calls = hashlib.sha256(), 0
+    solve = assignment_mod.hungarian_solve
+
+    def hashing(costs, **kwargs):
+        nonlocal calls
+        calls += 1
+        m = np.asarray(costs)
+        digest.update(repr((m.dtype.str, m.shape)).encode() + m.tobytes())
+        return solve(costs, **kwargs)
+
+    monkeypatch.setattr(assignment_mod, "hungarian_solve", hashing)
+    rng = np.random.default_rng(83)
+    for _ in range(2):
+        costs = rng.uniform(1, 10, size=(PIN_N, PIN_N)).astype(F32)
+        run_assignment_scenario(costs, mode="expert", **MATRIX_PIN_CASES[case])
+    return calls, digest.hexdigest()
+
+
 class TestSolvedMatrixPins:
     @pytest.mark.parametrize("case", list(MATRIX_PIN_CASES))
     def test_every_solved_matrix_is_pinned(self, monkeypatch, case):
-        digest, calls = hashlib.sha256(), 0
-        solve = assignment_mod.hungarian_solve
+        assert solved_matrices_pin(monkeypatch, case) == MATRIX_PINS[case]
 
-        def hashing(costs, **kwargs):
-            nonlocal calls
-            calls += 1
-            m = np.asarray(costs)
-            digest.update(repr((m.dtype.str, m.shape)).encode() + m.tobytes())
-            return solve(costs, **kwargs)
-
-        monkeypatch.setattr(assignment_mod, "hungarian_solve", hashing)
-        rng = np.random.default_rng(83)
-        for _ in range(2):
-            costs = rng.uniform(1, 10, size=(PIN_N, PIN_N)).astype(F32)
-            run_assignment_scenario(costs, mode="expert", **MATRIX_PIN_CASES[case])
-        assert (calls, digest.hexdigest()) == MATRIX_PINS[case]
+    @pytest.mark.parametrize("robots_per_gather", [1, 7])
+    @pytest.mark.parametrize("case", ["benchmark-link", "lossy-best-effort"])
+    def test_gathering_in_chunks_solves_the_pinned_matrices(self, monkeypatch, case,
+                                                            robots_per_gather):
+        monkeypatch.setattr(assignment_mod, "_GATHER_FLOATS", robots_per_gather * PIN_N * PIN_N)
+        assert solved_matrices_pin(monkeypatch, case) == MATRIX_PINS[case]

@@ -16,9 +16,21 @@ import pytest
 MICROBENCH = Path(__file__).resolve().parent.parent / "microbench"
 
 
-def run_once(fn, *args, **kwargs):
+class RunOnce:
     """Stands in for pytest-benchmark's fixture: one call, its result returned."""
-    return fn(*args, **kwargs)
+
+    def __call__(self, fn, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+    def pedantic(self, fn, args=(), kwargs=None, setup=None, **_rounds):
+        """``benchmark.pedantic``: a ``setup`` that returns (args, kwargs) supplies them."""
+        made = setup() if setup is not None else None
+        if made is not None:
+            args, kwargs = made
+        return fn(*args, **(kwargs or {}))
+
+
+run_once = RunOnce()
 
 
 def grid(fn):

@@ -215,6 +215,87 @@ class TestSenderStreams:
         assert times == sorted(times) and times[0] < times[-1]
 
 
+class TestLinkPlan:
+    def test_the_plan_holds_each_directed_links_constants_and_indices(self):
+        slow = LinkModel(base_latency_ns=3 * MS, jitter_stddev_ns=0.25 * MS, loss_prob=0.1)
+        plan = Topology([5, 2, 9], {(9, 2): slow, (2, 5): LinkModel()}).link_plan()
+        assert plan.senders == [2, 5, 9]
+        constants = {key: (rec[:3], plan.senders[rec[4]]) for key, rec in plan.links.items()}
+        assert constants == {(2, 5): ((0.0, 0.0, 0.0), 2), (5, 2): ((0.0, 0.0, 0.0), 5),
+                             (2, 9): ((3e6, 0.25e6, 0.1), 2), (9, 2): ((3e6, 0.25e6, 0.1), 9)}
+        assert sorted(rec[3] for rec in plan.links.values()) == [0, 1, 2, 3]
+        assert all(type(latency) is float for latency, *_ in plan.links.values())
+
+    def test_one_plan_per_topology_is_shared_by_its_simulators(self):
+        topo = Topology.full_mesh(range(4), LOSSY_JITTER)
+        first = MeshSimulator(topo, seed=2)
+        plan = topo.link_plan()
+        second = MeshSimulator(topo, seed=2)
+        assert topo.link_plan() is plan
+        assert send_pattern(first, 30) == send_pattern(second, 30)
+
+    def test_simulators_over_one_plan_keep_their_own_streams_clamps_and_radios(self):
+        # Interleaved sends over a shared plan give each simulator what it
+        # gives alone: nothing a send changes lives in the plan.
+        topo = Topology.full_mesh(range(3), LinkModel(base_latency_ns=MS, jitter_stddev_ns=2 * MS,
+                                                      loss_prob=0.2))
+        alone = [MeshSimulator(topo, seed=s) for s in (3, 4)]
+        shared = [MeshSimulator(topo, seed=s) for s in (3, 4)]
+        want = [[sim.send(0, 1 + k % 2, bytes(50)) for k in range(40)] for sim in alone]
+        got = [[], []]
+        for k in range(40):
+            for out, sim in zip(got, shared):
+                out.append(sim.send(0, 1 + k % 2, bytes(50)))
+        assert got == want and want[0] != want[1]
+
+    def test_assigning_new_links_gives_the_next_simulator_a_new_plan(self):
+        topo = Topology.full_mesh(range(2), LinkModel(base_latency_ns=MS))
+        plan = topo.link_plan()
+        assert MeshSimulator(topo).send(0, 1, b"") == MS
+        topo.links = {(0, 1): LinkModel(base_latency_ns=5 * MS)}
+        assert topo.link_plan() is not plan
+        assert MeshSimulator(topo).send(0, 1, b"") == 5 * MS
+
+    def test_reassigned_links_are_checked_and_indexed_as_at_construction(self):
+        topo = Topology([0, 1, 2], {(0, 1): LinkModel()})
+        topo.links = {(2, 1): LinkModel(base_latency_ns=MS)}
+        assert topo.links == {(1, 2): LinkModel(base_latency_ns=MS)}
+        assert topo.neighbors(0) == [] and topo.neighbors(1) == [2]
+        sim = MeshSimulator(topo)
+        assert SimTransport(sim, 1).peers == [2]
+        SimTransport(sim, 1).broadcast(b"")
+        assert sim.sent == 1
+        for bad, match in [({(1, 2): LinkModel(), (2, 1): LinkModel()}, "twice"),
+                           ({(1, 1): LinkModel()}, "self-edge"),
+                           ({(0, 7): LinkModel()}, "unknown")]:
+            with pytest.raises(TopologyError, match=match):
+                topo.links = bad
+        assert topo.links == {(1, 2): LinkModel(base_latency_ns=MS)}
+
+    def test_sparse_mesh_with_an_isolated_agent(self):
+        topo = Topology(agents=[0, 1, 2, 3], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
+        assert topo.link_plan().senders == [0, 1, 2]
+        sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=1000.0,
+                                              contention="shared_medium"))
+        got = []
+        for a in topo.agents:
+            sim.register(a, lambda data, now, _a=a: got.append((_a, now)))
+        for t in [SimTransport(sim, a) for a in topo.agents]:
+            t.broadcast(bytes(10))
+        sim.drain()
+        # 1000 B/s shared by 3 transmitters: 30 ms per 10-byte message, queued per radio
+        assert sorted(got) == [(0, 30 * MS), (1, 30 * MS), (1, 30 * MS), (2, 60 * MS)]
+        assert SimTransport(sim, 3).peers == []
+
+    @pytest.mark.parametrize("frm, to", [(0, 2), (2, 0), (3, 0), (0, 3), (9, 0), (1, 1)])
+    def test_send_over_a_non_link_raises_for_every_simulator(self, frm, to):
+        topo = Topology(agents=[0, 1, 2, 3], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
+        for sim in (MeshSimulator(topo), MeshSimulator(topo, seed=1)):
+            with pytest.raises(TopologyError, match="no link"):
+                sim.send(frm, to, b"x")
+            assert sim.sent == 0
+
+
 class TestRaisingReceiver:
     def test_a_raising_callback_leaves_the_counters_whole_and_the_queue_in_order(self):
         # Lossy jittered links give drops and cross-link reordering; the
