@@ -16,7 +16,9 @@ Each block runs the case once per checkout, each time in a fresh process:
 PARENT first in odd blocks (the 1st, 3rd, ...) and CHANGE first in even
 ones, so that a drift of the host's speed falls on both sides alike. A
 process makes one untimed call of the benchmarked function and then times
-``--calls`` calls; the block's value for that side is their median. The output gives one line per block and a summary: each side's
+``--calls`` calls; the block's value for that side is their median. A case
+that uses ``benchmark.pedantic`` has its ``setup`` run, untimed, before
+each timed call. The output gives one line per block and a summary: each side's
 median over blocks, the median of the per-block ratios CHANGE / PARENT and
 the number of blocks CHANGE won (ratio below 1). Its last line is the
 summary as one JSON object.
@@ -109,6 +111,15 @@ def worker(checkout: Path, case: str, calls: int) -> dict:
         times.append(time.perf_counter_ns() - start)
         return result
 
+    def pedantic(target, args=(), kwargs=None, setup=None, **_rounds):
+        """``benchmark.pedantic``: one timed call, after an untimed ``setup`` that may
+        return its (args, kwargs)."""
+        made = setup() if setup is not None else None
+        if made is not None:
+            args, kwargs = made
+        return benchmark(target, *args, **(kwargs or {}))
+
+    benchmark.pedantic = pedantic
     fn(benchmark=benchmark, **kwargs)  # warm-up
     times.clear()
     for _ in range(calls):

@@ -32,6 +32,8 @@ show here.
 Building a simulator over a full mesh with jitter, at 20, 100 and 300
 robots, is what every assignment test and control run pays: one seeded RNG
 stream per robot, a FIFO-clamp slot per directed link and a radio per robot.
+Building the full-mesh topology itself, at the same sizes, is what each
+``neuromesh run`` of the assignment and control tasks pays once.
 The first simulator over a topology also builds its link plan, one record
 per directed link; its case builds a new topology, untimed, before each
 round, so that every timed build makes a new plan. Compare two
@@ -169,6 +171,13 @@ def test_relays_from_receive_callbacks(benchmark):
     benchmark(one_burst)
     per_burst = RELAY_ROBOTS * (RELAY_ROBOTS - 1) + RELAYS
     assert sim.delivered == sim.sent and sim.sent % per_burst == 0
+
+
+@pytest.mark.parametrize("robots", [20, 100, 300])
+def test_build_full_mesh_topology(benchmark, robots):
+    topo = benchmark(Topology.full_mesh, range(robots), LINK)
+    assert len(topo.links) == robots * (robots - 1) // 2
+    assert topo.neighbors(robots - 1) == list(range(robots - 1))
 
 
 @pytest.mark.parametrize("robots", [20, 100, 300])

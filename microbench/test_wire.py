@@ -19,7 +19,8 @@ code drifted by up to 25 % between runs.
 
 The buffer cases are what one robot of a ten-robot team does per step:
 nine inserts, one from each neighbor, each accepted; then one snapshot of
-nine live slots, with and without a round filter.
+nine live slots, with and without a round filter. The nineteen-neighbor
+snapshot is one robot's round-filtered read in an n = 20 assignment test.
 """
 
 import itertools
@@ -98,11 +99,22 @@ def test_insert_nine_neighbors(benchmark):
     assert benchmark(nine_inserts) == len(NEIGHBORS)
 
 
+def filled_buffer(neighbors):
+    """Two envelopes from each neighbor, the second in round 2, inserted in descending id."""
+    buf = NeighborBuffer(neighbors, staleness_ns=10**9)
+    for seq in (1, 2):
+        for s in reversed(neighbors):
+            buf.insert(MessageEnvelope(s, seq, seq, seq, ENVELOPE.payload), seq)
+    return buf
+
+
 @pytest.mark.parametrize("round_index", [None, 1], ids=["all", "round-filter"])
 def test_snapshot_nine_neighbors(benchmark, round_index):
-    buf = NeighborBuffer(NEIGHBORS, staleness_ns=10**9)
-    for seq in (1, 2):
-        for s in NEIGHBORS:
-            buf.insert(MessageEnvelope(s, seq, seq, seq, ENVELOPE.payload), seq)
-    out = benchmark(buf.snapshot, 100, round_index)
+    out = benchmark(filled_buffer(NEIGHBORS).snapshot, 100, round_index)
     assert [nid for nid, _, _ in out] == list(NEIGHBORS)
+
+
+def test_snapshot_nineteen_neighbors(benchmark):
+    neighbors = range(1, 20)
+    out = benchmark(filled_buffer(neighbors).snapshot, 100, 2)
+    assert [nid for nid, _, _ in out] == list(neighbors)

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
+import operator
 import random
 import socket
 import struct
@@ -45,6 +47,7 @@ from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
 
 _heappush = heapq.heappush
+_when = operator.itemgetter(0)  # a queued delivery's time
 _TWO_PI, _sqrt, _log, _cos, _sin = 2.0 * math.pi, math.sqrt, math.log, math.cos, math.sin
 
 DEFAULT_BANDWIDTH_BPS = 6_000_000
@@ -123,13 +126,20 @@ class Topology:
 
     @staticmethod
     def full_mesh(agents, link: LinkModel | None = None) -> "Topology":
+        """Every pair of ``agents`` linked by ``link``, stored without the re-check.
+
+        The dict it builds is already normal (ascending keys, each edge once),
+        so only a repeated agent, whose mesh would hold a self-edge, is checked.
+        """
         agents = sorted(int(a) for a in agents)
-        link = link or LinkModel()
-        links = {}
-        for i, a in enumerate(agents):
-            for b in agents[i + 1 :]:
-                links[(a, b)] = link
-        return Topology(agents, links)
+        for a, b in zip(agents, agents[1:]):
+            if a == b:
+                raise TopologyError(f"self-edge on agent {a}")
+        topo = Topology.__new__(Topology)
+        topo.agents = agents
+        topo._store(dict.fromkeys(itertools.combinations(agents, 2), link or LinkModel()),
+                    {a: agents[:i] + agents[i + 1 :] for i, a in enumerate(agents)})
+        return topo
 
     def __post_init__(self):
         self.agents = sorted(int(a) for a in self.agents)
@@ -158,8 +168,12 @@ class Topology:
         for a, b in normalized:
             adjacency[a].append(b)
             adjacency[b].append(a)
-        super().__setattr__("links", normalized)
-        self._adjacency = {a: sorted(peers) for a, peers in adjacency.items()}
+        self._store(normalized, {a: sorted(peers) for a, peers in adjacency.items()})
+
+    def _store(self, links: dict, adjacency: dict) -> None:
+        """Keep normalized ``links`` and their ascending adjacency lists, and drop the plan."""
+        super().__setattr__("links", links)
+        self._adjacency = adjacency
         self._plan = None  # built by the first simulator over these links
 
     def neighbors(self, a: int) -> list[int]:
@@ -194,10 +208,13 @@ class MeshSimulator:
     The jitter is ``random.gauss``'s Box-Muller step, done in place.
 
     Deliveries run in (time, send order). A send made outside ``run_until``
-    appends to a pending list, which the next ``run_until`` sorts once,
-    latest first, and then pops from the end; a send made from a receive
-    callback, while the loop runs, is pushed onto a min-heap instead, and
-    the loop takes whichever of the list's tail and the heap's head is first.
+    appends to a list in send order. The next ``run_until`` puts those sends,
+    reversed, ahead of the pending deliveries left over, which are already
+    latest first, and sorts the list once by time alone: the sort is stable,
+    so equal times stay latest sent first. It then pops from the end. A send
+    made from a receive callback, while the loop runs, is pushed onto a
+    min-heap instead, and the loop takes whichever of the list's tail and the
+    heap's head is first.
     """
 
     def __init__(self, topology: Topology, medium: MediumModel | None = None,
@@ -208,8 +225,8 @@ class MeshSimulator:
         self._links = plan.links
         self._bandwidth = self.medium.effective_bandwidth(len(plan.senders))
         self._now = 0
-        self._pending: list = []  # (time, send index, to, data), latest first once sorted
-        self._unsorted = False  # sends appended to _pending since its last sort
+        self._pending: list = []  # (time, send index, to, data), latest first
+        self._sends: list = []  # sends made outside the loop since the last sort, in send order
         self._heap: list = []  # sends made while the loop runs
         self._running = 0  # run_until calls in progress, nested ones included
         self._counter = 0
@@ -282,15 +299,17 @@ class MeshSimulator:
         if self._running:
             _heappush(self._heap, (t, count, to, data))
         else:
-            self._pending.append((t, count, to, data))
-            self._unsorted = True
+            self._sends.append((t, count, to, data))
         return t
 
     def run_until(self, t_ns: int) -> None:
         pending, heap, receivers, pop = self._pending, self._heap, self._receivers, heapq.heappop
-        if self._unsorted:
-            pending.sort(reverse=True)
-            self._unsorted = False
+        sends = self._sends
+        if sends:
+            sends.reverse()
+            pending[:0] = sends
+            sends.clear()
+            pending.sort(key=_when, reverse=True)
         self._running += 1
         delivered = 0
         try:
@@ -323,9 +342,9 @@ class MeshSimulator:
 
     def drain(self) -> None:
         """Deliver everything still in flight: one ``run_until`` per batch of pending events."""
-        pending, heap = self._pending, self._heap
-        while pending or heap:
-            self.run_until(max(max(q) for q in (pending, heap) if q)[0])
+        queues = self._pending, self._sends, self._heap
+        while any(queues):
+            self.run_until(max(max(q, key=_when)[0] for q in queues if q))
 
 
 @dataclass

@@ -3,6 +3,12 @@
 Every CSV starts with a versioned header comment line carrying the schema
 name and a generation timestamp; everything after that first line is a
 deterministic function of the run's config and seeds.
+
+An output that already exists is unlinked and created again, not truncated
+and rewritten: a rerun replaces the file, so a symlink at an output path is
+replaced by a regular file and its target is never written. On ext4 a
+truncated file is flushed to disk when it closes (``auto_da_alloc``), which
+costs several times what a new file does.
 """
 
 from __future__ import annotations
@@ -41,9 +47,16 @@ def share_with_interval(count: int, n: int) -> str:
     return f"{count}/{n} = {100 * count / n:.1f} % (95 % CI {100 * lo:.1f}-{100 * hi:.1f} %)"
 
 
-def write_csv(path, schema: str, columns, rows) -> Path:
+def _replace(path) -> Path:
+    """``path`` as a Path, its directory made and any existing entry at it unlinked."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    return path
+
+
+def write_csv(path, schema: str, columns, rows) -> Path:
+    path = _replace(path)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with open(path, "w", newline="") as fh:
         fh.write(f"# neuromesh-csv schema={schema}/{CSV_FORMAT_VERSION} generated={stamp}\n")
@@ -60,8 +73,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def write_manifest(path, cfg: dict, outputs) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _replace(path)
     manifest = {
         "config_sha256": config_hash(cfg),
         "seed": cfg.get("seed"),

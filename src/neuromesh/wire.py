@@ -23,6 +23,8 @@ round-filtered snapshot: in blocking rounds a neighbor can be at most one
 round ahead of an agent still waiting, so two deep is enough. A snapshot
 evicts and lists in one pass, as if it evicted first: a slot whose latest
 envelope is stale goes, even if its replaced one matches the round filter.
+It walks the buffer's neighbor ids, kept as an ascending tuple, so it
+lists in ascending id without sorting its slots.
 Staleness compares the sender timestamp against the local clock, so
 deployments over real links must synchronize clocks externally.
 
@@ -183,7 +185,8 @@ class NeighborBuffer:
     """
 
     def __init__(self, neighbor_ids, staleness_ns: int = DEFAULT_STALENESS_NS):
-        self._neighbors = frozenset(map(int, neighbor_ids))
+        self._order = tuple(sorted(set(map(int, neighbor_ids))))  # the order snapshots list in
+        self._neighbors = frozenset(self._order)
         self.staleness_ns = int(staleness_ns)
         # sender -> (latest envelope, the envelope it replaced or None)
         self._slots: dict[int, tuple[MessageEnvelope, MessageEnvelope | None]] = {}
@@ -232,8 +235,13 @@ class NeighborBuffer:
         staleness = self.staleness_ns
         with self._lock:
             slots = self._slots
+            get = slots.get
             out = []
-            for nid, (env, prev) in sorted(slots.items()):
+            for nid in self._order:
+                slot = get(nid)
+                if slot is None:
+                    continue
+                env, prev = slot
                 age = now_ns - env.timestamp_ns
                 if age > staleness:
                     del slots[nid]

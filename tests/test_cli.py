@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -289,6 +290,55 @@ class TestCliRun:
         assert main(["print-schema"]) == 0
         schema = json.loads(capsys.readouterr().out)
         assert "network" in schema
+
+
+class TestOutputReplacement:
+    """A rerun unlinks each existing output and creates it again, never writing into it."""
+
+    @staticmethod
+    def assignment_config(tmp_path, out):
+        return write_config(tmp_path, {
+            "task": "assignment",
+            "seed": 5,
+            "output_dir": str(out),
+            "assignment": {"n_tests": 3},
+        })
+
+    def test_a_rerun_replaces_longer_stale_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self.assignment_config(tmp_path, out)
+        assert main(["run", cfg]) == 0
+        outputs = [out / "assignment.csv", out / "run_manifest.json"]
+        body = outputs[0].read_text().split("\n", 1)[1]
+        stale = "stale,row,0\n" * 100
+        old = []
+        for path in outputs:
+            path.write_text(path.read_text() + stale)
+            # A second name keeps the old inode alive, so the new file cannot reuse its number.
+            old.append(tmp_path / f"old_{path.name}")
+            os.link(path, old[-1])
+        assert main(["run", cfg]) == 0
+        assert outputs[0].read_text().split("\n", 1)[1] == body  # no stale bytes trail it
+        manifest = outputs[1].read_text()
+        assert json.loads(manifest)["task"] == "assignment" and manifest.endswith("}\n")
+        for path, kept in zip(outputs, old):
+            assert path.stat().st_ino != kept.stat().st_ino
+            assert kept.read_text().endswith(stale)  # the old file was left, not truncated
+
+    def test_a_symlinked_output_is_replaced_and_its_target_left_alone(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        targets = {}
+        for name in ("assignment.csv", "run_manifest.json"):
+            targets[name] = tmp_path / f"target_{name}"
+            targets[name].write_text("not an output\n")
+            (out / name).symlink_to(targets[name])
+        assert main(["run", self.assignment_config(tmp_path, out)]) == 0
+        for name, target in targets.items():
+            assert not (out / name).is_symlink()
+            assert target.read_text() == "not an output\n"
+        assert len(read_csv_lines(out / "assignment.csv")) == 2 + 3
+        assert json.loads((out / "run_manifest.json").read_text())["task"] == "assignment"
 
 
 class TestFailuresAreOutcomes:

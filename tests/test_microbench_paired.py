@@ -30,6 +30,14 @@ def test_repo_against_itself_two_blocks_of_one_call():
     assert 0 <= summary["won"] <= 2
 
 
+def test_a_case_with_an_untimed_setup_runs():
+    case = "test_reporting.py::test_write_output[fresh-assignment.csv]"
+    proc = paired(ROOT, ROOT, case, "--blocks", 1, "--calls", 2)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["case"] == case and summary["parent_us"] > 0 and summary["change_us"] > 0
+
+
 def test_unknown_parameter_id_names_the_known_ones():
     proc = paired(ROOT, ROOT, "test_control.py::test_ten_robot_learned_run[7]",
                   "--blocks", 1, "--calls", 1)

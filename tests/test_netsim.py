@@ -78,6 +78,37 @@ class TestTopology:
             sim.send(0, 2, b"x")
 
 
+class TestFullMesh:
+    """``full_mesh`` stores its links unchecked; it must equal the checked construction."""
+
+    @pytest.mark.parametrize("agents", [[0], [4, 0, 2], range(7), [9, -3, 12, 5, 0]])
+    def test_equals_the_checked_construction(self, agents):
+        link = LinkModel(base_latency_ns=MS, jitter_stddev_ns=0.5 * MS)
+        mesh = Topology.full_mesh(agents, link)
+        ordered = sorted(agents)
+        checked = Topology(list(agents), {(a, b): link for i, a in enumerate(ordered)
+                                          for b in ordered[i + 1:]})
+        assert mesh == checked
+        assert list(mesh.links) == list(checked.links)
+        assert [mesh.neighbors(a) for a in ordered] == [checked.neighbors(a) for a in ordered]
+        assert mesh.link_plan() == checked.link_plan()
+        assert list(mesh.link_plan().links.items()) == list(checked.link_plan().links.items())
+
+    def test_a_repeated_agent_is_a_self_edge(self):
+        with pytest.raises(TopologyError, match="self-edge on agent 1"):
+            Topology.full_mesh([1, 1, 2])
+
+    def test_assigning_links_on_a_full_mesh_is_checked(self):
+        mesh = Topology.full_mesh(range(3))
+        with pytest.raises(TopologyError, match="self-edge"):
+            mesh.links = {(1, 1): LinkModel()}
+        with pytest.raises(TopologyError, match="twice"):
+            mesh.links = {(0, 1): LinkModel(), (1, 0): LinkModel()}
+        mesh.links = {(2, 0): LinkModel(base_latency_ns=MS)}
+        assert mesh.links == {(0, 2): LinkModel(base_latency_ns=MS)}
+        assert [mesh.neighbors(a) for a in range(3)] == [[2], [], [0]]
+
+
 class TestSendModel:
     def test_total_loss_always_drops(self):
         sim = two_node_sim(LinkModel(loss_prob=1.0))
@@ -485,6 +516,28 @@ class TestEventQueue:
         topo, medium, seed, schedule = scenario
         want = play(HeapModel(topo, medium, seed), topo, schedule)
         assert play(MeshSimulator(topo, medium, seed=seed), topo, schedule) == want
+
+
+class TestTiedDeliveries:
+    def test_equal_times_deliver_in_send_order_across_sorts_and_callbacks(self):
+        # Zero jitter and zero airtime: each delivery lands at its send time
+        # plus its link's latency, so sends over links of different latency tie.
+        links = {(0, 1): 2 * MS, (2, 1): MS, (3, 1): MS, (4, 5): MS // 2, (5, 1): MS // 2}
+        topo = Topology(list(range(6)), {edge: LinkModel(base_latency_ns=latency)
+                                         for edge, latency in links.items()})
+        sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=1e15))
+        got = []
+        sim.register(1, lambda data, now: got.append((data, now)))
+        sim.register(5, lambda data, now: sim.send(5, 1, b"from a callback"))
+        assert sim.send(0, 1, b"left pending") == 2 * MS
+        sim.run_until(MS)
+        assert got == [] and sim.now_ns == MS
+        assert sim.send(2, 1, b"sent after a horizon") == 2 * MS
+        assert sim.send(3, 1, b"sent next") == 2 * MS
+        sim.send(4, 5, b"")  # delivered at 1.5 ms; its receiver sends on to agent 1
+        sim.drain()
+        assert got == [(b"left pending", 2 * MS), (b"sent after a horizon", 2 * MS),
+                       (b"sent next", 2 * MS), (b"from a callback", 2 * MS)]
 
 
 # edge -> (loss_prob, jitter stddev in ns) over 10 ms links: every directed

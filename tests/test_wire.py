@@ -265,6 +265,16 @@ class TestNeighborBuffer:
         buf.insert(make_env(sender=2, seq=1), now_ns=0)
         assert [nid for nid, _, _ in buf.snapshot(0)] == [2, 5]
 
+    def test_unsorted_repeated_neighbor_ids_still_read_in_ascending_id(self):
+        buf = NeighborBuffer([3, 1, 2, 3])
+        assert buf.neighbor_ids == {1, 2, 3}
+        for sender in (3, 1, 2):  # filled out of id order
+            assert buf.insert(make_env(sender=sender, seq=1), now_ns=0)
+        assert [nid for nid, _, _ in buf.snapshot(0)] == [1, 2, 3]
+        with pytest.raises(UnknownSenderError):
+            buf.insert(make_env(sender=4), now_ns=0)
+        assert [nid for nid, _, _ in buf.snapshot(0)] == [1, 2, 3]
+
     def test_snapshot_runs_eviction_first(self):
         buf = NeighborBuffer([1, 2], staleness_ns=100)
         buf.insert(make_env(sender=1, seq=1, ts=0), now_ns=0)
