@@ -32,13 +32,11 @@ show here.
 Building a simulator over a full mesh with jitter, at 20, 100 and 300
 robots, is what every assignment test and control run pays: one seeded RNG
 stream per robot, a FIFO-clamp slot per directed link and a radio per robot.
-Building the full-mesh topology itself, at the same sizes, is what each
-``neuromesh run`` of the assignment and control tasks pays once.
-The first simulator over a topology also builds its link plan, one record
-per directed link; its case builds a new topology, untimed, before each
-round, so that every timed build makes a new plan. Compare two
-checkouts on one host in alternating runs: on a shared 2-core host,
-medians of the same code drifted by up to 25 % between runs.
+Building the full-mesh topology itself, at the same sizes, with its table
+of one record per directed link, is what each ``neuromesh run`` of the
+assignment and control tasks pays once. Compare two checkouts on one host
+in alternating runs: on a shared 2-core host, medians of the same code
+drifted by up to 25 % between runs.
 """
 
 import itertools
@@ -177,26 +175,12 @@ def test_relays_from_receive_callbacks(benchmark):
 def test_build_full_mesh_topology(benchmark, robots):
     topo = benchmark(Topology.full_mesh, range(robots), LINK)
     assert len(topo.links) == robots * (robots - 1) // 2
+    assert len(topo.directed) == robots * (robots - 1)
     assert topo.neighbors(robots - 1) == list(range(robots - 1))
 
 
 @pytest.mark.parametrize("robots", [20, 100, 300])
 def test_build_full_mesh_simulator(benchmark, robots):
     topo = Topology.full_mesh(range(robots), LINK)
-    MeshSimulator(topo, seed=SEED)  # the first simulator builds the topology's link plan
     sim = benchmark(MeshSimulator, topo, seed=SEED)
-    assert_full_mesh(sim, topo, robots)
-
-
-@pytest.mark.parametrize("robots", [20, 100, 300])
-def test_build_first_simulator_of_a_topology(benchmark, robots):
-    def new_topology():
-        return (Topology.full_mesh(range(robots), LINK),), {"seed": SEED}
-
-    sim = benchmark.pedantic(MeshSimulator, setup=new_topology, rounds=10)
-    assert_full_mesh(sim, sim.topology, robots)
-
-
-def assert_full_mesh(sim, topo, robots):
-    assert len(topo.link_plan().links) == robots * (robots - 1)
     assert sim.send(robots - 1, 0, BLOB) is not None and sim.sent == 1

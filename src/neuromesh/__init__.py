@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .aggregation import (
     AggregationConfig,
-    broadcast_aggregate,
     build_team,
     centralized_rounds,
     diff_sum_aggregate,

@@ -1,4 +1,4 @@
-"""Feature aggregation: reduction and broadcast aggregate functions plus the
+"""Feature aggregation: the reduction aggregate functions plus the
 neighborhood-resolution policy (blocking / best-effort / single-robot).
 
 Arithmetic convention: float32 features are accumulated in float64, rows in
@@ -45,21 +45,6 @@ class AggregationConfig:
             raise ConfigError("aggregation.rounds", "at least one communication round")
 
 
-def _vectors(self_feature, neighbors):
-    f = np.ascontiguousarray(self_feature, dtype=DTYPE)
-    if f.ndim != 1:
-        raise ShapeError(f"self feature must be 1-D, got shape {f.shape}")
-    out = []
-    for i, n in enumerate(neighbors):
-        n = np.ascontiguousarray(n, dtype=DTYPE)
-        if n.shape != f.shape:
-            raise ShapeError(
-                f"neighbor[{i}] has shape {n.shape}, self feature has {f.shape}"
-            )
-        out.append(n)
-    return f, out
-
-
 def reduce_aggregate(kind: str, self_feature, neighbors) -> np.ndarray:
     """Elementwise sum/mean/max over the self feature and its neighbors.
 
@@ -70,7 +55,17 @@ def reduce_aggregate(kind: str, self_feature, neighbors) -> np.ndarray:
         raise ShapeError("diff_sum needs a pairwise network; use diff_sum_aggregate")
     if kind not in ("sum", "mean", "max"):
         raise ShapeError(f"unknown reduction kind {kind!r}")
-    f, nbrs = _vectors(self_feature, neighbors)
+    f = np.ascontiguousarray(self_feature, dtype=DTYPE)
+    if f.ndim != 1:
+        raise ShapeError(f"self feature must be 1-D, got shape {f.shape}")
+    nbrs = []
+    for i, n in enumerate(neighbors):
+        n = np.ascontiguousarray(n, dtype=DTYPE)
+        if n.shape != f.shape:
+            raise ShapeError(
+                f"neighbor[{i}] has shape {n.shape}, self feature has {f.shape}"
+            )
+        nbrs.append(n)
     acc = f.astype(np.float64)
     if kind == "max":
         for n in nbrs:
@@ -127,19 +122,6 @@ def diff_sum_aggregate(g: MlpSpec, self_feature, neighbors) -> np.ndarray:
         for k in range(width):
             acc += slots[:, k]
     return acc[0].astype(DTYPE) if f.ndim == 1 else acc.astype(DTYPE)
-
-
-def broadcast_aggregate(self_feature, neighbors) -> np.ndarray:
-    """Pair the self feature with each neighbor: row m is concat(self, neighbor_m).
-
-    Callers must pass neighbors in ascending-id order (buffer snapshots
-    already do). Pairwise semantics are undefined for zero neighbors, so an
-    empty list is an error rather than an identity.
-    """
-    f, nbrs = _vectors(self_feature, neighbors)
-    if len(nbrs) == 0:
-        raise ShapeError("broadcast aggregation needs at least one neighbor")
-    return np.stack([np.concatenate([f, n]) for n in nbrs]).astype(DTYPE)
 
 
 class ResolutionStatus(enum.Enum):
@@ -208,8 +190,8 @@ def build_team(transports, staleness_ns: int) -> dict:
         buf = NeighborBuffer(transport.peers, staleness_ns=staleness_ns)
 
         def receive(data: bytes, now_ns: int, buf=buf) -> bool:
-            # buf.insert_bytes in one frame; both calls are looked up per message, so
-            # wrappers on wire.decode_envelope and NeighborBuffer.insert see each one.
+            # Both calls are looked up per message, so wrappers on
+            # wire.decode_envelope and NeighborBuffer.insert see each one.
             return buf.insert(wire.decode_envelope(data, memo=memo), now_ns)
 
         transport.on_receive(receive)

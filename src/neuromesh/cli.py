@@ -187,7 +187,10 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
     successes = 0
     for run_id in range(section["n_runs"]):
         states, goals = _control_team(cfg, run_id)
-        params = build_navigation_params(section, seed=cfg["seed"] + run_id)
+        # Robot a of this run draws actions from seed ^ a (run_navigation_scenario);
+        # agent ids stay below 2**16 (the wire's u16 sender_id), so shifting
+        # the run id above them gives every (run, robot) pair its own stream.
+        params = build_navigation_params(section, seed=cfg["seed"] + (run_id << 16))
         outcome = run_navigation_scenario(
             states, goals, policy=policy, params=params, topology=topo, medium=medium,
             agg_config=agg, scripted=section["policy"] == "scripted",

@@ -40,8 +40,9 @@ import socket
 import struct
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
 
 from .errors import ConfigError, MeasurementError, NeuromeshError, TopologyError
 from .wire import header_size
@@ -97,103 +98,83 @@ class MediumModel:
         return self.per_node_bandwidth_bps
 
 
-class LinkPlan(NamedTuple):
-    """A topology's directed links, as every simulator over it reads them.
-
-    ``links`` maps (frm, to) to (latency ns as a float, as the delay sums it,
-    jitter sd ns, loss probability, link index, sender index). ``senders``
-    lists the agents with at least one link, ascending: sender index k is
-    ``senders[k]``. A simulator keeps one FIFO-clamp slot per link index and
-    one radio and RNG stream per sender index.
-    """
-
-    links: dict
-    senders: list[int]
-
-
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Undirected adjacency with a link model per edge.
+    """Undirected adjacency with a link model per edge, fixed once built.
 
-    The first simulator over a topology builds its :class:`LinkPlan`, and
-    later ones reuse it. Assigning a new dict to ``links`` checks and indexes
-    it as construction does, and drops the plan; an edit of the dict in
-    place is seen by neither the adjacency nor the plan.
+    ``agents`` is an ascending tuple. ``links`` is a read-only view of the
+    edges, each keyed (lo, hi) once. ``directed``, also read-only, holds both
+    directions of every edge: (frm, to) maps to (latency ns as a float, as
+    the delay sums it, jitter sd ns, loss probability, link index, sender
+    index). ``senders`` is the ascending tuple of agents with at least one
+    link: sender index k is ``senders[k]``. Every simulator over a topology
+    reads these, and keeps its own FIFO-clamp slot per link index and radio
+    and RNG stream per sender index. Assigning any attribute raises
+    ``dataclasses.FrozenInstanceError``; a copy or an unpickled topology is
+    built again through the checked constructor.
     """
 
-    agents: list[int]
-    links: dict = field(default_factory=dict)  # (lo, hi) -> LinkModel
+    agents: tuple[int, ...]
+    links: Mapping = field(default_factory=dict)  # (lo, hi) -> LinkModel
+    directed: Mapping = field(init=False, repr=False, compare=False)
+    senders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _adjacency: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def full_mesh(agents, link: LinkModel | None = None) -> "Topology":
-        """Every pair of ``agents`` linked by ``link``, stored without the re-check.
+        """Every pair of ``agents`` linked by ``link``, built without the edge checks.
 
-        The dict it builds is already normal (ascending keys, each edge once),
-        so only a repeated agent, whose mesh would hold a self-edge, is checked.
+        Its edges are already normal (ascending keys, each edge once), so only
+        a repeated agent, whose mesh would hold a self-edge, is checked.
         """
         agents = sorted(int(a) for a in agents)
         for a, b in zip(agents, agents[1:]):
             if a == b:
                 raise TopologyError(f"self-edge on agent {a}")
         topo = Topology.__new__(Topology)
-        topo.agents = agents
-        topo._store(dict.fromkeys(itertools.combinations(agents, 2), link or LinkModel()),
+        topo._build(agents, dict.fromkeys(itertools.combinations(agents, 2), link or LinkModel()),
                     {a: agents[:i] + agents[i + 1 :] for i, a in enumerate(agents)})
         return topo
 
     def __post_init__(self):
-        self.agents = sorted(int(a) for a in self.agents)
-        self._index(self.links)
-
-    def __setattr__(self, name, value):
-        if name == "links" and "_adjacency" in self.__dict__:
-            self._index(value)  # a reassigned edge set: check it and drop the plan
-        else:
-            super().__setattr__(name, value)
-
-    def _index(self, links: dict) -> None:
-        """Check and normalize ``links``, and build its adjacency."""
-        known = set(self.agents)
-        normalized = {}
-        for (a, b), link in links.items():
+        agents = sorted(int(a) for a in self.agents)
+        known = set(agents)
+        links = {}
+        for (a, b), link in self.links.items():
             if a == b:
                 raise TopologyError(f"self-edge on agent {a}")
             if a not in known or b not in known:
                 raise TopologyError(f"edge ({a}, {b}) references unknown agents")
             key = (min(a, b), max(a, b))
-            if key in normalized:
+            if key in links:
                 raise TopologyError(f"edge {key} listed twice")
-            normalized[key] = link
-        adjacency = {a: [] for a in self.agents}
-        for a, b in normalized:
+            links[key] = link
+        adjacency = {a: [] for a in agents}
+        for a, b in links:
             adjacency[a].append(b)
             adjacency[b].append(a)
-        self._store(normalized, {a: sorted(peers) for a, peers in adjacency.items()})
+        self._build(agents, links, {a: sorted(peers) for a, peers in adjacency.items()})
 
-    def _store(self, links: dict, adjacency: dict) -> None:
-        """Keep normalized ``links`` and their ascending adjacency lists, and drop the plan."""
-        super().__setattr__("links", links)
-        self._adjacency = adjacency
-        self._plan = None  # built by the first simulator over these links
+    def _build(self, agents: list[int], links: dict, adjacency: dict) -> None:
+        """Store normalized ``links``, their ascending adjacency and their directed links."""
+        senders = tuple(sorted(set().union(*links)))
+        sender_index = {a: k for k, a in enumerate(senders)}
+        directed = {}
+        for k, ((a, b), link) in enumerate(links.items()):
+            constants = float(link.base_latency_ns), link.jitter_stddev_ns, link.loss_prob
+            directed[a, b] = (*constants, 2 * k, sender_index[a])
+            directed[b, a] = (*constants, 2 * k + 1, sender_index[b])
+        for name, value in (("agents", tuple(agents)), ("links", MappingProxyType(links)),
+                            ("directed", MappingProxyType(directed)), ("senders", senders),
+                            ("_adjacency", adjacency)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return Topology, (self.agents, dict(self.links))
 
     def neighbors(self, a: int) -> list[int]:
         """Peers of ``a`` in ascending id, as a fresh list the caller may mutate."""
         return list(self._adjacency.get(a, ()))
-
-    def link_plan(self) -> LinkPlan:
-        """The directed-link plan of ``links``, built on the first call."""
-        if self._plan is not None:
-            return self._plan
-        senders = sorted(set().union(*self.links))
-        sender_index = {a: k for k, a in enumerate(senders)}
-        links = {}
-        for k, ((a, b), link) in enumerate(self.links.items()):
-            latency, jitter_sd, loss_prob = (float(link.base_latency_ns), link.jitter_stddev_ns,
-                                             link.loss_prob)
-            links[a, b] = (latency, jitter_sd, loss_prob, 2 * k, sender_index[a])
-            links[b, a] = (latency, jitter_sd, loss_prob, 2 * k + 1, sender_index[b])
-        self._plan = LinkPlan(links, senders)
-        return self._plan
 
 
 class MeshSimulator:
@@ -204,7 +185,7 @@ class MeshSimulator:
     Sender a draws loss and jitter from ``random.Random(derive_seed(seed, a))``
     on every link it sends over; the streams, the FIFO clamp and the radios'
     busy times all belong to this simulator, while the link constants come
-    from the topology's :class:`LinkPlan`, shared by every simulator over it.
+    from the topology's ``directed`` table, shared by every simulator over it.
     The jitter is ``random.gauss``'s Box-Muller step, done in place.
 
     Deliveries run in (time, send order). A send made outside ``run_until``
@@ -221,18 +202,17 @@ class MeshSimulator:
                  record_tx: bool = False, seed: int = 0):
         self.topology = topology
         self.medium = medium or MediumModel()
-        plan = topology.link_plan()
-        self._links = plan.links
-        self._bandwidth = self.medium.effective_bandwidth(len(plan.senders))
+        self._links = topology.directed
+        self._bandwidth = self.medium.effective_bandwidth(len(topology.senders))
         self._now = 0
         self._pending: list = []  # (time, send index, to, data), latest first
         self._sends: list = []  # sends made outside the loop since the last sort, in send order
         self._heap: list = []  # sends made while the loop runs
         self._running = 0  # run_until calls in progress, nested ones included
         self._counter = 0
-        self._streams = [random.Random(derive_seed(seed, a)) for a in plan.senders]
-        self._tx_free = [0] * len(plan.senders)  # per sender index
-        self._clamp = [0] * len(plan.links)  # last delivery time per link index
+        self._streams = [random.Random(derive_seed(seed, a)) for a in topology.senders]
+        self._tx_free = [0] * len(topology.senders)  # per sender index
+        self._clamp = [0] * len(topology.directed)  # last delivery time per link index
         self._airtime: dict[int, int] = {}  # payload bytes -> serialization ns
         self._receivers: dict = {}
         self.dropped = 0

@@ -209,10 +209,6 @@ class NeighborBuffer:
             self._slots[sender] = (env, None if held is None else held[0])
             return True
 
-    def insert_bytes(self, data: bytes, now_ns: int, memo: dict | None = None) -> bool:
-        """Decode-and-insert for transport receive callbacks; ``memo`` as in decode."""
-        return self.insert(decode_envelope(data, memo=memo), now_ns)
-
     def evict_stale(self, now_ns: int) -> int:
         """Drop envelopes older than the threshold; age == threshold survives."""
         with self._lock:

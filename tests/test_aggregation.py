@@ -12,7 +12,6 @@ from neuromesh.aggregation import (
     SIM_POLL_NS,
     AggregationConfig,
     ResolutionStatus,
-    broadcast_aggregate,
     build_sim_team,
     centralized_rounds,
     diff_sum_aggregate,
@@ -227,38 +226,6 @@ class TestStackedDiffSumAggregate:
             diff_sum_aggregate(g, selves, [[vec(1, 2)], [vec(1, 2, 3)]])
         with pytest.raises(ShapeError, match="shape"):
             diff_sum_aggregate(g, selves, [[vec(1, 2, 3)], [vec(1, 2, 3)]])
-
-
-class TestBroadcastAggregate:
-    def test_output_shape_is_m_by_2d(self):
-        f = np.zeros(4, dtype=F32)
-        out = broadcast_aggregate(f, [np.ones(4, dtype=F32)] * 3)
-        assert out.shape == (3, 8)
-
-    def test_rows_are_self_then_neighbor(self):
-        out = broadcast_aggregate(vec(1, 2), [vec(3, 4)])
-        assert np.array_equal(out, np.array([[1, 2, 3, 4]], dtype=F32))
-
-    def test_identical_neighbors_give_identical_rows(self):
-        out = broadcast_aggregate(vec(1, 2), [vec(9, 9), vec(9, 9)])
-        assert np.array_equal(out[0], out[1])
-
-    def test_zero_neighbors_rejected(self):
-        with pytest.raises(ShapeError, match="neighbor"):
-            broadcast_aggregate(vec(1, 2), [])
-
-    def test_arrival_order_never_changes_output(self):
-        # rows follow buffer snapshot order (ascending id), not arrival order
-        feats = {2: vec(2, 2), 5: vec(5, 5), 9: vec(9, 9)}
-        matrices = []
-        for arrival in ([2, 5, 9], [9, 2, 5], [5, 9, 2]):
-            buf = NeighborBuffer([2, 5, 9])
-            for nid in arrival:
-                buf.insert(MessageEnvelope(nid, 1, 0, 0, feats[nid]), now_ns=0)
-            snap = [v for _, v, _ in buf.snapshot(0)]
-            matrices.append(broadcast_aggregate(vec(0, 0), snap))
-        assert np.array_equal(matrices[0], matrices[1])
-        assert np.array_equal(matrices[0], matrices[2])
 
 
 def fill_buffer(buf, live_ids, round_=0):

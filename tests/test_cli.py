@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import neuromesh.wire as wire_mod
+from neuromesh import control
 from neuromesh.cli import main
 from neuromesh.config import COMMON_FIELDS, SCHEMA_DOC, TASK_FIELDS, validate_config
 from neuromesh.errors import ConfigError
+from neuromesh.netsim import derive_seed
 
 from oracles import binomial_central_interval
 
@@ -440,6 +442,32 @@ class TestIndependentLosses:
         line = re.search(r"control: succeeded (\d)/1 = .* \(95 % CI .*\) of runs",
                          capsys.readouterr().out)
         assert line is not None
+
+
+class TestIndependentActions:
+    """Every robot of every control run samples its actions from a stream of its own."""
+
+    @pytest.mark.parametrize("robots", [3, 10])
+    def test_no_two_robot_runs_share_an_action_stream(self, tmp_path, monkeypatch, robots):
+        runs = 20
+        seeds = []  # derive_seed arguments of each robot's action stream, in order
+
+        def recording(*parts):
+            seeds.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(control, "derive_seed", recording)
+        monkeypatch.delenv("NEUROMESH_SEED", raising=False)
+        cfg = write_config(tmp_path, {
+            "task": "control",
+            "seed": 0,
+            "team_size": robots,
+            "output_dir": str(tmp_path / "out"),
+            "control": {"n_runs": runs, "max_steps": 1},
+        })
+        assert main(["run", cfg]) == 0
+        assert len(seeds) == len(set(seeds)) == runs * robots
+        assert seeds[:robots] == [(a,) for a in range(robots)]  # run 0 keeps its streams
 
 
 class TestSweep:

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import hashlib
 import heapq
 import itertools
 import math
+import operator
+import pickle
 import random
 import statistics
 import time
@@ -24,7 +28,7 @@ from neuromesh.netsim import (
     measure_link_quality,
     scalability_sweep,
 )
-from neuromesh.wire import MessageEnvelope, NeighborBuffer, encode_envelope
+from neuromesh.wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
 
 from oracles import binomial_central_interval, binomial_three_sigma_pct
 
@@ -39,7 +43,7 @@ def two_node_sim(link=None, medium=None, seed=0):
 class TestTopology:
     def test_full_mesh_neighbors(self):
         topo = Topology.full_mesh([3, 1, 2])
-        assert topo.agents == [1, 2, 3]
+        assert topo.agents == (1, 2, 3)
         assert topo.neighbors(2) == [1, 3]
         assert (1, 3) in topo.links
 
@@ -79,7 +83,7 @@ class TestTopology:
 
 
 class TestFullMesh:
-    """``full_mesh`` stores its links unchecked; it must equal the checked construction."""
+    """``full_mesh`` builds without the edge checks; it must equal the checked construction."""
 
     @pytest.mark.parametrize("agents", [[0], [4, 0, 2], range(7), [9, -3, 12, 5, 0]])
     def test_equals_the_checked_construction(self, agents):
@@ -91,8 +95,8 @@ class TestFullMesh:
         assert mesh == checked
         assert list(mesh.links) == list(checked.links)
         assert [mesh.neighbors(a) for a in ordered] == [checked.neighbors(a) for a in ordered]
-        assert mesh.link_plan() == checked.link_plan()
-        assert list(mesh.link_plan().links.items()) == list(checked.link_plan().links.items())
+        assert mesh.senders == checked.senders
+        assert list(mesh.directed.items()) == list(checked.directed.items())
 
     def test_a_repeated_agent_is_a_self_edge(self):
         with pytest.raises(TopologyError, match="self-edge on agent 1"):
@@ -100,13 +104,13 @@ class TestFullMesh:
 
     def test_assigning_links_on_a_full_mesh_is_checked(self):
         mesh = Topology.full_mesh(range(3))
-        with pytest.raises(TopologyError, match="self-edge"):
-            mesh.links = {(1, 1): LinkModel()}
-        with pytest.raises(TopologyError, match="twice"):
-            mesh.links = {(0, 1): LinkModel(), (1, 0): LinkModel()}
-        mesh.links = {(2, 0): LinkModel(base_latency_ns=MS)}
-        assert mesh.links == {(0, 2): LinkModel(base_latency_ns=MS)}
-        assert [mesh.neighbors(a) for a in range(3)] == [[2], [], [0]]
+        directed = dict(mesh.directed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.links = {(0, 2): LinkModel(base_latency_ns=MS)}
+        with pytest.raises(TypeError):
+            del mesh.links[0, 1]
+        assert [mesh.neighbors(a) for a in range(3)] == [[1, 2], [0, 2], [0, 1]]
+        assert mesh.directed == directed
 
 
 class TestSendModel:
@@ -246,28 +250,27 @@ class TestSenderStreams:
         assert times == sorted(times) and times[0] < times[-1]
 
 
-class TestLinkPlan:
-    def test_the_plan_holds_each_directed_links_constants_and_indices(self):
+class TestDirectedLinks:
+    def test_each_directed_link_holds_its_edges_constants_and_indices(self):
         slow = LinkModel(base_latency_ns=3 * MS, jitter_stddev_ns=0.25 * MS, loss_prob=0.1)
-        plan = Topology([5, 2, 9], {(9, 2): slow, (2, 5): LinkModel()}).link_plan()
-        assert plan.senders == [2, 5, 9]
-        constants = {key: (rec[:3], plan.senders[rec[4]]) for key, rec in plan.links.items()}
+        topo = Topology([5, 2, 9], {(9, 2): slow, (2, 5): LinkModel()})
+        assert topo.senders == (2, 5, 9)
+        constants = {key: (rec[:3], topo.senders[rec[4]]) for key, rec in topo.directed.items()}
         assert constants == {(2, 5): ((0.0, 0.0, 0.0), 2), (5, 2): ((0.0, 0.0, 0.0), 5),
                              (2, 9): ((3e6, 0.25e6, 0.1), 2), (9, 2): ((3e6, 0.25e6, 0.1), 9)}
-        assert sorted(rec[3] for rec in plan.links.values()) == [0, 1, 2, 3]
-        assert all(type(latency) is float for latency, *_ in plan.links.values())
+        assert sorted(rec[3] for rec in topo.directed.values()) == [0, 1, 2, 3]
+        assert all(type(latency) is float for latency, *_ in topo.directed.values())
 
-    def test_one_plan_per_topology_is_shared_by_its_simulators(self):
+    def test_one_table_per_topology_is_shared_by_its_simulators(self):
         topo = Topology.full_mesh(range(4), LOSSY_JITTER)
         first = MeshSimulator(topo, seed=2)
-        plan = topo.link_plan()
         second = MeshSimulator(topo, seed=2)
-        assert topo.link_plan() is plan
+        assert first._links is second._links is topo.directed
         assert send_pattern(first, 30) == send_pattern(second, 30)
 
-    def test_simulators_over_one_plan_keep_their_own_streams_clamps_and_radios(self):
-        # Interleaved sends over a shared plan give each simulator what it
-        # gives alone: nothing a send changes lives in the plan.
+    def test_simulators_over_one_table_keep_their_own_streams_clamps_and_radios(self):
+        # Interleaved sends over a shared table give each simulator what it
+        # gives alone: nothing a send changes lives in the topology.
         topo = Topology.full_mesh(range(3), LinkModel(base_latency_ns=MS, jitter_stddev_ns=2 * MS,
                                                       loss_prob=0.2))
         alone = [MeshSimulator(topo, seed=s) for s in (3, 4)]
@@ -279,18 +282,58 @@ class TestLinkPlan:
                 out.append(sim.send(0, 1 + k % 2, bytes(50)))
         assert got == want and want[0] != want[1]
 
-    def test_assigning_new_links_gives_the_next_simulator_a_new_plan(self):
-        topo = Topology.full_mesh(range(2), LinkModel(base_latency_ns=MS))
-        plan = topo.link_plan()
-        assert MeshSimulator(topo).send(0, 1, b"") == MS
-        topo.links = {(0, 1): LinkModel(base_latency_ns=5 * MS)}
-        assert topo.link_plan() is not plan
-        assert MeshSimulator(topo).send(0, 1, b"") == 5 * MS
-
-    def test_reassigned_links_are_checked_and_indexed_as_at_construction(self):
-        topo = Topology([0, 1, 2], {(0, 1): LinkModel()})
-        topo.links = {(2, 1): LinkModel(base_latency_ns=MS)}
+    def test_links_can_be_neither_reassigned_nor_edited_in_place(self):
+        topo = Topology([0, 1, 2], {(2, 1): LinkModel(base_latency_ns=MS)})
+        directed = dict(topo.directed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topo.links = {(0, 1): LinkModel(base_latency_ns=5 * MS)}
+        with pytest.raises(TypeError):
+            topo.links[0, 1] = LinkModel(base_latency_ns=5 * MS)
+        for name in ("agents", "directed", "senders"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(topo, name, getattr(topo, name))
         assert topo.links == {(1, 2): LinkModel(base_latency_ns=MS)}
+        assert [topo.neighbors(a) for a in range(3)] == [[], [2], [1]]
+        assert topo.directed == directed
+        assert MeshSimulator(topo).send(1, 2, b"") == MS
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda topo: topo.agents.append(7), AttributeError),
+        (lambda topo: topo.senders.append(7), AttributeError),
+        (lambda topo: operator.setitem(topo.directed, (0, 1), (5e6, 0.0, 0.0, 0, 0)), TypeError),
+    ], ids=["agents", "senders", "directed"])
+    def test_agents_senders_and_directed_cannot_be_edited_in_place(self, edit, error):
+        topo = Topology.full_mesh(range(3), LinkModel(base_latency_ns=MS))
+        directed = dict(topo.directed)
+        with pytest.raises(error):
+            edit(topo)
+        assert topo.agents == topo.senders == (0, 1, 2)
+        assert topo.directed == directed
+        sim = MeshSimulator(topo)
+        sim.register(2, lambda data, now: None)
+        assert len(sim._streams) == 3
+        assert sim.send(0, 1, b"") == MS
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda topo: pickle.loads(pickle.dumps(topo)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_copied_or_unpickled_topology_holds_the_same_table(self, clone):
+        topo = Topology([2, 0, 1], {(1, 0): LOSSY_JITTER, (0, 2): LinkModel(base_latency_ns=3 * MS),
+                                    (2, 1): LinkModel(jitter_stddev_ns=MS, loss_prob=0.1)})
+        twin = clone(topo)
+        assert twin == topo and twin.agents == twin.senders == (0, 1, 2)
+        assert list(twin.links.items()) == list(topo.links.items())
+        assert list(twin.directed.items()) == list(topo.directed.items())
+        assert [twin.neighbors(a) for a in range(3)] == [topo.neighbors(a) for a in range(3)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.links = {}
+        with pytest.raises(TypeError):
+            twin.directed[0, 1] = topo.directed[0, 2]
+        assert (send_pattern(MeshSimulator(twin, seed=4), 30)
+                == send_pattern(MeshSimulator(topo, seed=4), 30))
+
+    def test_edges_are_checked_and_indexed_at_construction(self):
+        topo = Topology([0, 1, 2], {(2, 1): LinkModel(base_latency_ns=MS)})
         assert topo.neighbors(0) == [] and topo.neighbors(1) == [2]
         sim = MeshSimulator(topo)
         assert SimTransport(sim, 1).peers == [2]
@@ -300,12 +343,11 @@ class TestLinkPlan:
                            ({(1, 1): LinkModel()}, "self-edge"),
                            ({(0, 7): LinkModel()}, "unknown")]:
             with pytest.raises(TopologyError, match=match):
-                topo.links = bad
-        assert topo.links == {(1, 2): LinkModel(base_latency_ns=MS)}
+                Topology([0, 1, 2], bad)
 
     def test_sparse_mesh_with_an_isolated_agent(self):
         topo = Topology(agents=[0, 1, 2, 3], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
-        assert topo.link_plan().senders == [0, 1, 2]
+        assert topo.senders == (0, 1, 2)
         sim = MeshSimulator(topo, MediumModel(per_node_bandwidth_bps=1000.0,
                                               contention="shared_medium"))
         got = []
@@ -679,8 +721,8 @@ class TestDeliveryTrace:
 
         def first_model_everywhere(sim, topology, *args, **kwargs):
             first = next(iter(topology.links.values()))
-            topology.links = dict.fromkeys(topology.links, first)
-            init(sim, topology, *args, **kwargs)
+            init(sim, Topology(topology.agents, dict.fromkeys(topology.links, first)),
+                 *args, **kwargs)
 
         monkeypatch.setattr(MeshSimulator, "__init__", first_model_everywhere)
         assert heterogeneous_trace_digest() != HETEROGENEOUS_TRACE_SHA256
@@ -800,7 +842,7 @@ class TestSimTransport:
         sim = two_node_sim(LinkModel(base_latency_ns=MS))
         t0, t1 = SimTransport(sim, 0), SimTransport(sim, 1)
         buf = NeighborBuffer([0], staleness_ns=10**12)
-        t1.on_receive(lambda data, now: buf.insert_bytes(data, now))
+        t1.on_receive(lambda data, now: buf.insert(decode_envelope(data), now))
         env = MessageEnvelope(0, 1, timestamp_ns=0, round=0,
                               payload=np.array([7.0], dtype=np.float32))
         t0.broadcast(encode_envelope(env))
@@ -826,7 +868,8 @@ class TestLoopbackTransport:
         buf = NeighborBuffer([0], staleness_ns=10**12)
         with LoopbackTransport(0, [1], base_port=base_port) as t0, \
              LoopbackTransport(1, [0], base_port=base_port) as t1:
-            t1.on_receive(lambda data, now: received.append(buf.insert_bytes(data, now)))
+            t1.on_receive(
+                lambda data, now: received.append(buf.insert(decode_envelope(data), now)))
             env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
                                   payload=np.array([1.5, 2.5], dtype=np.float32))
             t0.broadcast(encode_envelope(env))
@@ -843,7 +886,7 @@ class TestLoopbackTransport:
         buf = NeighborBuffer([0], staleness_ns=10**12)
         with LoopbackTransport(0, [1], base_port=base_port) as t0, \
              LoopbackTransport(1, [0], base_port=base_port) as t1:
-            t1.on_receive(buf.insert_bytes)
+            t1.on_receive(lambda data, now: buf.insert(decode_envelope(data), now))
             t0.broadcast(b"junk")
             env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
                                   payload=np.array([3.5], dtype=np.float32))

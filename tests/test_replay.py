@@ -28,8 +28,8 @@ from neuromesh.tensors import save_mlp
 LOSSY_NETWORK = {"base_latency_ms": 4.8, "jitter_ms": 0.6, "loss_prob": 0.3, "seed": 7}
 
 GOLDEN = {
-    "control_runs.csv": "8096ae47be9f29049cf546509cecd3e736f17f10e49c9de89d728191113060bf",
-    "control_trajectories.csv": "eb39225a39908499144863ae57c4888f73152404cc6d224759919b09bc61d53f",
+    "control_runs.csv": "ceabd9e31797330e02657d6a77ad07c0c5485793c94747350e990c4911741192",
+    "control_trajectories.csv": "44a288dac9172e37f667595e39f58cf616a3cc2131c83192095ad6e870bf33d8",
     "assignment.csv": "4df720a4f9b08bc6624d62901971922bc2d8625d8648b2ee291fb9dc0e23270e",
 }
 
@@ -82,7 +82,7 @@ def test_learned_control_under_loss_replays(tmp_path):
         },
     }
     # Both runs' trajectories move with the losses, but neither minimum
-    # pairwise distance moves at the summary's 4 decimals (0.5126 and 3.2305
+    # pairwise distance moves at the summary's 4 decimals (0.5126 and 3.2299
     # m at loss 0.3 and at loss 0), so control_runs.csv records no drop here.
     check_replay(tmp_path, cfg, ("control_runs.csv", "control_trajectories.csv"),
                  same_as_lossless=("control_runs.csv",))
@@ -122,7 +122,7 @@ def test_each_assignment_test_replays_alone(tmp_path):
 
 # Blocking waits for every step's features, so a run fails at the step of its
 # first lost envelope: the steps column is a record of the loss draws.
-BLOCKING_CONTROL_RUNS_SHA256 = "7f2c63fb73d081b55260e00a62bf345ce5aba47fe7db8cd288b94fa7a0527b58"
+BLOCKING_CONTROL_RUNS_SHA256 = "8f97f4d3eedf29799088174241e5391a5e881a7b61e0461fdc440bb9f1459bcd"
 
 
 def test_blocking_learned_control_fails_at_its_first_loss(tmp_path):
