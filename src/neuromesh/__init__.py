@@ -45,7 +45,6 @@ from .netsim import (
     measure_link_quality,
     scalability_sweep,
 )
-from .pipeline import PipelineStats, run_pipeline, run_sequential
 from .tensors import (
     AttentionSpec,
     MlpSpec,
@@ -54,3 +53,15 @@ from .tensors import (
     softplus_shift,
 )
 from .wire import MessageEnvelope, NeighborBuffer, decode_envelope, encode_envelope
+
+# The pipeline's names load on first access (PEP 562), so that importing the
+# package leaves out the threaded pipeline and its logging stack.
+_PIPELINE_NAMES = ("PipelineStats", "run_pipeline", "run_sequential")
+
+
+def __getattr__(name):
+    if name not in _PIPELINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pipeline
+
+    return getattr(pipeline, name)

@@ -34,18 +34,13 @@ from .config import (
 from .control import ControlPolicy, UnicycleState, run_navigation_scenario
 from .errors import ConfigError, NeuromeshError
 from .netsim import MeshSimulator, derive_seed, measure_link_quality, scalability_sweep
-from .pipeline import (
-    PipelineStats,
-    identity_stage,
-    run_pipeline,
-    run_sequential,
-    with_delay,
-)
 from .reporting import share_with_interval, write_csv, write_manifest
-from .selftest import run_selftest
 
 
 def _run_timing(cfg: dict, outdir: Path) -> list[Path]:
+    # Imported here so that other tasks load neither the pipeline nor logging.
+    from .pipeline import PipelineStats, identity_stage, run_pipeline, run_sequential, with_delay
+
     delays = [d / 1000.0 for d in cfg["timing"]["delays_ms"]]
     items = [np.float32(i) for i in range(cfg["timing"]["items"])]
     stages = [with_delay(identity_stage, d) for d in delays]
@@ -285,6 +280,8 @@ def main(argv=None) -> int:
             print(json.dumps(SCHEMA_DOC, indent=2))
             return 0
         if args.command == "selftest":
+            from .selftest import run_selftest
+
             return run_selftest(weights_dir=args.weights_dir)
         cfg = load_config(args.config)
         if args.command == "run":

@@ -25,7 +25,9 @@ at least one link (an agent with no link can never transmit).
 Both transports expose ``agent_id``, ``peers`` (ascending), ``broadcast``
 (one message per peer, in ascending id) and ``on_receive(cb)``. The loopback
 transport sends UDP datagrams on 127.0.0.1 (port = base_port + agent_id) and
-runs on wall-clock time, so it is excluded from exact-value assertions.
+runs on wall-clock time, so it is excluded from exact-value assertions. It
+imports ``socket`` when one is constructed, so a simulated run never loads
+the socket stack.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import itertools
 import math
 import operator
 import random
-import socket
 import struct
 import threading
 import time
@@ -489,6 +490,8 @@ class LoopbackTransport:
         self.peers = sorted(int(p) for p in peers)
         self.base_port = base_port
         self.host = host
+        import socket  # only this transport needs the socket stack
+
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, base_port + agent_id))
         self._sock.settimeout(0.1)
@@ -511,7 +514,7 @@ class LoopbackTransport:
         while not self._closing.is_set():
             try:
                 data, _ = self._sock.recvfrom(MAX_DATAGRAM_BYTES)
-            except socket.timeout:
+            except TimeoutError:
                 continue
             except OSError:
                 return

@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import neuromesh.aggregation as aggregation_mod
 import neuromesh.wire as wire_mod
 from neuromesh.aggregation import (
     SIM_POLL_NS,
@@ -155,6 +157,11 @@ class TestDiffSumAggregate:
             assert np.allclose(out, base, atol=1e-6)
 
 
+# Signed zeros, and magnitudes 2**100 apart: a small value that meets a large
+# one before or after the large one cancels sums to different bits.
+SUM_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**100, -(2.0**100)])
+
+
 class TestStackedDiffSumAggregate:
     def team_case(self, rng, g, team):
         """(A, D) self features and A neighbor lists: random subsets of the
@@ -206,6 +213,35 @@ class TestStackedDiffSumAggregate:
         assert np.array_equal(out[[0, 2]], np.zeros((2, 5), dtype=F32))
         assert np.array_equal(diff_sum_aggregate(g, np.ones((2, 3), dtype=F32), [[], []]),
                               np.zeros((2, 5), dtype=F32))
+
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.lists(st.one_of(SUM_EDGES, st.floats(width=32, allow_nan=False)),
+                          min_size=dim, max_size=dim), max_size=6),
+        min_size=1, max_size=5)))
+    @example([[[2.0**100], [-(2.0**100)], [1.0]]])  # 1.0 in order, 0.0 if 1.0 meets -2**100 first
+    @settings(max_examples=300, deadline=None)
+    def test_each_agent_sums_its_rows_in_order_from_positive_zero(self, per_agent):
+        """Ragged and empty lists, signed zeros, infinities and values that
+        absorb or cancel each other: the bits of a per-agent sequential float64
+        loop that starts at +0.0."""
+        dim = len(next((rows[0] for rows in per_agent if rows), [0.0]))
+        g = identity_mlp(dim)
+        selves = np.zeros((len(per_agent), dim), dtype=F32)
+        lists = [[np.zeros(dim, dtype=F32)] * len(rows) for rows in per_agent]
+
+        def summed(self_feature, neighbors, rows):
+            out = np.array(rows, dtype=F32).reshape(-1, dim)
+            with mock.patch.object(aggregation_mod, "mlp_forward", lambda g, x: out):
+                return diff_sum_aggregate(g, self_feature, neighbors)
+
+        stacked = summed(selves, lists, [r for rows in per_agent for r in rows])
+        for i, rows in enumerate(per_agent):
+            acc = [0.0] * dim
+            for row in rows:
+                acc = [a + float(F32(v)) for a, v in zip(acc, row)]
+            want = np.array(acc).astype(F32).tobytes()
+            assert stacked[i].tobytes() == want, i
+            assert summed(selves[i], lists[i], rows).tobytes() == want, i
 
     def test_self_rank_must_be_one_or_two(self):
         g = identity_mlp(2)

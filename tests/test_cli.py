@@ -2,10 +2,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import neuromesh
 import neuromesh.wire as wire_mod
 from neuromesh import control
 from neuromesh.cli import main
@@ -559,6 +562,31 @@ class TestSelftest:
         save_mlp(tmp_path / "assignment_decoder.mwts", model.decoder)
         assert main(["selftest", "--weights-dir", str(tmp_path)]) == 0
         assert "PASS learned-assignment" in capsys.readouterr().out
+
+
+class TestImportSurface:
+    def test_the_cli_loads_neither_pipeline_selftest_nor_sockets(self):
+        """A fresh interpreter's ``import neuromesh.cli`` leaves the other commands' modules out."""
+        src = str(Path(neuromesh.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = (
+            "import sys, neuromesh.cli\n"
+            "print(sorted(m for m in ('socket', 'logging', 'neuromesh.pipeline',"
+            " 'neuromesh.selftest') if m in sys.modules))\n"
+            "import neuromesh, neuromesh.netsim as netsim, neuromesh.pipeline as pipeline\n"
+            "print(neuromesh.run_pipeline is pipeline.run_pipeline,"
+            " neuromesh.run_sequential is pipeline.run_sequential,"
+            " neuromesh.PipelineStats is pipeline.PipelineStats,"
+            " neuromesh.LoopbackTransport is netsim.LoopbackTransport)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out == ["[]", "True True True True"]
+
+    def test_an_unknown_name_is_still_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            neuromesh.no_such_name
 
 
 class TestNanosecondBounds:
