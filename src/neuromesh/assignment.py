@@ -331,7 +331,6 @@ class AssignmentOutcome:
 
 def run_assignment_scenario(
     costs,
-    mode: str = "expert",
     message_budget_bytes: int | None = None,
     agg_config: AggregationConfig | None = None,
     topology: Topology | None = None,
@@ -343,10 +342,11 @@ def run_assignment_scenario(
     """Run one decentralized assignment instance over the simulated mesh.
 
     Each robot encodes its own cost row, publishes it (optionally truncated
-    to the message budget), aggregates what arrived, and picks a goal. In
-    expert mode the "aggregation" is assembling the full cost matrix and
-    solving it; in learned mode the attention aggregator fuses neighbor
-    embeddings and the decoder's argmax picks the goal. Conflicting picks
+    to the message budget), aggregates what arrived, and picks a goal. The
+    run is learned if and only if ``model`` is given: the attention
+    aggregator fuses neighbor embeddings and the decoder's argmax picks the
+    goal. With no model the run is expert, and the "aggregation" is
+    assembling the full cost matrix and solving it. Conflicting picks
     count as uncovered goals, never as errors; a blocking-mode timeout or
     too few live neighbors marks the whole run failed. ``seed`` seeds the
     mesh's loss and jitter streams, one per sending robot (see
@@ -354,7 +354,7 @@ def run_assignment_scenario(
 
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
-    lives only as long as this call. In expert mode each distinct received
+    lives only as long as this call. In an expert run each distinct received
     payload is dequantized once, and one gather copies every robot's matrix
     out of that one table.
     """
@@ -364,16 +364,12 @@ def run_assignment_scenario(
     topology = topology or Topology.full_mesh(range(n))
     if len(topology.agents) != n:
         raise ShapeError(f"{len(topology.agents)} agents but cost matrix has {n} rows")
-    if mode not in ("expert", "learned"):
-        raise ShapeError(f"unknown mode {mode!r}")
-    if mode == "learned" and model is None:
-        raise ShapeError("learned mode needs an AssignmentModel")
     silenced = set(silenced)
 
     sim, team = build_sim_team(topology, medium, staleness_ns=10**12, seed=seed)
 
     own = cost.astype(DTYPE)  # row i: robot i's own cost row, in float32
-    if mode == "expert":
+    if model is None:
         features = dict(zip(topology.agents, own))
     else:
         features = dict(zip(topology.agents, mlp_forward(model.encoder, own)))
@@ -400,7 +396,7 @@ def run_assignment_scenario(
             failed=True, failure=str(exc),
         )
 
-    if mode == "expert":
+    if model is None:
         # One table row per distinct received payload object, after a zero row
         # for the rows a robot never heard: the receivers of one broadcast
         # share its decoded payload, so it is dequantized once per test.

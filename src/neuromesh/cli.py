@@ -129,7 +129,7 @@ def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list
     for test_id in range(section["n_tests"]):
         costs = _instance_costs(section, n, cfg["seed"], test_id)
         outcome = run_assignment_scenario(
-            costs, mode=section["mode"], message_budget_bytes=budget,
+            costs, message_budget_bytes=budget,
             agg_config=agg, topology=topo, medium=medium, model=model,
             seed=derive_seed(cfg["network"]["seed"], test_id),
         )
@@ -188,8 +188,7 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         params = build_navigation_params(section, seed=cfg["seed"] + (run_id << 16))
         outcome = run_navigation_scenario(
             states, goals, policy=policy, params=params, topology=topo, medium=medium,
-            agg_config=agg, scripted=section["policy"] == "scripted",
-            record_trajectory=section["write_trajectories"],
+            agg_config=agg, record_trajectory=section["write_trajectories"],
             seed=derive_seed(cfg["network"]["seed"], run_id),  # runs draw independent losses
         )
         successes += outcome.success
@@ -222,36 +221,28 @@ _RUNNERS = {
 }
 
 
-def _cmd_run(cfg: dict) -> int:
-    outdir = Path(cfg["output_dir"])
-    outputs = _RUNNERS[cfg["task"]](cfg, outdir)
-    manifest = write_manifest(outdir / "run_manifest.json", cfg, outputs)
+def _finish(cfg: dict, outputs: list[Path]) -> int:
+    manifest = write_manifest(Path(cfg["output_dir"]) / "run_manifest.json", cfg, outputs)
     for path in outputs + [manifest]:
         print(f"wrote {path}")
     return 0
+
+
+def _cmd_run(cfg: dict) -> int:
+    return _finish(cfg, _RUNNERS[cfg["task"]](cfg, Path(cfg["output_dir"])))
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    outdir = Path(cfg["output_dir"])
-    sweep = cfg.get("sweep") or {}
-    outputs: list[Path] = []
-    if cfg["task"] == "assignment":
-        budgets = sweep.get("message_budget_bytes")
-        if not budgets:
-            raise ConfigError("sweep.message_budget_bytes", "required for an assignment sweep")
-        for budget in budgets:
-            outputs += _run_assignment(cfg, outdir, budget=budget, tag=f"_budget{budget}")
-    elif cfg["task"] == "comms":
-        if cfg["comms"]["scenario"] != "sweep":
-            raise ConfigError("comms.scenario", "a comms sweep needs scenario 'sweep'")
-        cfg["comms"]["team_sizes"] = sweep.get("team_sizes", cfg["comms"]["team_sizes"])
-        outputs += _run_comms(cfg, outdir)
-    else:
+    if cfg["task"] != "assignment":
         raise ConfigError("sweep", f"no sweep defined for task {cfg['task']!r}")
-    manifest = write_manifest(outdir / "run_manifest.json", cfg, outputs)
-    for path in outputs + [manifest]:
-        print(f"wrote {path}")
-    return 0
+    budgets = cfg["sweep"].get("message_budget_bytes")
+    if not budgets:
+        raise ConfigError("sweep.message_budget_bytes", "required for an assignment sweep")
+    outdir = Path(cfg["output_dir"])
+    outputs: list[Path] = []
+    for budget in budgets:
+        outputs += _run_assignment(cfg, outdir, budget=budget, tag=f"_budget{budget}")
+    return _finish(cfg, outputs)
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ TASK_FIELDS = {
     "assignment": ("team_size", "network", "aggregation", "assignment", "sweep"),
     "control": ("team_size", "network", "aggregation", "control"),
     "timing": ("timing",),
-    "comms": ("network", "comms", "sweep"),
+    "comms": ("network", "comms"),
 }
 TASKS = tuple(TASK_FIELDS)
 COMMON_FIELDS = ("task", "seed", "output_dir")
@@ -40,7 +40,7 @@ _MEDIUM = MediumModel()
 _NAV_FIELDS = tuple(f.name for f in dataclasses.fields(NavigationParams) if f.name != "seed")
 _CONTROL_TEAM_SIZE = 3  # the control task's team_size default
 _QUALITY_DURATION_S = 60.0  # the quality scenario's comms.duration_s default
-_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4), "comms": ("team_sizes", 2)}
+_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4)}
 
 
 def _expect(cond: bool, path: str, message: str, *args) -> None:
@@ -152,11 +152,15 @@ def _random_or_rows(width=None):
     return check
 
 
-def _weights(*names, **extras):
-    """Weight file paths ``names``, which must exist, plus int ``extras`` >= 1."""
+def _weights(selector, *names, **extras):
+    """Weight file paths ``names``, which must exist, plus int ``extras`` >= 1: required
+    when the section's ``selector`` field is 'learned', refused otherwise."""
     def check(value, where, cfg):
+        chosen = cfg[where.split(".")[0]][selector]
         if value is None:
+            _expect(chosen != "learned", where, "required for learned mode")
             return None
+        _expect(chosen == "learned", where, f"the {chosen} {selector} does not read this field")
         _expect(isinstance(value, dict), where, "expected an object")
         _check_unknown(value, names + tuple(extras), where)
         for name in names:
@@ -201,14 +205,14 @@ SECTIONS = {
         "message_budget_bytes": (None, _budget, "int >= 4 payload cap, null = unlimited"),
         "costs": ("random", _random_or_rows(), "'random' or a team_size x team_size matrix"),
         "cost_range": ([1.0, 10.0], _interval(list), "finite [lo, hi], lo < hi, for random costs"),
-        "weights": (None, _weights("encoder", "attention", "decoder", heads=3, layers=2),
-                    "learned mode: {encoder, attention, decoder, heads, layers}"),
+        "weights": (None, _weights("mode", "encoder", "attention", "decoder", heads=3, layers=2),
+                    "learned mode only: {encoder, attention, decoder, heads, layers}"),
     },
     "control": {
         "n_runs": (20, _integer(1), "int >= 1"),
         "policy": ("scripted", _choice("scripted", "learned"), "'scripted' | 'learned'"),
-        "weights": (None, _weights("encoder", "pairwise", "decoder"),
-                    "learned mode: {encoder, pairwise, decoder}"),
+        "weights": (None, _weights("policy", "encoder", "pairwise", "decoder"),
+                    "learned policy only: {encoder, pairwise, decoder}"),
         "initial_poses": ("random", _random_or_rows(3), "'random' or team_size [x, y, heading]"),
         "goals": ("random", _random_or_rows(2), "'random' or team_size [x, y]"),
         "arena_half_extent_m": (2.0, _positive, "float > 0, random pose range"),
@@ -229,7 +233,8 @@ SECTIONS = {
     },
     "comms": {
         "scenario": ("sweep", _choice("sweep", "quality"), "'sweep' | 'quality'"),
-        "team_sizes": ([5, 10, 30, 50], _int_list(2), "non-empty list of ints >= 2 for the sweep"),
+        "team_sizes": ([5, 10, 30, 50], _int_list(2),
+                       "non-empty list of ints >= 2 for the sweep scenario"),
         "payload_bytes": (128, _integer(8), "int >= 8"),
         "offered_hz": (200.0, _rate, "Hz > 0 publish rate, 1e9 / rate in [1, 2**63) ns"),
         "duration_s": (0.6, _number(above=0, ns=1e9),
@@ -284,15 +289,12 @@ def validate_config(raw: dict) -> dict:
             cfg[name] = {key: _int_list(minimum)(v, f"sweep.{key}", cfg) for v in section.values()}
             continue
         _check_unknown(section, SECTIONS[name], name)
-        out = cfg[name] = {key: check(section.get(key, default), f"{name}.{key}", cfg)
-                           for key, (default, check, _) in SECTIONS[name].items()}
+        out = cfg[name] = {}  # filled in order, so a check can read the fields above it
+        for key, (default, check, _) in SECTIONS[name].items():
+            out[key] = check(section.get(key, default), f"{name}.{key}", cfg)
         if name == "aggregation":  # the rules that tie a field to another one
             _expect(out["min_neighbors"] <= cfg["team_size"] - 1, "aggregation.min_neighbors",
                     f"cannot exceed team_size - 1 = {cfg['team_size'] - 1}")
-        elif name in ("assignment", "control"):
-            learned = out["mode" if name == "assignment" else "policy"] == "learned"
-            _expect(not learned or out["weights"] is not None, f"{name}.weights",
-                    "required for learned mode")
         elif name == "comms" and out["scenario"] == "quality" and "duration_s" not in section:
             out["duration_s"] = _QUALITY_DURATION_S
     return cfg

@@ -287,14 +287,15 @@ def run_navigation_scenario(
     topology: Topology | None = None,
     medium: MediumModel | None = None,
     agg_config: AggregationConfig | None = None,
-    scripted: bool = False,
     record_trajectory: bool = False,
     seed: int = 0,
 ) -> NavigationOutcome:
     """Closed-loop run over the simulated mesh at a fixed control rate.
 
-    Success requires every robot to enter its goal radius within the step
-    budget with no pairwise distance ever below the collision radius.
+    The given ``policy`` drives the team; with no policy, the scripted expert
+    drives it and nothing is published. Success requires every robot to
+    enter its goal radius within the step budget with no pairwise distance
+    ever below the collision radius.
     Failures are outcomes, not errors: a blocking timeout or too few live
     neighbors ends the run with ``failed`` set. Blocking waits for the
     current step's envelopes (round = step mod 256, as the wire round is a
@@ -302,15 +303,13 @@ def run_navigation_scenario(
     from its own generator seeded with ``params.seed`` XOR agent_id, and
     ``seed`` seeds the mesh's loss and jitter streams, one per sending robot
     (see ``MeshSimulator``), so runs replay bit-for-bit. Every goal must be
-    a 2-vector, for either policy; ShapeError names the first robot whose
-    goal is not.
+    a 2-vector, with a policy or without; ShapeError names the first robot
+    whose goal is not.
     """
     if len(initial_states) < 2:
         raise ShapeError("navigation needs a team of at least 2 robots")
     if set(initial_states) != set(goals):
         raise ShapeError("states and goals must cover the same agents")
-    if not scripted and policy is None:
-        raise ShapeError("learned navigation needs a ControlPolicy")
     params = params or NavigationParams()
     agents = sorted(initial_states)
     goal_rows = np.array([_goal_vector(goals[a], a) for a in agents])
@@ -345,7 +344,7 @@ def run_navigation_scenario(
             steps_taken = step + 1
             round_tag = step % 256
             units = heading_vectors(headings)
-            if not scripted:
+            if policy is not None:
                 features = mlp_forward(policy.encoder,
                                        stacked_observations(positions, goal_rows, speeds, units))
                 publish_features(team, dict(zip(agents, features)), step + 1, sim.now_ns,
@@ -353,7 +352,7 @@ def run_navigation_scenario(
             sim.run_for(tick_ns)
 
             active = np.flatnonzero(~reached)
-            if scripted:
+            if policy is None:
                 actions = [scripted_expert_action(UnicycleState(positions[i], headings[i]),
                                                   goal_rows[i], params.v_bounds,
                                                   params.omega_bounds) for i in active]

@@ -55,6 +55,7 @@ _TWO_PI, _sqrt, _log, _cos, _sin = 2.0 * math.pi, math.sqrt, math.log, math.cos,
 DEFAULT_BANDWIDTH_BPS = 6_000_000
 DEFAULT_BASE_PORT = 47000
 MAX_DATAGRAM_BYTES = 65_536  # the largest datagram LoopbackTransport receives
+ENVELOPE_OVERHEAD_BYTES = header_size(1)  # the wire header of a 1-D payload
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -80,8 +81,12 @@ class LinkModel:
 
 @dataclass
 class MediumModel:
+    """A node's radio: ``per_node_bandwidth_bps`` of airtime, split evenly
+    among the transmitters under ``shared_medium`` contention. The simulator
+    charges each datagram its full length; the closed-form throughput and
+    the scalability sweep add ``ENVELOPE_OVERHEAD_BYTES`` to a raw payload."""
+
     per_node_bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    envelope_overhead_bytes: int = header_size(1)
     contention: str = "none"  # none | shared_medium
 
     def __post_init__(self):
@@ -388,7 +393,7 @@ def closed_form_link_throughput(team_size: int, payload_bytes: int, offered_hz: 
     radio serializes at the effective bandwidth, so the per-link rate is
     min(offered, bandwidth / ((N-1) * wire_bytes)).
     """
-    wire = payload_bytes + medium.envelope_overhead_bytes
+    wire = payload_bytes + ENVELOPE_OVERHEAD_BYTES
     bandwidth = medium.effective_bandwidth(team_size)
     return min(offered_hz, bandwidth / ((team_size - 1) * wire))
 
@@ -417,7 +422,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     link = link or LinkModel()
     window_s = duration_s / 2
     rows = []
-    wire_bytes = payload_bytes + medium.envelope_overhead_bytes
+    wire_bytes = payload_bytes + ENVELOPE_OVERHEAD_BYTES
     blob = bytes(wire_bytes)
     for n in team_sizes:
         agents = list(range(n))

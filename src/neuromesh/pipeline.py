@@ -290,32 +290,31 @@ def identity_stage(x):
     return x
 
 
-def _make_source(observations, cycles):
-    """The source for ``observations``, truncated to ``cycles`` items.
+def _make_source(observations):
+    """The source for ``observations``.
 
     An iterable is pulled lazily; only its first three items are drawn up
     front, to check that the pipeline can fill.
     """
     if isinstance(observations, PacedSource):
-        if cycles is not None and cycles != len(observations):
-            raise ConfigError("cycles", "cycle count must match the paced source length")
         source, ready = observations, len(observations)
     else:
-        rest = itertools.islice(observations, cycles)
+        rest = iter(observations)
         head = list(itertools.islice(rest, 3))
         source, ready = _ListSource(itertools.chain(head, rest)), len(head)
     if ready < 3:
-        raise ConfigError("cycles", f"need at least 3 items to fill the pipeline, got {ready}")
+        raise ConfigError("observations",
+                          f"need at least 3 items to fill the pipeline, got {ready}")
     return source
 
 
-def _run_stages(stages, names, observations, cycles):
+def _run_stages(stages, names, observations):
     """Run ``stages`` in order over ``observations``; returns (outputs, PipelineStats).
 
     Every stage but the last runs on its own thread; the last runs on the
     calling thread and emits the outputs.
     """
-    source = _make_source(observations, cycles)
+    source = _make_source(observations)
     slots = [_Handoff() for _ in stages[1:]]
     costs = _StageCosts(len(stages))
     outputs: list = []
@@ -378,20 +377,20 @@ def _run_stages(stages, names, observations, cycles):
     return outputs, _compute_stats(records, source.drops, errors[0])
 
 
-def run_pipeline(encoder, aggregator, decoder, observations, cycles=None):
+def run_pipeline(encoder, aggregator, decoder, observations):
     """Run the three stages concurrently; returns (outputs, PipelineStats).
 
     ``observations`` is an iterable (pulled on demand, lossless) or a
     :class:`PacedSource` (pushed at a fixed rate, keep-latest at ingress).
     Outputs preserve observation order.
     """
-    return _run_stages((encoder, aggregator, decoder), _STAGE_NAMES, observations, cycles)
+    return _run_stages((encoder, aggregator, decoder), _STAGE_NAMES, observations)
 
 
-def run_sequential(encoder, aggregator, decoder, observations, cycles=None):
+def run_sequential(encoder, aggregator, decoder, observations):
     """Run the stages back to back per item on the calling thread; same stats as run_pipeline."""
 
     def chain(x):
         return decoder(aggregator(encoder(x)))
 
-    return _run_stages((chain,), ("stage",), observations, cycles)
+    return _run_stages((chain,), ("stage",), observations)

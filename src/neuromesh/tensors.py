@@ -213,18 +213,24 @@ class AttentionSpec:
 
 
 def attention_forward(spec: AttentionSpec, query, context: list) -> np.ndarray:
-    """Attend the query over a non-empty list of context vectors.
+    """Attend the query over a non-empty list, or (M, model_dim) block, of context vectors.
 
     Softmax weights are computed per head over the context axis, so each
-    head's output is a convex combination of its value projections.
+    head's output is a convex combination of its value projections. The
+    context is checked once, as one block: ragged rows, a rank other than 2,
+    a width other than ``model_dim`` and non-finite entries raise ShapeError.
     """
     if len(context) == 0:
         raise ShapeError("attention requires a non-empty context; apply fallback first")
     d = spec.model_dim
     q = _as_vector(query, d, "attention query").astype(np.float64)
-    ctx = np.stack(
-        [_as_vector(c, d, f"context[{i}]") for i, c in enumerate(context)]
-    ).astype(np.float64)
+    try:
+        ctx = np.ascontiguousarray(context, dtype=DTYPE)
+    except ValueError as exc:  # numpy refuses ragged rows
+        raise ShapeError(f"attention context is not a block of equal rows: {exc}") from exc
+    if ctx.ndim != 2 or ctx.shape[1] != d:
+        raise ShapeError(f"attention context must have shape (M, {d}), got {ctx.shape}")
+    ctx = as_tensor(ctx).astype(np.float64)
 
     h = spec.heads
     hd = spec.head_dim
@@ -331,12 +337,16 @@ def load_matrices(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def save_mlp(path, spec: MlpSpec) -> None:
+    """Write a ReLU network; the format records no activation, and ``load_mlp``
+    builds ReLU, so any other activation would load back as a different network."""
+    if spec.activation != "relu":
+        raise WeightFormatError(f"MWTS files hold ReLU networks only, got {spec.activation!r}")
     save_matrices(path, spec.weights, spec.biases)
 
 
-def load_mlp(path, activation: str = "relu") -> MlpSpec:
+def load_mlp(path) -> MlpSpec:
     weights, biases = load_matrices(path)
-    return MlpSpec(weights, biases, activation)
+    return MlpSpec(weights, biases)
 
 
 def save_attention(path, spec: AttentionSpec) -> None:

@@ -179,9 +179,11 @@ def decode_envelope(data: bytes, *, memo: dict | None = None) -> MessageEnvelope
 class NeighborBuffer:
     """Keep-latest store with one slot per registered neighbor.
 
-    Insert and snapshot hold an internal lock, so a transport receive
-    thread and the aggregation stage can share a buffer without observing
-    partially applied updates.
+    ``snapshot`` is the only eviction: it drops each envelope older than
+    ``staleness_ns`` as it lists the rest, and an envelope whose age equals
+    the threshold is live. Insert and snapshot hold an internal lock, so a
+    transport receive thread and the aggregation stage can share a buffer
+    without observing partially applied updates.
     """
 
     def __init__(self, neighbor_ids, staleness_ns: int = DEFAULT_STALENESS_NS):
@@ -208,18 +210,6 @@ class NeighborBuffer:
                 return False
             self._slots[sender] = (env, None if held is None else held[0])
             return True
-
-    def evict_stale(self, now_ns: int) -> int:
-        """Drop envelopes older than the threshold; age == threshold survives."""
-        with self._lock:
-            stale = [
-                nid
-                for nid, (env, _) in self._slots.items()
-                if now_ns - env.timestamp_ns > self.staleness_ns
-            ]
-            for nid in stale:
-                del self._slots[nid]
-            return len(stale)
 
     def snapshot(self, now_ns: int, round_index: int | None = None):
         """Evict, then list live (neighbor_id, payload, age_ns) ascending by id, in one pass.

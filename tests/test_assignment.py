@@ -372,7 +372,7 @@ class TestAssignmentScenario:
     def test_expert_mode_is_optimal_and_fully_covered(self):
         rng = np.random.default_rng(41)
         costs = rng.uniform(1, 10, size=(5, 5)).astype(F32)
-        out = run_assignment_scenario(costs, mode="expert")
+        out = run_assignment_scenario(costs)
         assert not out.failed
         assert out.covered_goals == 5
         assert out.cost_out == out.cost_opt
@@ -381,7 +381,7 @@ class TestAssignmentScenario:
     def test_expert_lossless_budget_stays_optimal(self):
         rng = np.random.default_rng(43)
         costs = rng.uniform(1, 10, size=(5, 5)).astype(F32)
-        out = run_assignment_scenario(costs, mode="expert", message_budget_bytes=128)
+        out = run_assignment_scenario(costs, message_budget_bytes=128)
         assert out.covered_goals == 5
         assert out.cost_out == out.cost_opt
 
@@ -390,7 +390,7 @@ class TestAssignmentScenario:
         covered = []
         for _ in range(10):
             costs = rng.uniform(1, 10, size=(5, 5)).astype(F32)
-            out = run_assignment_scenario(costs, mode="expert", message_budget_bytes=8)
+            out = run_assignment_scenario(costs, message_budget_bytes=8)
             assert not out.failed
             assert 1 <= out.covered_goals <= 5
             covered.append(out.covered_goals)
@@ -402,18 +402,29 @@ class TestAssignmentScenario:
         total_covered = 0
         for _ in range(10):
             costs = rng.uniform(1, 10, size=(5, 5)).astype(F32)
-            out = run_assignment_scenario(costs, mode="learned", model=model)
+            out = run_assignment_scenario(costs, model=model)
             # coverage oracle: recount distinct choices independently
             assert out.covered_goals == len(set(out.choices))
             assert len(out.choices) == 5
             total_covered += out.covered_goals
         assert total_covered < 50  # untrained weights conflict somewhere
 
+    def test_a_given_model_is_the_one_that_runs(self):
+        # the choices of the learned run, recorded when the mode was a separate
+        # argument; an expert run of the same matrices covers every goal
+        model = AssignmentModel.random(n_goals=6, seed=7)
+        rng = np.random.default_rng(71)
+        want = [[5, 5, 5, 5, 5, 5], [5, 5, 5, 4, 5, 5], [4, 4, 4, 4, 4, 4], [5, 5, 5, 4, 4, 4]]
+        for choices in want:
+            costs = rng.uniform(1, 10, size=(6, 6)).astype(F32)
+            assert run_assignment_scenario(costs, model=model).choices == choices
+            assert sorted(run_assignment_scenario(costs).choices) == list(range(6))
+
     def test_silenced_robot_in_blocking_mode_fails_the_run(self):
         rng = np.random.default_rng(59)
         costs = rng.uniform(1, 10, size=(4, 4)).astype(F32)
         agg = AggregationConfig(mode="blocking", timeout_ns=50_000_000)
-        out = run_assignment_scenario(costs, mode="expert", agg_config=agg, silenced={2})
+        out = run_assignment_scenario(costs, agg_config=agg, silenced={2})
         assert out.failed
         assert "2" in out.failure
         assert out.choices == []
@@ -422,7 +433,7 @@ class TestAssignmentScenario:
         costs = np.random.default_rng(67).uniform(1, 10, size=(4, 4)).astype(F32)
         agg = AggregationConfig(mode="best_effort", min_neighbors=1)
         lossy = Topology.full_mesh(range(4), LinkModel(loss_prob=1.0))
-        out = run_assignment_scenario(costs, mode="expert", agg_config=agg, topology=lossy)
+        out = run_assignment_scenario(costs, agg_config=agg, topology=lossy)
         assert out.failed
         assert "need at least 1" in out.failure
         assert out.choices == []
@@ -432,7 +443,7 @@ class TestAssignmentScenario:
         pairs = []
         for _ in range(5):
             costs = rng.uniform(1, 10, size=(5, 5)).astype(F32)
-            out = run_assignment_scenario(costs, mode="expert")
+            out = run_assignment_scenario(costs)
             pairs.append((out.cost_out, out.cost_opt))
         assert tcp_metric(pairs) == 0.0
 
@@ -468,7 +479,7 @@ class TestScenarioSolveMemo:
         n = 20
         log = SolveLog(monkeypatch)
         costs = np.random.default_rng(71).uniform(1, 10, size=(n, n)).astype(F32)
-        out = run_assignment_scenario(costs, mode="expert")
+        out = run_assignment_scenario(costs)
         assert out.covered_goals == n and out.cost_out == out.cost_opt
         assert len(log.matrices) == n + 1
         assert len(log.duals) == 1
@@ -491,10 +502,10 @@ class TestScenarioSolveMemo:
             costs = rng.uniform(1, 10, size=(n, n)).astype(F32)
             with monkeypatch.context() as patch:
                 fresh = SolveLog(patch, drop_memo=True)
-                want = run_assignment_scenario(costs, mode="expert", **kwargs)
+                want = run_assignment_scenario(costs, **kwargs)
             with monkeypatch.context() as patch:
                 log = SolveLog(patch)
-                got = run_assignment_scenario(costs, mode="expert", **kwargs)
+                got = run_assignment_scenario(costs, **kwargs)
             assert got == want
             assert log.matrices == fresh.matrices
             assert len(log.duals) == len(set(log.matrices))
@@ -503,7 +514,7 @@ class TestScenarioSolveMemo:
         n = 8
         log = SolveLog(monkeypatch)
         costs = np.random.default_rng(79).uniform(1, 10, size=(n, n)).astype(F32)
-        run_assignment_scenario(costs, mode="expert", **lossy_best_effort(n))
+        run_assignment_scenario(costs, **lossy_best_effort(n))
         assert len(log.matrices) == n + 1
         assert 1 < len(log.duals) == len(set(log.matrices)) < n + 1
 
@@ -553,7 +564,7 @@ def solved_matrices_pin(monkeypatch, case) -> tuple[int, str]:
     rng = np.random.default_rng(83)
     for _ in range(2):
         costs = rng.uniform(1, 10, size=(PIN_N, PIN_N)).astype(F32)
-        run_assignment_scenario(costs, mode="expert", **MATRIX_PIN_CASES[case])
+        run_assignment_scenario(costs, **MATRIX_PIN_CASES[case])
     return calls, digest.hexdigest()
 
 

@@ -63,6 +63,28 @@ class TestConfigValidation:
                 },
             })
 
+    def test_weights_the_mode_never_reads_are_rejected_before_any_file_check(self, tmp_path):
+        missing = str(tmp_path / "missing.mwts")
+        with pytest.raises(ConfigError, match="the expert mode does not read this field") as err:
+            validate_config({"task": "assignment", "assignment": {
+                "weights": {"encoder": missing, "attention": missing, "decoder": missing}}})
+        assert err.value.path == "assignment.weights"
+
+    def test_a_scripted_control_config_refuses_weights(self, tmp_path):
+        present = tmp_path / "present.mwts"
+        present.write_bytes(b"")
+        with pytest.raises(ConfigError, match="the scripted policy does not read this field") \
+                as err:
+            validate_config({"task": "control", "control": {"policy": "scripted", "weights": {
+                "encoder": str(present), "pairwise": str(present), "decoder": str(present)}}})
+        assert err.value.path == "control.weights"
+
+    @pytest.mark.parametrize("task,selector", [("assignment", "mode"), ("control", "policy")])
+    def test_learned_mode_still_requires_weights(self, task, selector):
+        with pytest.raises(ConfigError, match="required for learned mode") as err:
+            validate_config({"task": task, task: {selector: "learned"}})
+        assert err.value.path == f"{task}.weights"
+
     def test_defaults_fill_in(self):
         cfg = validate_config({"task": "control"})
         assert cfg["team_size"] == 3
@@ -97,7 +119,7 @@ class TestConfigValidation:
             "control": ("assignment", "timing", "comms", "sweep"),
             "timing": ("team_size", "network", "aggregation", "assignment", "control",
                        "comms", "sweep"),
-            "comms": ("team_size", "aggregation", "assignment", "control", "timing"),
+            "comms": ("team_size", "aggregation", "assignment", "control", "timing", "sweep"),
         }.items() for field in fields
     ])
     def test_field_the_task_does_not_read_is_rejected(self, task, field):
@@ -106,13 +128,10 @@ class TestConfigValidation:
             validate_config({"task": task, field: "x"})
         assert err.value.path == field
 
-    @pytest.mark.parametrize("task,grid", [
-        ("assignment", "team_sizes"), ("comms", "message_budget_bytes"),
-    ])
-    def test_other_tasks_sweep_grid_is_rejected(self, task, grid):
-        with pytest.raises(ConfigError, match="does not read this field") as err:
-            validate_config({"task": task, "sweep": {grid: [8]}})
-        assert err.value.path == f"sweep.{grid}"
+    def test_a_grid_other_than_the_budget_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            validate_config({"task": "assignment", "sweep": {"team_sizes": [8]}})
+        assert err.value.path == "sweep.team_sizes"
 
     def test_unknown_top_level_field_keeps_its_message(self):
         with pytest.raises(ConfigError, match="unknown field") as err:
@@ -491,21 +510,16 @@ class TestSweep:
         assert main(["sweep", cfg]) == 2
         assert "sweep.message_budget_bytes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task,grid,values", [
-        ("comms", "team_sizes", ["a"]),
-        ("comms", "team_sizes", [1]),
-        ("assignment", "message_budget_bytes", "64"),
-        ("assignment", "message_budget_bytes", [2]),
-    ])
-    def test_malformed_grid_exits_2_with_its_path(self, tmp_path, capsys, task, grid, values):
+    @pytest.mark.parametrize("values", ["64", [2]])
+    def test_malformed_grid_exits_2_with_its_path(self, tmp_path, capsys, values):
         cfg = write_config(tmp_path, {
-            "task": task,
+            "task": "assignment",
             "output_dir": str(tmp_path / "out"),
-            task: {"n_tests": 1} if task == "assignment" else {"duration_s": 0.1},
-            "sweep": {grid: values},
+            "assignment": {"n_tests": 1},
+            "sweep": {"message_budget_bytes": values},
         })
         assert main(["sweep", cfg]) == 2
-        assert f"sweep.{grid}:" in capsys.readouterr().err
+        assert "sweep.message_budget_bytes:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,body,message", [
         ("run", {"task": "comms", "network": {"topology": "full_mesh"},
@@ -515,7 +529,7 @@ class TestSweep:
          "assignment.n_goals: unknown field"),
         ("sweep", {"task": "comms", "comms": {"scenario": "quality", "duration_s": 1.0},
                    "sweep": {"team_sizes": [4]}},
-         "comms.scenario:"),
+         "sweep: the comms task does not read this field"),
     ])
     def test_setting_without_effect_exits_2_with_its_path(self, tmp_path, capsys, command,
                                                           body, message):
@@ -523,17 +537,24 @@ class TestSweep:
         assert main([command, cfg]) == 2
         assert message in capsys.readouterr().err
 
-    def test_comms_sweep_honors_link_loss(self, tmp_path):
+    def test_a_comms_config_has_no_sweep(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"task": "comms", "output_dir": str(out),
+                                      "comms": {"team_sizes": [4], "duration_s": 0.1}})
+        assert main(["sweep", cfg]) == 2
+        assert "sweep: no sweep defined for task 'comms'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_comms_sweep_scenario_honors_link_loss(self, tmp_path):
         def delivered_mean(loss_prob):
             out = tmp_path / f"loss{loss_prob}"
             cfg = write_config(tmp_path, {
                 "task": "comms",
                 "output_dir": str(out),
                 "network": {"loss_prob": loss_prob, "seed": 3},
-                "comms": {"duration_s": 0.2},
-                "sweep": {"team_sizes": [4]},
+                "comms": {"duration_s": 0.2, "team_sizes": [4]},
             })
-            assert main(["sweep", cfg]) == 0
+            assert main(["run", cfg]) == 0
             return float(read_csv_lines(out / "comms_sweep.csv")[2].split(",")[2])
 
         assert delivered_mean(0.5) < delivered_mean(0.0)
@@ -622,7 +643,7 @@ class TestNanosecondBounds:
 
     @pytest.mark.parametrize("command,task,body", [
         ("run", "assignment", {"team_size": 2, "assignment": {"n_tests": 1}}),
-        ("sweep", "comms", {"comms": {"duration_s": 0.1}, "sweep": {"team_sizes": [2]}}),
+        ("run", "comms", {"comms": {"duration_s": 0.1, "team_sizes": [2]}}),
     ], ids=["assignment", "comms-sweep"])
     def test_tiny_bandwidth_exits_2_at_load(self, tmp_path, capsys, command, task, body):
         body = dict(body, task=task, output_dir=str(tmp_path / "out"),

@@ -324,17 +324,27 @@ class TestNavigationScenario:
     def test_scripted_expert_reaches_distinct_goals(self):
         states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi)}
         goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0])}
-        out = run_navigation_scenario(states, goals, scripted=True,
-                                      params=NavigationParams(max_steps=300))
+        out = run_navigation_scenario(states, goals, params=NavigationParams(max_steps=300))
         assert out.success
         assert not out.collided
         assert out.min_pairwise_distance_m >= 0.30
 
+    def test_no_policy_runs_the_scripted_expert(self):
+        # the outcome recorded when the scripted expert needed its own flag
+        states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi),
+                  2: state(0.0, 1.5, heading=-1.0)}
+        goals = {0: np.array([-1.0, -2.0]), 1: np.array([1.0, 2.0]), 2: np.array([0.0, 3.0])}
+        out = run_navigation_scenario(states, goals, params=NavigationParams(max_steps=300),
+                                      record_trajectory=True)
+        assert (out.success, out.steps, out.min_pairwise_distance_m) == (
+            True, 100, 1.0240451915974695)
+        assert hashlib.sha256(repr(out.trajectory).encode()).hexdigest() == (
+            "6b76934b0afcb838c6a9df4aa5088e0121865aee38e1b0cde30d6c33f7f0032b")
+
     def test_head_on_swapped_goals_collide(self):
         states = {0: state(-1.0, 0.0, heading=0.0), 1: state(1.0, 0.0, heading=math.pi)}
         goals = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
-        out = run_navigation_scenario(states, goals, scripted=True,
-                                      params=NavigationParams(max_steps=300))
+        out = run_navigation_scenario(states, goals, params=NavigationParams(max_steps=300))
         assert out.collided
         assert not out.success
         assert out.min_pairwise_distance_m < 0.30
@@ -364,8 +374,7 @@ class TestNavigationScenario:
         states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi)}
         goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0])}
         params = NavigationParams(max_steps=300)
-        out = run_navigation_scenario(states, goals, scripted=True, params=params,
-                                      record_trajectory=True)
+        out = run_navigation_scenario(states, goals, params=params, record_trajectory=True)
         assert out.success
         by_step = {}
         for step, agent, x, y, _ in out.trajectory:
@@ -422,13 +431,13 @@ class TestNavigationScenario:
         states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0)}
         goals = {0: np.array([-1.0, 2.0]), 1: goal}
         with pytest.raises(ShapeError, match="goal of robot 1 must be 2-D"):
-            run_navigation_scenario(states, goals, scripted=scripted,
+            run_navigation_scenario(states, goals,
                                     policy=None if scripted else ControlPolicy.random(seed=1),
                                     params=NavigationParams(max_steps=20))
 
     def test_needs_at_least_two_robots(self):
         with pytest.raises(ShapeError, match="2"):
-            run_navigation_scenario({0: state(0, 0)}, {0: np.zeros(2)}, scripted=True)
+            run_navigation_scenario({0: state(0, 0)}, {0: np.zeros(2)})
 
     def test_scripted_action_turns_toward_goal(self):
         v, omega = scripted_expert_action(state(0, 0, heading=0.0), np.array([0.0, 5.0]))
@@ -521,8 +530,7 @@ def _shifted_goals(states, offset):
 
 def _scripted(team, max_steps=200):
     states, goals = team
-    return run_navigation_scenario(states, goals, scripted=True,
-                                   params=NavigationParams(max_steps=max_steps),
+    return run_navigation_scenario(states, goals, params=NavigationParams(max_steps=max_steps),
                                    record_trajectory=True)
 
 

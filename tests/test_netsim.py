@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from neuromesh.errors import ConfigError, MeasurementError, TopologyError
 from neuromesh.netsim import (
+    ENVELOPE_OVERHEAD_BYTES,
     LinkModel,
     LoopbackTransport,
     MediumModel,
@@ -796,7 +797,8 @@ class TestScalabilitySweep:
 
     def test_closed_form_oracle_shape(self):
         medium = MediumModel(contention="shared_medium")
-        wire = 128 + medium.envelope_overhead_bytes
+        wire = 128 + ENVELOPE_OVERHEAD_BYTES
+        assert wire == len(encode_envelope(MessageEnvelope(0, 0, 0, 0, np.zeros(32, np.float32))))
         value = closed_form_link_throughput(30, 128, 200.0, medium)
         assert value == pytest.approx(medium.per_node_bandwidth_bps / 30 / (29 * wire))
 

@@ -46,26 +46,23 @@ class TestOrderingAndEquivalence:
         seq, _ = run_sequential(enc, agg, dec, items)
         assert par == seq
 
-    def test_cycle_count_truncates_stream(self):
-        outputs, stats = run_pipeline(
-            identity_stage, identity_stage, identity_stage, tensors(10), cycles=5
-        )
-        assert len(outputs) == 5
-
     @pytest.mark.parametrize("runner", [run_pipeline, run_sequential],
                              ids=["run_pipeline", "run_sequential"])
-    def test_cycle_count_pulls_only_that_many_observations(self, runner):
-        pulled = []
+    def test_an_iterable_is_pulled_on_demand(self, runner):
+        encoded, seen = [], []
 
         def observations():
-            for i in range(1000):
-                pulled.append(i)
+            for i in range(10):
+                seen.append(len(encoded))  # items encoded when item i is pulled
                 yield np.full(3, i, dtype=F32)
 
-        outputs, _ = runner(identity_stage, identity_stage, identity_stage, observations(),
-                            cycles=5)
-        assert len(outputs) == 5
-        assert pulled == [0, 1, 2, 3, 4]
+        def encoder(x):
+            encoded.append(x)
+            return x
+
+        outputs, _ = runner(encoder, identity_stage, identity_stage, observations())
+        assert len(outputs) == 10
+        assert seen == [0, 0, 0, 3, 4, 5, 6, 7, 8, 9]  # three up front, then one per item
 
     @pytest.mark.parametrize("runner,on_caller", [
         (run_pipeline, {2}),

@@ -111,7 +111,7 @@ def test_each_assignment_test_replays_alone(tmp_path):
     assert any(row.split(",")[1] != str(n) for row in rows), "no test lost a goal to the losses"
     for k in reversed(range(len(rows))):  # last first: no test depends on the ones before it
         out = run_assignment_scenario(
-            cli._instance_costs(section, n, cfg["seed"], k), mode=section["mode"],
+            cli._instance_costs(section, n, cfg["seed"], k),
             message_budget_bytes=section["message_budget_bytes"],
             agg_config=build_aggregation(cfg["aggregation"]),
             topology=build_topology(n, network), medium=build_medium(network),

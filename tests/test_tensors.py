@@ -138,6 +138,26 @@ class TestAttentionForward:
         want = naive_attention_forward(spec, query, context)
         assert np.allclose(got, want, atol=1e-5)
 
+    @pytest.mark.parametrize("context,match", [
+        ([np.zeros(4), np.zeros(3)], "equal rows"),
+        ([np.zeros((2, 4))], r"\(M, 4\)"),
+        (np.zeros(4), r"\(M, 4\)"),
+        ([np.zeros(3)], r"\(M, 4\)"),
+        ([np.zeros(4), np.array([0.0, np.inf, 0.0, 0.0])], "non-finite"),
+    ], ids=["ragged", "rank-3", "rank-1", "width", "non-finite"])
+    def test_malformed_context_block_is_a_shape_error(self, context, match):
+        spec = _identity_attention(4)
+        with pytest.raises(ShapeError, match=match):
+            attention_forward(spec, np.zeros(4, dtype=np.float32), context)
+
+    def test_a_context_block_equals_its_list_of_rows(self):
+        spec = random_attention(model_dim=12, heads=3, layers=2, seed=11)
+        rng = np.random.default_rng(13)
+        query = rng.normal(size=12).astype(np.float32)
+        block = rng.normal(size=(3, 12)).astype(np.float32)
+        assert np.array_equal(attention_forward(spec, query, block),
+                              attention_forward(spec, query, list(block)))
+
     def test_empty_context_rejected(self):
         spec = _identity_attention(4)
         with pytest.raises(ShapeError, match="fallback"):
@@ -178,6 +198,17 @@ class TestWeightFiles:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(spec.biases, loaded.biases):
             assert np.array_equal(b1, b2)
+
+    def test_a_non_relu_network_is_not_saved(self, tmp_path):
+        # the format records no activation and loads ReLU: this identity network
+        # maps [-1, 2, -3] to itself, but would load back mapping it to [0, 2, 0]
+        spec = identity_mlp(3, layers=2)
+        x = np.array([-1.0, 2.0, -3.0], dtype=np.float32)
+        assert np.array_equal(mlp_forward(spec, x), x)
+        path = tmp_path / "identity.mwts"
+        with pytest.raises(WeightFormatError, match="ReLU networks only"):
+            save_mlp(path, spec)
+        assert not path.exists()
 
     def test_attention_round_trip(self, tmp_path):
         spec = random_attention(model_dim=8, heads=2, layers=2, seed=5)

@@ -238,22 +238,25 @@ class TestNeighborBuffer:
         buf = NeighborBuffer([1], staleness_ns=100 * ms)
         now = 1_000 * ms
         buf.insert(make_env(seq=1, ts=now - 150 * ms), now_ns=now)
-        assert buf.evict_stale(now) == 1
+        assert buf.snapshot(now) == []
+        assert 1 not in buf._slots
         buf.insert(make_env(seq=2, ts=now - 50 * ms), now_ns=now)
-        assert buf.evict_stale(now) == 0
+        assert [nid for nid, _, _ in buf.snapshot(now)] == [1]
 
     def test_eviction_boundary_is_inclusive(self):
         buf = NeighborBuffer([1], staleness_ns=100)
         buf.insert(make_env(seq=1, ts=0), now_ns=0)
-        assert buf.evict_stale(100) == 0  # age == threshold is retained
-        assert len(buf.snapshot(100)) == 1
+        assert [age for _, _, age in buf.snapshot(100)] == [100]  # age == threshold is live
+        assert buf.snapshot(101) == []  # a nanosecond older: neither listed...
+        assert buf.snapshot(100) == []  # ...nor kept
 
     def test_eviction_is_idempotent(self):
         buf = NeighborBuffer([1, 2], staleness_ns=10)
         buf.insert(make_env(sender=1, seq=1, ts=0), now_ns=0)
         buf.insert(make_env(sender=2, seq=1, ts=0), now_ns=0)
-        assert buf.evict_stale(50) == 2
-        assert buf.evict_stale(50) == 0
+        assert buf.snapshot(50) == []
+        assert buf._slots == {}
+        assert buf.snapshot(50) == []
 
     def test_snapshot_empty_when_nothing_received(self):
         buf = NeighborBuffer([1, 2, 3])
