@@ -31,6 +31,13 @@ ratio CHANGE / PARENT, with the pair's other metrics, then each side's
 median, the parent runs' spread between quartiles, the median ratio and
 the number of pairs CHANGE won (ratio above 1: more units per second is
 better). The JSON summary adds each metric's median on both sides.
+
+It also gives a verdict on each end-to-end metric of ``BENCHMARK.json``,
+in the direction its ``better`` names: an exact two-sided sign test over
+the pairs, ties counting for neither side. The verdict is ``better`` or
+``worse`` when p <= 0.05 (at 10 pairs, 9 of 10 gives p = 0.021 and 8 of
+10 gives p = 0.109), ``equal`` when every pair ties, and ``unresolved``
+otherwise. The JSON summary carries the verdicts.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import argparse
 import importlib.util
 import itertools
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -47,6 +55,8 @@ import time
 from pathlib import Path
 
 MICROBENCH = Path(__file__).resolve().parent
+BENCHMARK = MICROBENCH.parent / "BENCHMARK.json"
+SIGN_TEST_ALPHA = 0.05
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 PROCESS_TIMEOUT_S = 600.0
 BENCH_METRIC = "units_per_s"
@@ -182,27 +192,59 @@ def bench_metrics(output: str) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def iqr(values) -> float:
+    """The spread between the quartiles (0 for a single value)."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+    return q3 - q1
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign test: the chance of a split at least this uneven
+    among ``wins + losses`` fair coin flips."""
+    n = wins + losses
+    return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n)
+
+
+def verdict(old, new, better: str) -> dict:
+    """Sign-test verdict on paired values, where ``better`` is 'higher' or 'lower'."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (n - o) > 0 for o, n in zip(old, new))
+    losses = sum(sign * (n - o) < 0 for o, n in zip(old, new))
+    p = sign_test_p(wins, losses)
+    if wins + losses == 0:
+        word = "equal"
+    elif p <= SIGN_TEST_ALPHA:
+        word = "better" if wins > losses else "worse"
+    else:
+        word = "unresolved"
+    return {"verdict": word, "p": p, "better": wins, "worse": losses,
+            "parent_iqr": iqr(old)}
+
+
 def bench_summary(workload: str, pairs) -> dict:
     """Summary of (parent output, change output) pairs of ``bench/run.py`` runs.
 
-    ``medians`` holds each metric's [parent, change] medians over the pairs.
+    ``medians`` holds each metric's [parent, change] medians over the pairs,
+    and ``verdicts`` each end-to-end metric's :func:`verdict`.
     """
     runs = [(bench_metrics(p), bench_metrics(c)) for p, c in pairs]
     old = [p[BENCH_METRIC] for p, _ in runs]
     new = [c[BENCH_METRIC] for _, c in runs]
     ratios = [c / p for p, c in zip(old, new)]
-    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+    directions = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     return {
         "workload": workload,
         "pairs": len(ratios),
         "ratios": ratios,
         "parent": statistics.median(old),
         "change": statistics.median(new),
-        "parent_iqr": q3 - q1,
+        "parent_iqr": iqr(old),
         "ratio": statistics.median(ratios),
         "won": sum(r > 1.0 for r in ratios),
         "medians": {name: [statistics.median(p[name] for p, _ in runs),
                            statistics.median(c[name] for _, c in runs)] for name in runs[0][0]},
+        "verdicts": {name: verdict([p[name] for p, _ in runs], [c[name] for _, c in runs], better)
+                     for name, better in directions.items() if name in runs[0][0]},
     }
 
 
@@ -236,6 +278,11 @@ def compare_bench(args) -> dict:
           f"paired median change/parent {summary['ratio']:.4f} "
           f"({(summary['ratio'] - 1) * 100:+.1f} %), change won {summary['won']} of "
           f"{summary['pairs']} pairs")
+    for name, v in summary["verdicts"].items():
+        parent, change = summary["medians"][name]
+        print(f"{name}: parent median {parent:.6g} (IQR {v['parent_iqr']:.3g}), change median "
+              f"{change:.6g}; change better in {v['better']}, worse in {v['worse']} of "
+              f"{summary['pairs']} pairs, sign test p = {v['p']:.3f}: {v['verdict']}")
     return summary
 
 

@@ -93,7 +93,7 @@ def test_insert_nine_neighbors(benchmark):
         accepted = 0
         for env in envs[seq % 2]:
             env.seq = seq
-            accepted += buf.insert(env, 0)
+            accepted += buf.insert(env)
         return accepted
 
     assert benchmark(nine_inserts) == len(NEIGHBORS)
@@ -104,7 +104,7 @@ def filled_buffer(neighbors):
     buf = NeighborBuffer(neighbors, staleness_ns=10**9)
     for seq in (1, 2):
         for s in reversed(neighbors):
-            buf.insert(MessageEnvelope(s, seq, seq, seq, ENVELOPE.payload), seq)
+            buf.insert(MessageEnvelope(s, seq, seq, seq, ENVELOPE.payload))
     return buf
 
 

@@ -192,7 +192,7 @@ def build_team(transports, staleness_ns: int) -> dict:
         def receive(data: bytes, now_ns: int, buf=buf) -> bool:
             # Both calls are looked up per message, so wrappers on
             # wire.decode_envelope and NeighborBuffer.insert see each one.
-            return buf.insert(wire.decode_envelope(data, memo=memo), now_ns)
+            return buf.insert(wire.decode_envelope(data, memo=memo))
 
         transport.on_receive(receive)
         team[transport.agent_id] = (transport.broadcast, buf)

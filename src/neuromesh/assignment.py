@@ -310,11 +310,10 @@ class AssignmentModel:
         )
 
     @staticmethod
-    def load(encoder_path, attention_path, decoder_path, heads: int = 3,
-             layers: int = 2) -> "AssignmentModel":
+    def load(encoder_path, attention_path, decoder_path, heads: int = 3) -> "AssignmentModel":
         return AssignmentModel(
             encoder=load_mlp(encoder_path),
-            attention=load_attention(attention_path, heads, layers),
+            attention=load_attention(attention_path, heads),
             decoder=load_mlp(decoder_path),
         )
 

@@ -89,9 +89,7 @@ def _assignment_model(section: dict) -> AssignmentModel | None:
     if section["mode"] != "learned":
         return None
     w = section["weights"]
-    return AssignmentModel.load(
-        w["encoder"], w["attention"], w["decoder"], heads=w["heads"], layers=w["layers"]
-    )
+    return AssignmentModel.load(w["encoder"], w["attention"], w["decoder"], heads=w["heads"])
 
 
 def _instance_costs(section: dict, n: int, seed: int, test_id: int) -> np.ndarray:
@@ -170,13 +168,13 @@ def _control_team(cfg: dict, run_id: int):
 
 def _run_control(cfg: dict, outdir: Path) -> list[Path]:
     section = cfg["control"]
-    policy = None
+    learned = {}  # a scripted run gets neither a policy nor a mesh
     if section["policy"] == "learned":
         w = section["weights"]
-        policy = ControlPolicy.load(w["encoder"], w["pairwise"], w["decoder"])
-    topo = build_topology(cfg["team_size"], cfg["network"])
-    medium = build_medium(cfg["network"])
-    agg = build_aggregation(cfg["aggregation"])
+        learned = dict(policy=ControlPolicy.load(w["encoder"], w["pairwise"], w["decoder"]),
+                       topology=build_topology(cfg["team_size"], cfg["network"]),
+                       medium=build_medium(cfg["network"]),
+                       agg_config=build_aggregation(cfg["aggregation"]))
     rows = []
     trajectory_rows = []
     successes = 0
@@ -186,11 +184,11 @@ def _run_control(cfg: dict, outdir: Path) -> list[Path]:
         # agent ids stay below 2**16 (the wire's u16 sender_id), so shifting
         # the run id above them gives every (run, robot) pair its own stream.
         params = build_navigation_params(section, seed=cfg["seed"] + (run_id << 16))
-        outcome = run_navigation_scenario(
-            states, goals, policy=policy, params=params, topology=topo, medium=medium,
-            agg_config=agg, record_trajectory=section["write_trajectories"],
-            seed=derive_seed(cfg["network"]["seed"], run_id),  # runs draw independent losses
-        )
+        if learned:  # runs draw independent losses
+            learned["seed"] = derive_seed(cfg["network"]["seed"], run_id)
+        outcome = run_navigation_scenario(states, goals, params=params,
+                                          record_trajectory=section["write_trajectories"],
+                                          **learned)
         successes += outcome.success
         rows.append([
             run_id, int(outcome.success), outcome.steps,

@@ -23,12 +23,32 @@ from .netsim import LinkModel, MediumModel, Topology
 
 ENV_SEED = "NEUROMESH_SEED"
 
-# Top-level fields each task reads besides COMMON_FIELDS, in validation order.
+# Top-level fields each task reads besides COMMON_FIELDS, in validation order: a
+# selector field in READ_WHEN comes before every field that depends on it.
 TASK_FIELDS = {
     "assignment": ("team_size", "network", "aggregation", "assignment", "sweep"),
-    "control": ("team_size", "network", "aggregation", "control"),
+    "control": ("team_size", "control", "network", "aggregation"),
     "timing": ("timing",),
     "comms": ("network", "comms"),
+}
+# Per task, each field or section the run reads only under one value of a selector
+# field: path -> (selector path, that value). A config that sets it under any other
+# value is refused; a default still fills it in.
+READ_WHEN = {
+    "assignment": {
+        "aggregation.min_neighbors": ("aggregation.mode", "best_effort"),
+        "assignment.cost_range": ("assignment.costs", "random"),
+        "assignment.weights": ("assignment.mode", "learned"),
+    },
+    "control": {
+        "network": ("control.policy", "learned"),
+        "aggregation": ("control.policy", "learned"),
+        "aggregation.timeout_ms": ("aggregation.mode", "blocking"),
+        "aggregation.min_neighbors": ("aggregation.mode", "best_effort"),
+        "control.weights": ("control.policy", "learned"),
+        "control.deterministic_actions": ("control.policy", "learned"),
+    },
+    "comms": {"comms.team_sizes": ("comms.scenario", "sweep")},
 }
 TASKS = tuple(TASK_FIELDS)
 COMMON_FIELDS = ("task", "seed", "output_dir")
@@ -152,15 +172,25 @@ def _random_or_rows(width=None):
     return check
 
 
+def _refuse_unread(task: str, path: str, cfg: dict) -> None:
+    """Refuse ``path``, which the config sets, unless its READ_WHEN selector holds the
+    value under which the run reads it."""
+    rule = READ_WHEN.get(task, {}).get(path)
+    if rule is not None:
+        section, key = rule[0].split(".")
+        chosen = cfg[section][key]
+        shown = chosen if isinstance(chosen, str) else "explicit"
+        _expect(chosen == rule[1], path, f"the {shown} {key} does not read this field")
+
+
 def _weights(selector, *names, **extras):
     """Weight file paths ``names``, which must exist, plus int ``extras`` >= 1: required
-    when the section's ``selector`` field is 'learned', refused otherwise."""
+    when the section's ``selector`` field is 'learned' (READ_WHEN refuses them otherwise)."""
     def check(value, where, cfg):
-        chosen = cfg[where.split(".")[0]][selector]
         if value is None:
-            _expect(chosen != "learned", where, "required for learned mode")
+            _expect(cfg[where.split(".")[0]][selector] != "learned", where,
+                    "required for learned mode")
             return None
-        _expect(chosen == "learned", where, f"the {chosen} {selector} does not read this field")
         _expect(isinstance(value, dict), where, "expected an object")
         _check_unknown(value, names + tuple(extras), where)
         for name in names:
@@ -196,7 +226,7 @@ SECTIONS = {
     "aggregation": {
         "mode": (_AGG.mode, _choice("blocking", "best_effort"), "'blocking' | 'best_effort'"),
         "timeout_ms": (_AGG.timeout_ns / 1e6, _number(above=0, ns=1e6),
-                       "float > 0 blocking timeout, below 2**63 ns"),
+                       "float > 0 wait timeout, below 2**63 ns"),
         "min_neighbors": (_AGG.min_neighbors, _integer(0), "int in [0, team_size - 1]"),
     },
     "assignment": {
@@ -204,15 +234,15 @@ SECTIONS = {
         "mode": ("expert", _choice("expert", "learned"), "'expert' | 'learned'"),
         "message_budget_bytes": (None, _budget, "int >= 4 payload cap, null = unlimited"),
         "costs": ("random", _random_or_rows(), "'random' or a team_size x team_size matrix"),
-        "cost_range": ([1.0, 10.0], _interval(list), "finite [lo, hi], lo < hi, for random costs"),
-        "weights": (None, _weights("mode", "encoder", "attention", "decoder", heads=3, layers=2),
-                    "learned mode only: {encoder, attention, decoder, heads, layers}"),
+        "cost_range": ([1.0, 10.0], _interval(list), "finite [lo, hi], lo < hi"),
+        "weights": (None, _weights("mode", "encoder", "attention", "decoder", heads=3),
+                    "{encoder, attention, decoder} file paths; heads: int >= 1, 3 if unset"),
     },
     "control": {
         "n_runs": (20, _integer(1), "int >= 1"),
         "policy": ("scripted", _choice("scripted", "learned"), "'scripted' | 'learned'"),
         "weights": (None, _weights("policy", "encoder", "pairwise", "decoder"),
-                    "learned policy only: {encoder, pairwise, decoder}"),
+                    "{encoder, pairwise, decoder} file paths"),
         "initial_poses": ("random", _random_or_rows(3), "'random' or team_size [x, y, heading]"),
         "goals": ("random", _random_or_rows(2), "'random' or team_size [x, y]"),
         "arena_half_extent_m": (2.0, _positive, "float > 0, random pose range"),
@@ -233,8 +263,7 @@ SECTIONS = {
     },
     "comms": {
         "scenario": ("sweep", _choice("sweep", "quality"), "'sweep' | 'quality'"),
-        "team_sizes": ([5, 10, 30, 50], _int_list(2),
-                       "non-empty list of ints >= 2 for the sweep scenario"),
+        "team_sizes": ([5, 10, 30, 50], _int_list(2), "non-empty list of ints >= 2"),
         "payload_bytes": (128, _integer(8), "int >= 8"),
         "offered_hz": (200.0, _rate, "Hz > 0 publish rate, 1e9 / rate in [1, 2**63) ns"),
         "duration_s": (0.6, _number(above=0, ns=1e9),
@@ -243,17 +272,26 @@ SECTIONS = {
 }
 
 
-def _describe(table: dict) -> dict:
-    """Each field's description with its default appended."""
-    return {key: f"{doc} (default {repr(d) if isinstance(d, str) else json.dumps(d)})"
+def _read_when(path: str) -> list[str]:
+    """``path``'s READ_WHEN rules, each as '<task>: read only when <selector> is <value>'."""
+    return [f"{task}: read only when {rules[path][0]} is {rules[path][1]!r}"
+            for task, rules in READ_WHEN.items() if path in rules]
+
+
+def _describe(table: dict, section: str = "") -> dict:
+    """Each field's description with its READ_WHEN rules and its default appended."""
+    return {key: "; ".join([doc, *_read_when(f"{section}.{key}" if section else key)])
+                 + f" (default {repr(d) if isinstance(d, str) else json.dumps(d)})"
             for key, (d, _, doc) in table.items()}
 
 
 SCHEMA_DOC = {
     "task": " | ".join(TASKS) + " (required); each task accepts only the fields it reads: "
-            + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items()),
+            + "; ".join(f"{t}: {', '.join(fields)}" for t, fields in TASK_FIELDS.items())
+            + "".join(f"; the {name} section, {note}" for name in SECTIONS
+                      for note in _read_when(name)),
     **_describe(TOP_LEVEL),
-    **{name: _describe(table) for name, table in SECTIONS.items()},
+    **{name: _describe(table, name) for name, table in SECTIONS.items()},
     "sweep": {key: f"{task} sweep: non-empty list of ints >= {minimum}"
               for task, (key, minimum) in _SWEEP_GRIDS.items()},
 }
@@ -289,8 +327,12 @@ def validate_config(raw: dict) -> dict:
             cfg[name] = {key: _int_list(minimum)(v, f"sweep.{key}", cfg) for v in section.values()}
             continue
         _check_unknown(section, SECTIONS[name], name)
+        if name in raw:
+            _refuse_unread(task, name, cfg)
         out = cfg[name] = {}  # filled in order, so a check can read the fields above it
         for key, (default, check, _) in SECTIONS[name].items():
+            if key in section:
+                _refuse_unread(task, f"{name}.{key}", cfg)
             out[key] = check(section.get(key, default), f"{name}.{key}", cfg)
         if name == "aggregation":  # the rules that tie a field to another one
             _expect(out["min_neighbors"] <= cfg["team_size"] - 1, "aggregation.min_neighbors",

@@ -288,23 +288,26 @@ def run_navigation_scenario(
     medium: MediumModel | None = None,
     agg_config: AggregationConfig | None = None,
     record_trajectory: bool = False,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> NavigationOutcome:
     """Closed-loop run over the simulated mesh at a fixed control rate.
 
-    The given ``policy`` drives the team; with no policy, the scripted expert
-    drives it and nothing is published. Success requires every robot to
-    enter its goal radius within the step budget with no pairwise distance
-    ever below the collision radius.
+    The given ``policy`` drives the team over a mesh built from ``topology``
+    (a full mesh of lossless links if None) and ``medium``. With no policy,
+    the scripted expert drives it, and no mesh is built: ``seed``,
+    ``topology``, ``medium`` and ``agg_config`` are read only with a policy,
+    and a scripted call that passes one raises ShapeError naming it.
+    Success requires every robot to enter its goal radius within the step
+    budget with no pairwise distance ever below the collision radius.
     Failures are outcomes, not errors: a blocking timeout or too few live
     neighbors ends the run with ``failed`` set. Blocking waits for the
     current step's envelopes (round = step mod 256, as the wire round is a
     u8); best-effort takes the latest live ones. Each agent samples actions
     from its own generator seeded with ``params.seed`` XOR agent_id, and
-    ``seed`` seeds the mesh's loss and jitter streams, one per sending robot
-    (see ``MeshSimulator``), so runs replay bit-for-bit. Every goal must be
-    a 2-vector, with a policy or without; ShapeError names the first robot
-    whose goal is not.
+    ``seed`` (0 if None) seeds the mesh's loss and jitter streams, one per
+    sending robot (see ``MeshSimulator``), so runs replay bit-for-bit. Every
+    goal must be a 2-vector, with a policy or without; ShapeError names the
+    first robot whose goal is not.
     """
     if len(initial_states) < 2:
         raise ShapeError("navigation needs a team of at least 2 robots")
@@ -313,12 +316,17 @@ def run_navigation_scenario(
     params = params or NavigationParams()
     agents = sorted(initial_states)
     goal_rows = np.array([_goal_vector(goals[a], a) for a in agents])
-    topology = topology or Topology.full_mesh(agents)
-    agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
-    blocking = agg_config.mode == "blocking"
-
-    sim, team = build_sim_team(topology, medium, staleness_ns=500_000_000, seed=seed)
-    buffers = [team[a][1] for a in agents]
+    if policy is None:
+        given = dict(topology=topology, medium=medium, agg_config=agg_config, seed=seed)
+        for name, value in given.items():
+            if value is not None:
+                raise ShapeError(f"scripted navigation builds no mesh and does not read {name}")
+    else:
+        agg_config = agg_config or AggregationConfig(mode="best_effort", min_neighbors=0)
+        blocking = agg_config.mode == "blocking"
+        sim, team = build_sim_team(topology or Topology.full_mesh(agents), medium,
+                                   staleness_ns=500_000_000, seed=seed or 0)
+        buffers = [team[a][1] for a in agents]
 
     # The team's state, one row per robot in ascending id.
     starts = [replace(initial_states[a]) for a in agents]
@@ -342,21 +350,19 @@ def run_navigation_scenario(
             if collided or reached.all():
                 break
             steps_taken = step + 1
-            round_tag = step % 256
             units = heading_vectors(headings)
-            if policy is not None:
-                features = mlp_forward(policy.encoder,
-                                       stacked_observations(positions, goal_rows, speeds, units))
-                publish_features(team, dict(zip(agents, features)), step + 1, sim.now_ns,
-                                 round_tag)
-            sim.run_for(tick_ns)
-
             active = np.flatnonzero(~reached)
             if policy is None:
                 actions = [scripted_expert_action(UnicycleState(positions[i], headings[i]),
                                                   goal_rows[i], params.v_bounds,
                                                   params.omega_bounds) for i in active]
             else:
+                round_tag = step % 256
+                features = mlp_forward(policy.encoder,
+                                       stacked_observations(positions, goal_rows, speeds, units))
+                publish_features(team, dict(zip(agents, features)), step + 1, sim.now_ns,
+                                 round_tag)
+                sim.run_for(tick_ns)
                 neighborhoods = [
                     [vec for _, vec in await_neighborhood(
                         agg_config, buffers[i], lambda: sim.now_ns,

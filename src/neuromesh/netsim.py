@@ -104,6 +104,15 @@ class MediumModel:
         return self.per_node_bandwidth_bps
 
 
+def _distinct(agents) -> list[int]:
+    """``agents`` as ascending ints; a repeated agent raises TopologyError."""
+    agents = sorted(int(a) for a in agents)
+    for a, b in zip(agents, agents[1:]):
+        if a == b:
+            raise TopologyError(f"agent {a} is listed twice")
+    return agents
+
+
 @dataclass(frozen=True)
 class Topology:
     """Undirected adjacency with a link model per edge, fixed once built.
@@ -131,19 +140,16 @@ class Topology:
         """Every pair of ``agents`` linked by ``link``, built without the edge checks.
 
         Its edges are already normal (ascending keys, each edge once), so only
-        a repeated agent, whose mesh would hold a self-edge, is checked.
+        a repeated agent is checked.
         """
-        agents = sorted(int(a) for a in agents)
-        for a, b in zip(agents, agents[1:]):
-            if a == b:
-                raise TopologyError(f"self-edge on agent {a}")
+        agents = _distinct(agents)
         topo = Topology.__new__(Topology)
         topo._build(agents, dict.fromkeys(itertools.combinations(agents, 2), link or LinkModel()),
                     {a: agents[:i] + agents[i + 1 :] for i, a in enumerate(agents)})
         return topo
 
     def __post_init__(self):
-        agents = sorted(int(a) for a in self.agents)
+        agents = _distinct(self.agents)
         known = set(agents)
         links = {}
         for (a, b), link in self.links.items():

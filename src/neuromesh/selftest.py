@@ -56,11 +56,8 @@ def _check_buffer_semantics():
         buf = wire.NeighborBuffer([1])
         best = 0
         for seq in perm:
-            accepted = buf.insert(
-                wire.MessageEnvelope(1, seq, timestamp_ns=0, round=0,
-                                     payload=np.zeros(1, dtype=np.float32)),
-                now_ns=0,
-            )
+            accepted = buf.insert(wire.MessageEnvelope(1, seq, timestamp_ns=0, round=0,
+                                                       payload=np.zeros(1, dtype=np.float32)))
             if accepted != (seq > best):
                 return FAIL, f"keep-latest violated on arrival order {perm}"
             best = max(best, seq)
@@ -69,7 +66,7 @@ def _check_buffer_semantics():
             return FAIL, "buffer lost its only neighbor slot"
     buf = wire.NeighborBuffer([1], staleness_ns=100)
     buf.insert(wire.MessageEnvelope(1, 1, timestamp_ns=0, round=0,
-                                    payload=np.zeros(1, dtype=np.float32)), now_ns=0)
+                                    payload=np.zeros(1, dtype=np.float32)))
     if len(buf.snapshot(100)) != 1:
         return FAIL, "boundary age == threshold must be retained"
     if buf.snapshot(101) or buf.snapshot(100):

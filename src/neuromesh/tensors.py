@@ -360,17 +360,12 @@ def save_attention(path, spec: AttentionSpec) -> None:
     save_matrices(path, mats, biases)
 
 
-def load_attention(path, heads: int, layers: int) -> AttentionSpec:
+def load_attention(path, heads: int) -> AttentionSpec:
+    """Read attention projections saved by :func:`save_attention`: the file holds
+    4 matrices (q, k, v, o) per layer, so its matrix count gives the layer count."""
     mats, _ = load_matrices(path)
-    if len(mats) != 4 * layers:
+    if not mats or len(mats) % 4:
         raise WeightFormatError(
-            f"expected {4 * layers} projection matrices for {layers} layers, got {len(mats)}"
-        )
-    model_dim = mats[0].shape[0]
-    wq, wk, wv, wo = [], [], [], []
-    for l in range(layers):
-        wq.append(mats[4 * l + 0])
-        wk.append(mats[4 * l + 1])
-        wv.append(mats[4 * l + 2])
-        wo.append(mats[4 * l + 3])
-    return AttentionSpec(heads=heads, model_dim=model_dim, wq=wq, wk=wk, wv=wv, wo=wo)
+            f"expected 4 projection matrices per attention layer, got {len(mats)}")
+    return AttentionSpec(heads=heads, model_dim=mats[0].shape[0], wq=mats[0::4],
+                         wk=mats[1::4], wv=mats[2::4], wo=mats[3::4])

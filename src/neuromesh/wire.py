@@ -198,7 +198,7 @@ class NeighborBuffer:
     def neighbor_ids(self) -> frozenset[int]:
         return self._neighbors
 
-    def insert(self, env: MessageEnvelope, now_ns: int) -> bool:
+    def insert(self, env: MessageEnvelope) -> bool:
         """Accept iff the slot is empty or ``env.seq`` strictly increases."""
         sender = env.sender_id
         with self._lock:

@@ -232,13 +232,13 @@ def test_criterion_5_buffer_and_wire_semantics():
         running_max = 0
         for seq in perm:
             env = MessageEnvelope(1, seq, 0, 0, np.zeros(1, dtype=F32))
-            assert buf.insert(env, now_ns=0) == (seq > running_max)
+            assert buf.insert(env) == (seq > running_max)
             running_max = max(running_max, seq)
             assert buf._slots[1][0].seq == running_max
 
     # staleness boundary: age == threshold listed; a nanosecond older is evicted
     buf = NeighborBuffer([1], staleness_ns=100 * MS)
-    buf.insert(MessageEnvelope(1, 1, 0, 0, np.zeros(1, dtype=F32)), now_ns=0)
+    buf.insert(MessageEnvelope(1, 1, 0, 0, np.zeros(1, dtype=F32)))
     assert len(buf.snapshot(100 * MS)) == 1
     assert buf.snapshot(100 * MS + 1) == []
     assert buf.snapshot(100 * MS) == []

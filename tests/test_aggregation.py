@@ -266,9 +266,7 @@ class TestStackedDiffSumAggregate:
 
 def fill_buffer(buf, live_ids, round_=0):
     for nid in live_ids:
-        buf.insert(
-            MessageEnvelope(nid, 1, 0, round_, np.full(2, nid, dtype=F32)), now_ns=0
-        )
+        buf.insert(MessageEnvelope(nid, 1, 0, round_, np.full(2, nid, dtype=F32)))
 
 
 class TestResolveNeighborhood:
@@ -366,7 +364,7 @@ class TestRunRounds:
     def test_round_tagging_keeps_rounds_separate(self):
         # a round-1 round runner must ignore round-0 envelopes
         buf = NeighborBuffer([1])
-        buf.insert(MessageEnvelope(1, 1, 0, 0, vec(9, 9)), now_ns=0)
+        buf.insert(MessageEnvelope(1, 1, 0, 0, vec(9, 9)))
         cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=1)
         res = resolve_neighborhood(cfg, buf, now_ns=0, round_index=1)
         assert res.status is ResolutionStatus.SINGLE_ROBOT
@@ -509,9 +507,9 @@ class DecodeLog:
             self.calls.append((data, env))
             return env
 
-        def counted_insert(buf, env, now_ns):
+        def counted_insert(buf, env):
             self.inserts += 1
-            return insert(buf, env, now_ns)
+            return insert(buf, env)
 
         def counted_broadcast(transport, data):
             self.broadcasts += 1

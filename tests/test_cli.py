@@ -25,6 +25,15 @@ def write_config(tmp_path, body):
     return str(path)
 
 
+def learned_control(tmp_path):
+    """A learned ``control`` section whose weight paths exist, for configs that are
+    validated and not run."""
+    present = tmp_path / "present.mwts"
+    present.write_bytes(b"")
+    return {"policy": "learned", "weights": dict.fromkeys(("encoder", "pairwise", "decoder"),
+                                                          str(present))}
+
+
 def read_csv_lines(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# neuromesh-csv schema=")
@@ -94,7 +103,7 @@ class TestConfigValidation:
     def test_min_neighbors_bounded_by_team_size(self):
         with pytest.raises(ConfigError, match="aggregation.min_neighbors"):
             validate_config({
-                "task": "control",
+                "task": "assignment",
                 "team_size": 3,
                 "aggregation": {"min_neighbors": 3},
             })
@@ -108,8 +117,11 @@ class TestConfigValidation:
             validate_config({"task": task, "aggregation": {field: value}})
 
     @pytest.mark.parametrize("task", ["assignment", "control"])
-    def test_aggregation_defaults_still_validate(self, task):
-        cfg = validate_config({"task": task, "aggregation": {"mode": "blocking"}})
+    def test_aggregation_defaults_still_validate(self, task, tmp_path):
+        raw = {"task": task, "aggregation": {"mode": "blocking"}}
+        if task == "control":  # a scripted control run reads no aggregation field
+            raw["control"] = learned_control(tmp_path)
+        cfg = validate_config(raw)
         assert cfg["aggregation"] == {"mode": "blocking", "timeout_ms": 500.0, "min_neighbors": 0}
 
 
@@ -157,6 +169,15 @@ class TestCliRun:
         })
         assert main(["run", cfg]) == 2
         assert "network.per_node_bandwidth" in capsys.readouterr().err
+
+    def test_a_scripted_control_config_that_sets_a_link_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"task": "control", "output_dir": str(out),
+                                      "network": {"loss_prob": 1.0}, "control": {"n_runs": 1}})
+        assert main(["run", cfg]) == 2
+        assert "network: the scripted policy does not read this field" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("body,env_seed,path", [
         ({"task": "assignment", "seed": -1}, None, "seed:"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuromesh.config import COMMON_FIELDS, SCHEMA_DOC, TASK_FIELDS, validate_config
+from neuromesh.config import COMMON_FIELDS, READ_WHEN, SCHEMA_DOC, TASK_FIELDS, validate_config
 from neuromesh.errors import ConfigError
 
 SCALARS = st.one_of(
@@ -99,3 +99,60 @@ def test_bad_task_names_the_task_field():
     with pytest.raises(ConfigError) as err:
         validate_config({"task": "teleport"})
     assert err.value.path == "task"
+
+
+# Per READ_WHEN selector and the value under which the run reads its fields, a value
+# under which it does not.
+UNREAD = {
+    ("control.policy", "learned"): "scripted",
+    ("aggregation.mode", "best_effort"): "blocking",
+    ("aggregation.mode", "blocking"): "best_effort",
+    ("assignment.mode", "learned"): "expert",
+    ("assignment.costs", "random"): [[1.0] * 5] * 5,
+    ("comms.scenario", "sweep"): "quality",
+}
+RULES = [(task, path, rule) for task, rules in READ_WHEN.items() for path, rule in rules.items()]
+
+
+def set_path(raw, path, value):
+    section, _, key = path.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+
+
+def unread_config(task, path, rule, tmp_path):
+    """A config of ``task`` whose selector leaves ``path`` unread, and whose policy is
+    learned where the rule's section is read only under it."""
+    raw = {"task": task}
+    if task == "control" and rule[0] != "control.policy":
+        present = tmp_path / "present.mwts"
+        present.write_bytes(b"")
+        raw["control"] = {"policy": "learned", "weights": dict.fromkeys(
+            ("encoder", "pairwise", "decoder"), str(present))}
+    set_path(raw, rule[0], UNREAD[rule])
+    return raw
+
+
+@pytest.mark.parametrize("task,path,rule", RULES, ids=[f"{t}-{p}" for t, p, _ in RULES])
+def test_a_field_its_selector_leaves_unread_is_refused_even_at_its_default(
+        monkeypatch, task, path, rule, tmp_path):
+    monkeypatch.delenv("NEUROMESH_SEED", raising=False)
+    raw = unread_config(task, path, rule, tmp_path)
+    cfg = validate_config(raw)  # left out, the field still fills in its default
+    section, _, key = path.partition(".")
+    default = cfg[section][key] if key else cfg[section]
+    set_path(raw, path, json.loads(json.dumps(default)))
+    name = rule[0].partition(".")[2]
+    shown = UNREAD[rule] if isinstance(UNREAD[rule], str) else "explicit"
+    with pytest.raises(ConfigError, match=f"the {shown} {name} does not read this field") as err:
+        validate_config(raw)
+    assert err.value.path == path
+
+
+def test_no_assignment_weights_field_sets_the_layer_count(tmp_path):
+    present = tmp_path / "present.mwts"
+    present.write_bytes(b"")
+    weights = dict.fromkeys(("encoder", "attention", "decoder"), str(present))
+    with pytest.raises(ConfigError, match="unknown field") as err:
+        validate_config({"task": "assignment", "assignment": {
+            "mode": "learned", "weights": dict(weights, layers=2)}})
+    assert err.value.path == "assignment.weights.layers"

@@ -28,7 +28,8 @@ from neuromesh.control import (
 )
 from neuromesh.aggregation import AggregationConfig
 from neuromesh.errors import ShapeError
-from neuromesh.netsim import LinkModel, Topology
+from neuromesh import netsim
+from neuromesh.netsim import LinkModel, MediumModel, Topology
 from neuromesh.tensors import MlpSpec, random_mlp
 
 from oracles import naive_diff_sum, naive_mlp_forward
@@ -434,6 +435,35 @@ class TestNavigationScenario:
             run_navigation_scenario(states, goals,
                                     policy=None if scripted else ControlPolicy.random(seed=1),
                                     params=NavigationParams(max_steps=20))
+
+    def test_a_scripted_run_builds_no_mesh(self, monkeypatch):
+        built = []
+        init = netsim.MeshSimulator.__init__
+
+        def counted_init(sim, *args, **kwargs):
+            built.append(sim)
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(netsim.MeshSimulator, "__init__", counted_init)
+        states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0, heading=math.pi)}
+        goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0])}
+        assert run_navigation_scenario(states, goals,
+                                       params=NavigationParams(max_steps=300)).success
+        assert built == []
+        run_navigation_scenario(states, goals, policy=ControlPolicy.random(seed=1),
+                                params=NavigationParams(max_steps=2))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name,value", [
+        ("topology", Topology.full_mesh([0, 1])), ("medium", MediumModel()),
+        ("agg_config", AggregationConfig()), ("seed", 0),
+    ])
+    def test_a_scripted_call_refuses_what_only_a_mesh_reads(self, name, value):
+        states = {0: state(-1.0, 0.0), 1: state(1.0, 0.0)}
+        goals = {0: np.array([-1.0, 2.0]), 1: np.array([1.0, 2.0])}
+        with pytest.raises(ShapeError, match=f"does not read {name}$"):
+            run_navigation_scenario(states, goals, params=NavigationParams(max_steps=20),
+                                    **{name: value})
 
     def test_needs_at_least_two_robots(self):
         with pytest.raises(ShapeError, match="2"):

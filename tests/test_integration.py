@@ -34,11 +34,8 @@ class TestPolicyStagesInsidePipeline:
         buf = NeighborBuffer([1, 2], staleness_ns=10**15)
         rng = np.random.default_rng(5)
         for nid in (1, 2):
-            buf.insert(
-                MessageEnvelope(nid, 1, timestamp_ns=0, round=0,
-                                payload=rng.normal(size=8).astype(F32)),
-                now_ns=0,
-            )
+            buf.insert(MessageEnvelope(nid, 1, timestamp_ns=0, round=0,
+                                       payload=rng.normal(size=8).astype(F32)))
 
         def encoder(obs):
             return mlp_forward(policy.encoder, obs)
@@ -169,11 +166,8 @@ class TestLoopbackExchange:
             seq = 0
             while not stop.is_set():
                 seq += 1
-                buf.insert(
-                    MessageEnvelope(nid, seq, timestamp_ns=0, round=0,
-                                    payload=np.full(4, nid, dtype=F32)),
-                    now_ns=0,
-                )
+                buf.insert(MessageEnvelope(nid, seq, timestamp_ns=0, round=0,
+                                           payload=np.full(4, nid, dtype=F32)))
 
         writers = [threading.Thread(target=writer, args=(nid,)) for nid in (1, 2)]
         for w in writers:

@@ -88,3 +88,44 @@ class TestBenchSummary:
                                                         bench_output(300.0, correct=False))])
         with pytest.raises(RuntimeError, match="not correct"):
             paired_mod.bench_metrics("Traceback (most recent call last):\n  ...\n")
+
+
+def outputs(units_per_s, setup_s):
+    """A ``bench/run.py`` output with both metrics set."""
+    result = {"correct": True, "metrics": {"units_per_s": {"value": units_per_s},
+                                           "setup_s": {"value": setup_s}}}
+    return json.dumps(result)
+
+
+class TestVerdicts:
+    """Each end-to-end metric's sign-test verdict, in the direction ``BENCHMARK.json`` gives."""
+
+    def verdicts(self, units, setups):
+        pairs = [(outputs(p, sp), outputs(c, sc)) for (p, c), (sp, sc) in zip(units, setups)]
+        return load_paired().bench_summary("assign_expert", pairs)["verdicts"]
+
+    def test_the_exact_two_sided_p_values(self):
+        p = load_paired().sign_test_p
+        assert round(p(9, 1), 3) == 0.021 and round(p(1, 9), 3) == 0.021
+        assert round(p(8, 2), 3) == 0.109
+        assert p(10, 0) == 2 / 1024 and p(0, 0) == 1.0 and p(5, 5) == 1.0
+
+    def test_ten_of_ten_higher_is_better_and_seven_of_ten_is_unresolved(self):
+        units = [(100.0, 101.0)] * 10
+        setups = [(0.2, 0.1)] * 7 + [(0.2, 0.3)] * 3  # lower is better: 7 of 10
+        verdicts = self.verdicts(units, setups)
+        assert verdicts["units_per_s"]["verdict"] == "better"
+        assert verdicts["units_per_s"]["better"] == 10 and verdicts["units_per_s"]["worse"] == 0
+        assert verdicts["setup_s"]["verdict"] == "unresolved"
+        assert (verdicts["setup_s"]["better"], verdicts["setup_s"]["worse"]) == (7, 3)
+
+    def test_ten_of_ten_higher_on_a_lower_is_better_metric_is_worse(self):
+        verdicts = self.verdicts([(100.0, 100.0)] * 10, [(0.2, 0.25)] * 10)
+        assert verdicts["setup_s"]["verdict"] == "worse"
+        assert verdicts["setup_s"]["p"] == 2 / 1024
+
+    def test_ties_count_for_neither_side(self):
+        verdicts = self.verdicts([(100.0, 100.0)] * 10, [(0.2, 0.2)] * 9 + [(0.2, 0.1)])
+        assert verdicts["units_per_s"] == {"verdict": "equal", "p": 1.0, "better": 0,
+                                           "worse": 0, "parent_iqr": 0.0}
+        assert verdicts["setup_s"]["verdict"] == "unresolved"  # 1 of 1: p = 1

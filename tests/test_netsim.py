@@ -99,9 +99,13 @@ class TestFullMesh:
         assert mesh.senders == checked.senders
         assert list(mesh.directed.items()) == list(checked.directed.items())
 
-    def test_a_repeated_agent_is_a_self_edge(self):
-        with pytest.raises(TopologyError, match="self-edge on agent 1"):
+    def test_full_mesh_refuses_a_repeated_agent(self):
+        with pytest.raises(TopologyError, match="agent 1 is listed twice"):
             Topology.full_mesh([1, 1, 2])
+
+    def test_the_checked_constructor_refuses_a_repeated_agent_too(self):
+        with pytest.raises(TopologyError, match="agent 0 is listed twice"):
+            Topology([0, 0, 1], {(0, 1): LinkModel()})
 
     def test_assigning_links_on_a_full_mesh_is_checked(self):
         mesh = Topology.full_mesh(range(3))
@@ -844,7 +848,7 @@ class TestSimTransport:
         sim = two_node_sim(LinkModel(base_latency_ns=MS))
         t0, t1 = SimTransport(sim, 0), SimTransport(sim, 1)
         buf = NeighborBuffer([0], staleness_ns=10**12)
-        t1.on_receive(lambda data, now: buf.insert(decode_envelope(data), now))
+        t1.on_receive(lambda data, now: buf.insert(decode_envelope(data)))
         env = MessageEnvelope(0, 1, timestamp_ns=0, round=0,
                               payload=np.array([7.0], dtype=np.float32))
         t0.broadcast(encode_envelope(env))
@@ -871,7 +875,7 @@ class TestLoopbackTransport:
         with LoopbackTransport(0, [1], base_port=base_port) as t0, \
              LoopbackTransport(1, [0], base_port=base_port) as t1:
             t1.on_receive(
-                lambda data, now: received.append(buf.insert(decode_envelope(data), now)))
+                lambda data, now: received.append(buf.insert(decode_envelope(data))))
             env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
                                   payload=np.array([1.5, 2.5], dtype=np.float32))
             t0.broadcast(encode_envelope(env))
@@ -888,7 +892,7 @@ class TestLoopbackTransport:
         buf = NeighborBuffer([0], staleness_ns=10**12)
         with LoopbackTransport(0, [1], base_port=base_port) as t0, \
              LoopbackTransport(1, [0], base_port=base_port) as t1:
-            t1.on_receive(lambda data, now: buf.insert(decode_envelope(data), now))
+            t1.on_receive(lambda data, now: buf.insert(decode_envelope(data)))
             t0.broadcast(b"junk")
             env = MessageEnvelope(0, 1, timestamp_ns=time.monotonic_ns(), round=0,
                                   payload=np.array([3.5], dtype=np.float32))

@@ -10,6 +10,8 @@ from neuromesh.aggregation import diff_sum_aggregate
 from neuromesh.control import ControlPolicy, policy_forward
 from neuromesh.errors import ShapeError, WeightFormatError
 from neuromesh.tensors import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
     AttentionSpec,
     MlpSpec,
     attention_forward,
@@ -21,6 +23,7 @@ from neuromesh.tensors import (
     random_attention,
     random_mlp,
     save_attention,
+    save_matrices,
     save_mlp,
     softplus_shift,
 )
@@ -214,12 +217,36 @@ class TestWeightFiles:
         spec = random_attention(model_dim=8, heads=2, layers=2, seed=5)
         path = tmp_path / "att.mwts"
         save_attention(path, spec)
-        loaded = load_attention(path, heads=2, layers=2)
+        loaded = load_attention(path, heads=2)
         x = np.random.default_rng(0).normal(size=8).astype(np.float32)
         ctx = [np.random.default_rng(1).normal(size=8).astype(np.float32)]
         assert np.array_equal(
             attention_forward(spec, x, ctx), attention_forward(loaded, x, ctx)
         )
+
+    def test_the_attention_file_gives_the_layer_count(self, tmp_path):
+        spec = random_attention(model_dim=6, heads=3, layers=3, seed=2)
+        path = tmp_path / "att3.mwts"
+        save_attention(path, spec)
+        loaded = load_attention(path, heads=3)
+        assert loaded.layers == 3
+        x = np.random.default_rng(0).normal(size=6).astype(np.float32)
+        ctx = np.random.default_rng(1).normal(size=(2, 6)).astype(np.float32)
+        assert (attention_forward(loaded, x, ctx).tobytes()
+                == attention_forward(spec, x, ctx).tobytes())
+
+    @pytest.mark.parametrize("count", [0, 6])
+    def test_an_attention_file_of_partial_layers_is_refused(self, tmp_path, count):
+        path = tmp_path / "partial.mwts"
+        mats = [np.eye(4, dtype=np.float32)] * count
+        zeros = [np.zeros(4, dtype=np.float32)] * count
+        if count:
+            save_matrices(path, mats, zeros)
+        else:  # save_matrices refuses an empty stack, so write the bare header
+            path.write_bytes(WEIGHTS_MAGIC + bytes([WEIGHTS_VERSION, 0]))
+        with pytest.raises(WeightFormatError, match=f"4 projection matrices per attention "
+                                                    f"layer, got {count}"):
+            load_attention(path, heads=1)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mwts"

@@ -201,8 +201,8 @@ class TestNeighborBuffer:
     def test_out_of_order_arrival_discarded(self):
         buf = NeighborBuffer([7])
         for seq in (1, 3):
-            assert buf.insert(make_env(sender=7, seq=seq), now_ns=0)
-        assert not buf.insert(make_env(sender=7, seq=2), now_ns=0)
+            assert buf.insert(make_env(sender=7, seq=seq))
+        assert not buf.insert(make_env(sender=7, seq=2))
         [(nid, _, _)] = buf.snapshot(0)
         assert nid == 7
         assert buf._slots[7][0].seq == 3
@@ -210,25 +210,25 @@ class TestNeighborBuffer:
     def test_in_order_arrivals_keep_latest(self):
         buf = NeighborBuffer([1])
         for seq in (1, 2, 3):
-            assert buf.insert(make_env(seq=seq), now_ns=0)
+            assert buf.insert(make_env(seq=seq))
         assert buf._slots[1][0].seq == 3
 
     def test_duplicate_seq_rejected(self):
         buf = NeighborBuffer([1])
-        assert buf.insert(make_env(seq=5), now_ns=0)
-        assert not buf.insert(make_env(seq=5), now_ns=0)
+        assert buf.insert(make_env(seq=5))
+        assert not buf.insert(make_env(seq=5))
 
     def test_unknown_sender_is_an_error_not_a_drop(self):
         buf = NeighborBuffer([1, 2])
         with pytest.raises(UnknownSenderError):
-            buf.insert(make_env(sender=3), now_ns=0)
+            buf.insert(make_env(sender=3))
 
     def test_keep_latest_over_all_permutations(self):
         for perm in itertools.permutations([1, 2, 3, 4, 5]):
             buf = NeighborBuffer([1])
             running_max = 0
             for seq in perm:
-                accepted = buf.insert(make_env(seq=seq), now_ns=0)
+                accepted = buf.insert(make_env(seq=seq))
                 assert accepted == (seq > running_max), perm
                 running_max = max(running_max, seq)
                 assert buf._slots[1][0].seq == running_max
@@ -237,23 +237,23 @@ class TestNeighborBuffer:
         ms = 1_000_000
         buf = NeighborBuffer([1], staleness_ns=100 * ms)
         now = 1_000 * ms
-        buf.insert(make_env(seq=1, ts=now - 150 * ms), now_ns=now)
+        buf.insert(make_env(seq=1, ts=now - 150 * ms))
         assert buf.snapshot(now) == []
         assert 1 not in buf._slots
-        buf.insert(make_env(seq=2, ts=now - 50 * ms), now_ns=now)
+        buf.insert(make_env(seq=2, ts=now - 50 * ms))
         assert [nid for nid, _, _ in buf.snapshot(now)] == [1]
 
     def test_eviction_boundary_is_inclusive(self):
         buf = NeighborBuffer([1], staleness_ns=100)
-        buf.insert(make_env(seq=1, ts=0), now_ns=0)
+        buf.insert(make_env(seq=1, ts=0))
         assert [age for _, _, age in buf.snapshot(100)] == [100]  # age == threshold is live
         assert buf.snapshot(101) == []  # a nanosecond older: neither listed...
         assert buf.snapshot(100) == []  # ...nor kept
 
     def test_eviction_is_idempotent(self):
         buf = NeighborBuffer([1, 2], staleness_ns=10)
-        buf.insert(make_env(sender=1, seq=1, ts=0), now_ns=0)
-        buf.insert(make_env(sender=2, seq=1, ts=0), now_ns=0)
+        buf.insert(make_env(sender=1, seq=1, ts=0))
+        buf.insert(make_env(sender=2, seq=1, ts=0))
         assert buf.snapshot(50) == []
         assert buf._slots == {}
         assert buf.snapshot(50) == []
@@ -264,31 +264,31 @@ class TestNeighborBuffer:
 
     def test_snapshot_orders_by_neighbor_id(self):
         buf = NeighborBuffer([5, 2])
-        buf.insert(make_env(sender=5, seq=1), now_ns=0)
-        buf.insert(make_env(sender=2, seq=1), now_ns=0)
+        buf.insert(make_env(sender=5, seq=1))
+        buf.insert(make_env(sender=2, seq=1))
         assert [nid for nid, _, _ in buf.snapshot(0)] == [2, 5]
 
     def test_unsorted_repeated_neighbor_ids_still_read_in_ascending_id(self):
         buf = NeighborBuffer([3, 1, 2, 3])
         assert buf.neighbor_ids == {1, 2, 3}
         for sender in (3, 1, 2):  # filled out of id order
-            assert buf.insert(make_env(sender=sender, seq=1), now_ns=0)
+            assert buf.insert(make_env(sender=sender, seq=1))
         assert [nid for nid, _, _ in buf.snapshot(0)] == [1, 2, 3]
         with pytest.raises(UnknownSenderError):
-            buf.insert(make_env(sender=4), now_ns=0)
+            buf.insert(make_env(sender=4))
         assert [nid for nid, _, _ in buf.snapshot(0)] == [1, 2, 3]
 
     def test_snapshot_runs_eviction_first(self):
         buf = NeighborBuffer([1, 2], staleness_ns=100)
-        buf.insert(make_env(sender=1, seq=1, ts=0), now_ns=0)
-        buf.insert(make_env(sender=2, seq=1, ts=500), now_ns=500)
+        buf.insert(make_env(sender=1, seq=1, ts=0))
+        buf.insert(make_env(sender=2, seq=1, ts=500))
         live = buf.snapshot(500)
         assert [nid for nid, _, _ in live] == [2]
 
     def test_snapshot_round_filter(self):
         buf = NeighborBuffer([1, 2])
-        buf.insert(make_env(sender=1, seq=1, round_=0), now_ns=0)
-        buf.insert(make_env(sender=2, seq=1, round_=1), now_ns=0)
+        buf.insert(make_env(sender=1, seq=1, round_=0))
+        buf.insert(make_env(sender=2, seq=1, round_=1))
         assert [nid for nid, _, _ in buf.snapshot(0, round_index=1)] == [2]
 
     def test_round_filter_falls_back_to_the_replaced_envelope(self):
@@ -296,8 +296,8 @@ class TestNeighborBuffer:
         buf = NeighborBuffer([1], staleness_ns=10**9)
         round0 = np.array([1.0, 2.0], dtype=np.float32)
         round1 = np.array([3.0, 4.0], dtype=np.float32)
-        assert buf.insert(make_env(seq=1, round_=0, payload=round0), now_ns=0)
-        assert buf.insert(make_env(seq=2, round_=1, payload=round1), now_ns=0)
+        assert buf.insert(make_env(seq=1, round_=0, payload=round0))
+        assert buf.insert(make_env(seq=2, round_=1, payload=round1))
         [(nid, payload, _)] = buf.snapshot(0, round_index=0)
         assert nid == 1 and payload.tobytes() == round0.tobytes()
         [(_, payload, _)] = buf.snapshot(0, round_index=1)
@@ -308,14 +308,14 @@ class TestNeighborBuffer:
 
     def test_stale_replaced_envelope_is_not_a_fallback(self):
         buf = NeighborBuffer([1], staleness_ns=100)
-        buf.insert(make_env(seq=1, ts=0, round_=0), now_ns=0)
-        buf.insert(make_env(seq=2, ts=200, round_=1), now_ns=200)
+        buf.insert(make_env(seq=1, ts=0, round_=0))
+        buf.insert(make_env(seq=2, ts=200, round_=1))
         assert buf.snapshot(200, round_index=0) == []
         assert len(buf.snapshot(200, round_index=1)) == 1
 
     def test_snapshot_reports_age(self):
         buf = NeighborBuffer([1], staleness_ns=10**9)
-        buf.insert(make_env(seq=1, ts=1000), now_ns=1000)
+        buf.insert(make_env(seq=1, ts=1000))
         [(_, _, age)] = buf.snapshot(4000)
         assert age == 3000
 
@@ -389,9 +389,9 @@ class TestOnePassSnapshot:
                            payload=np.array([k], dtype=np.float32))
             if sender == 4:
                 with pytest.raises(UnknownSenderError):
-                    buf.insert(env, now_ns=ts)
+                    buf.insert(env)
             else:
-                buf.insert(env, now_ns=ts)
+                buf.insert(env)
 
 
 def stored_bytes(memo):
