@@ -33,11 +33,18 @@ the number of pairs CHANGE won (ratio above 1: more units per second is
 better). The JSON summary adds each metric's median on both sides.
 
 It also gives a verdict on each end-to-end metric of ``BENCHMARK.json``,
-in the direction its ``better`` names: an exact two-sided sign test over
-the pairs, ties counting for neither side. The verdict is ``better`` or
-``worse`` when p <= 0.05 (at 10 pairs, 9 of 10 gives p = 0.021 and 8 of
-10 gives p = 0.109), ``equal`` when every pair ties, and ``unresolved``
-otherwise. The JSON summary carries the verdicts.
+in the direction its ``better`` names, from two tests that must agree:
+- an exact two-sided sign test over the pairs, ties counting for neither
+  side, at p <= 0.05 (at 10 pairs, 9 of 10 gives p = 0.021 and 8 of 10
+  gives p = 0.109);
+- a 95 % percentile-bootstrap interval of the median log-ratio
+  log(CHANGE / PARENT) over the pairs, signed so that above 0 is better,
+  from 2,000 resamples of the pairs drawn from a fixed seed (Kalibera and
+  Jones, "Rigorous benchmarking in reasonable time", ISMM 2013). A metric
+  with a value <= 0 has no interval.
+The verdict is ``better`` or ``worse`` when the sign test says so and the
+interval lies wholly on that side of 0, ``equal`` when every pair ties, and
+``unresolved`` otherwise. The JSON summary carries the verdicts.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import itertools
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -57,6 +65,8 @@ from pathlib import Path
 MICROBENCH = Path(__file__).resolve().parent
 BENCHMARK = MICROBENCH.parent / "BENCHMARK.json"
 SIGN_TEST_ALPHA = 0.05
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 PROCESS_TIMEOUT_S = 600.0
 BENCH_METRIC = "units_per_s"
@@ -205,20 +215,36 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n)
 
 
+def bootstrap_interval(old, new, sign: int) -> list[float] | None:
+    """95 % percentile-bootstrap interval of the median of ``sign * log(new / old)``
+    over the pairs, or None if a value is not positive."""
+    if min(*old, *new) <= 0:
+        return None
+    logs = [sign * math.log(n / o) for o, n in zip(old, new)]
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(logs, k=len(logs)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    tail = BOOTSTRAP_RESAMPLES // 40  # 2.5 % on each side
+    return [medians[tail], medians[-1 - tail]]
+
+
 def verdict(old, new, better: str) -> dict:
-    """Sign-test verdict on paired values, where ``better`` is 'higher' or 'lower'."""
+    """Verdict on paired values, where ``better`` is 'higher' or 'lower': resolved only
+    when the sign test and the bootstrap interval of the median log-ratio agree."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (n - o) > 0 for o, n in zip(old, new))
     losses = sum(sign * (n - o) < 0 for o, n in zip(old, new))
     p = sign_test_p(wins, losses)
+    interval = bootstrap_interval(old, new, sign)
     if wins + losses == 0:
         word = "equal"
-    elif p <= SIGN_TEST_ALPHA:
+    elif p <= SIGN_TEST_ALPHA and interval and (interval[0] > 0 if wins > losses
+                                                 else interval[1] < 0):
         word = "better" if wins > losses else "worse"
     else:
         word = "unresolved"
     return {"verdict": word, "p": p, "better": wins, "worse": losses,
-            "parent_iqr": iqr(old)}
+            "interval": interval, "parent_iqr": iqr(old)}
 
 
 def bench_summary(workload: str, pairs) -> dict:
@@ -280,9 +306,11 @@ def compare_bench(args) -> dict:
           f"{summary['pairs']} pairs")
     for name, v in summary["verdicts"].items():
         parent, change = summary["medians"][name]
+        interval = "none" if v["interval"] is None else "[{:+.4f}, {:+.4f}]".format(*v["interval"])
         print(f"{name}: parent median {parent:.6g} (IQR {v['parent_iqr']:.3g}), change median "
               f"{change:.6g}; change better in {v['better']}, worse in {v['worse']} of "
-              f"{summary['pairs']} pairs, sign test p = {v['p']:.3f}: {v['verdict']}")
+              f"{summary['pairs']} pairs, sign test p = {v['p']:.3f}, median log-ratio "
+              f"interval {interval} (above 0 is better): {v['verdict']}")
     return summary
 
 

@@ -1,4 +1,4 @@
-"""Command-line harness: run scenarios, sweep parameter grids, self-check.
+"""Command-line harness: run scenarios, self-check.
 
 Exit status separates infrastructure failures from experiment outcomes:
 ``run`` exits 0 whenever the scenario executed cleanly, even if every run
@@ -32,7 +32,7 @@ from .config import (
     load_config,
 )
 from .control import ControlPolicy, UnicycleState, run_navigation_scenario
-from .errors import ConfigError, NeuromeshError
+from .errors import NeuromeshError
 from .netsim import MeshSimulator, derive_seed, measure_link_quality, scalability_sweep
 from .reporting import share_with_interval, write_csv, write_manifest
 
@@ -47,8 +47,8 @@ def _run_timing(cfg: dict, outdir: Path) -> list[Path]:
     _, parallel = run_pipeline(*stages, items)
     _, sequential = run_sequential(*stages, items)
     rows = [
-        ["parallel"] + parallel.to_csv_row(agent_id=0),
-        ["sequential"] + sequential.to_csv_row(agent_id=0),
+        ["parallel"] + parallel.to_csv_row(),
+        ["sequential"] + sequential.to_csv_row(),
     ]
     columns = ("mode",) + PipelineStats.CSV_COLUMNS
     return [write_csv(outdir / "timing.csv", "timing", columns, rows)]
@@ -106,11 +106,13 @@ def _assignment_row(test_id: int, outcome) -> list:
     return [test_id, outcome.covered_goals, cost_out, f"{outcome.cost_opt:.4f}", int(outcome.failed)]
 
 
-def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list[Path]:
-    """Run the config's tests; test k's mesh is seeded with ``derive_seed(network.seed, k)``.
+def _run_assignment(cfg: dict, outdir: Path) -> list[Path]:
+    """Run the config's tests under each budget; test k's mesh is seeded with
+    ``derive_seed(network.seed, k)``.
 
     Tests therefore draw independent losses, test k replays alone, and every
-    budget of a sweep sees the same draws.
+    budget of a grid sees the same draws. A single budget writes
+    ``assignment.csv``; a grid writes one ``assignment_budget<b>.csv`` per budget.
     """
     section = cfg["assignment"]
     n = cfg["team_size"]
@@ -118,31 +120,34 @@ def _run_assignment(cfg: dict, outdir: Path, budget=None, tag: str = "") -> list
     topo = build_topology(n, cfg["network"])
     medium = build_medium(cfg["network"])
     agg = build_aggregation(cfg["aggregation"])
-    if budget is None:
-        budget = section["message_budget_bytes"]
-    rows = []
-    covered_total = 0
-    failed = 0
-    pairs = []
-    for test_id in range(section["n_tests"]):
-        costs = _instance_costs(section, n, cfg["seed"], test_id)
-        outcome = run_assignment_scenario(
-            costs, message_budget_bytes=budget,
-            agg_config=agg, topology=topo, medium=medium, model=model,
-            seed=derive_seed(cfg["network"]["seed"], test_id),
-        )
-        covered_total += outcome.covered_goals
-        failed += outcome.failed
-        if outcome.covered_goals == n and not outcome.failed:
-            pairs.append((outcome.cost_out, outcome.cost_opt))
-        rows.append(_assignment_row(test_id, outcome))
-    sr = sr_metric(covered_total, n, section["n_tests"])
-    tcp = tcp_metric(pairs) if pairs else float("nan")
-    print(f"assignment{tag}: SR = {sr:.2f} %  TCP = {tcp:.4f} % over {len(pairs)} covered tests"
-          f"  failed {share_with_interval(failed, section['n_tests'])}")
+    budgets = section["message_budget_bytes"]
+    grid = isinstance(budgets, list)
     columns = ("test_id", "covered_goals", "C_out", "C_opt", "failed")
-    name = f"assignment{tag}.csv"
-    return [write_csv(outdir / name, "assignment", columns, rows)]
+    outputs = []
+    for budget in budgets if grid else [budgets]:
+        tag = f"_budget{budget}" if grid else ""
+        rows = []
+        covered_total = 0
+        failed = 0
+        pairs = []
+        for test_id in range(section["n_tests"]):
+            costs = _instance_costs(section, n, cfg["seed"], test_id)
+            outcome = run_assignment_scenario(
+                costs, message_budget_bytes=budget,
+                agg_config=agg, topology=topo, medium=medium, model=model,
+                seed=derive_seed(cfg["network"]["seed"], test_id),
+            )
+            covered_total += outcome.covered_goals
+            failed += outcome.failed
+            if outcome.covered_goals == n and not outcome.failed:
+                pairs.append((outcome.cost_out, outcome.cost_opt))
+            rows.append(_assignment_row(test_id, outcome))
+        sr = sr_metric(covered_total, n, section["n_tests"])
+        tcp = tcp_metric(pairs) if pairs else float("nan")
+        print(f"assignment{tag}: SR = {sr:.2f} %  TCP = {tcp:.4f} % over {len(pairs)} covered "
+              f"tests  failed {share_with_interval(failed, section['n_tests'])}")
+        outputs.append(write_csv(outdir / f"assignment{tag}.csv", "assignment", columns, rows))
+    return outputs
 
 
 def _control_team(cfg: dict, run_id: int):
@@ -219,28 +224,13 @@ _RUNNERS = {
 }
 
 
-def _finish(cfg: dict, outputs: list[Path]) -> int:
-    manifest = write_manifest(Path(cfg["output_dir"]) / "run_manifest.json", cfg, outputs)
+def _cmd_run(cfg: dict) -> int:
+    outdir = Path(cfg["output_dir"])
+    outputs = _RUNNERS[cfg["task"]](cfg, outdir)
+    manifest = write_manifest(outdir / "run_manifest.json", cfg, outputs)
     for path in outputs + [manifest]:
         print(f"wrote {path}")
     return 0
-
-
-def _cmd_run(cfg: dict) -> int:
-    return _finish(cfg, _RUNNERS[cfg["task"]](cfg, Path(cfg["output_dir"])))
-
-
-def _cmd_sweep(cfg: dict) -> int:
-    if cfg["task"] != "assignment":
-        raise ConfigError("sweep", f"no sweep defined for task {cfg['task']!r}")
-    budgets = cfg["sweep"].get("message_budget_bytes")
-    if not budgets:
-        raise ConfigError("sweep.message_budget_bytes", "required for an assignment sweep")
-    outdir = Path(cfg["output_dir"])
-    outputs: list[Path] = []
-    for budget in budgets:
-        outputs += _run_assignment(cfg, outdir, budget=budget, tag=f"_budget{budget}")
-    return _finish(cfg, outputs)
 
 
 def main(argv=None) -> int:
@@ -253,9 +243,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute the scenario described by a config file")
     p_run.add_argument("config", help="path to a JSON scenario config")
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter grid from the config's sweep section")
-    p_sweep.add_argument("config", help="path to a JSON scenario config")
 
     p_self = sub.add_parser("selftest", help="run the fast acceptance subset")
     p_self.add_argument("--weights-dir", default=None,
@@ -272,10 +259,7 @@ def main(argv=None) -> int:
             from .selftest import run_selftest
 
             return run_selftest(weights_dir=args.weights_dir)
-        cfg = load_config(args.config)
-        if args.command == "run":
-            return _cmd_run(cfg)
-        return _cmd_sweep(cfg)
+        return _cmd_run(load_config(args.config))
     except NeuromeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,8 @@ ENV_SEED = "NEUROMESH_SEED"
 # Top-level fields each task reads besides COMMON_FIELDS, in validation order: a
 # selector field in READ_WHEN comes before every field that depends on it.
 TASK_FIELDS = {
-    "assignment": ("team_size", "network", "aggregation", "assignment", "sweep"),
-    "control": ("team_size", "control", "network", "aggregation"),
+    "assignment": ("seed", "team_size", "network", "aggregation", "assignment"),
+    "control": ("seed", "team_size", "control", "network", "aggregation"),
     "timing": ("timing",),
     "comms": ("network", "comms"),
 }
@@ -51,7 +51,7 @@ READ_WHEN = {
     "comms": {"comms.team_sizes": ("comms.scenario", "sweep")},
 }
 TASKS = tuple(TASK_FIELDS)
-COMMON_FIELDS = ("task", "seed", "output_dir")
+COMMON_FIELDS = ("task", "output_dir")
 
 _NAV = NavigationParams()
 _AGG = AggregationConfig()
@@ -60,7 +60,6 @@ _MEDIUM = MediumModel()
 _NAV_FIELDS = tuple(f.name for f in dataclasses.fields(NavigationParams) if f.name != "seed")
 _CONTROL_TEAM_SIZE = 3  # the control task's team_size default
 _QUALITY_DURATION_S = 60.0  # the quality scenario's comms.duration_s default
-_SWEEP_GRIDS = {"assignment": ("message_budget_bytes", 4)}
 
 
 def _expect(cond: bool, path: str, message: str, *args) -> None:
@@ -152,12 +151,19 @@ def _int_list(minimum):
 
 _bool = _rule(lambda v: isinstance(v, bool), "expected a boolean")
 _nonempty_string = _rule(lambda v: isinstance(v, str) and v, "expected a non-empty string")
-_budget = _rule(lambda v: v is None or isinstance(v, int) and v >= 4,
-                "must be an int >= 4, got {!r}")
 _delays = _rule(lambda v: isinstance(v, list) and len(v) == 3
                 and all(_is_finite(d) and 0 <= d * 1e6 < 2**63 for d in v),
                 "expected three numbers in [0, 2**63) ns, got {!r}",
                 lambda v: [float(d) for d in v])
+
+
+def _budget(value, where, cfg):
+    """null (unlimited), an int >= 4, or a grid: a non-empty list of distinct such ints."""
+    budgets = value if isinstance(value, list) else [value]
+    _expect(value is None or budgets and all(isinstance(b, int) and b >= 4 for b in budgets),
+            where, "expected null, an int >= 4 or a non-empty list of ints >= 4, got {!r}", value)
+    _expect(len(set(budgets)) == len(budgets), where, "repeats a budget: {!r}", value)
+    return value
 
 
 def _random_or_rows(width=None):
@@ -232,7 +238,9 @@ SECTIONS = {
     "assignment": {
         "n_tests": (20, _integer(1), "int >= 1 instances to run"),
         "mode": ("expert", _choice("expert", "learned"), "'expert' | 'learned'"),
-        "message_budget_bytes": (None, _budget, "int >= 4 payload cap, null = unlimited"),
+        "message_budget_bytes": (None, _budget,
+                                 "int >= 4 payload cap, null = unlimited, or a list of distinct "
+                                 "caps: one assignment_budget<b>.csv each"),
         "costs": ("random", _random_or_rows(), "'random' or a team_size x team_size matrix"),
         "cost_range": ([1.0, 10.0], _interval(list), "finite [lo, hi], lo < hi"),
         "weights": (None, _weights("mode", "encoder", "attention", "decoder", heads=3),
@@ -292,8 +300,6 @@ SCHEMA_DOC = {
                       for note in _read_when(name)),
     **_describe(TOP_LEVEL),
     **{name: _describe(table, name) for name, table in SECTIONS.items()},
-    "sweep": {key: f"{task} sweep: non-empty list of ints >= {minimum}"
-              for task, (key, minimum) in _SWEEP_GRIDS.items()},
 }
 
 
@@ -321,11 +327,6 @@ def validate_config(raw: dict) -> dict:
             continue
         section = raw.get(name, {})
         _expect(isinstance(section, dict), name, "expected an object")
-        if name == "sweep":  # the task's own grid only, and only when it is set
-            key, minimum = _SWEEP_GRIDS[task]
-            _check_unknown(section, SCHEMA_DOC["sweep"], "sweep", (key,), task)
-            cfg[name] = {key: _int_list(minimum)(v, f"sweep.{key}", cfg) for v in section.values()}
-            continue
         _check_unknown(section, SECTIONS[name], name)
         if name in raw:
             _refuse_unread(task, name, cfg)

@@ -9,16 +9,14 @@ period therefore equals the slowest stage's duration while end-to-end
 latency stays at the sum of the stage durations. ``run_sequential`` is the
 one-stage case: the three stages composed, on the calling thread.
 
-Each source stamps its own ingress: a list source when the encoder pulls
-an item, a :class:`PacedSource` when it emits one. Handoff slots never
-discard items, so both schedules produce identical outputs for
-deterministic stages; only a paced source that outruns the encoder drops
-(keep-latest), and those drops are counted.
+The source stamps an item's ingress when the encoder pulls it. Handoff
+slots never discard items, so both schedules produce identical outputs for
+deterministic stages.
 
 A stage that raises poisons only its current item: the error is logged
 and the item skipped. A stage that dies of any other ``BaseException``
-closes the handoffs and the source, so its peers and a paced emitter stop
-at once, and the runner re-raises the error after joining them.
+closes the handoffs, so its peers stop at once, and the runner re-raises
+the error after joining them.
 """
 
 from __future__ import annotations
@@ -140,93 +138,13 @@ class _Item:
     value: object
 
 
-class PacedSource:
-    """Emits observations into a keep-latest ingress slot, one interval apart.
-
-    An interval counts from the previous emission, so the encoder always has
-    one to take an observation; when it cannot keep up, pending observations
-    are overwritten and counted as drops. Ingress time is generation time.
-    """
-
-    def __init__(self, observations, interval_ns: int):
-        self.observations = list(observations)
-        self.interval_ns = int(interval_ns)
-        self.drops = 0
-        self._cv = threading.Condition()
-        self._pending = None
-        self._done = False
-        self._thread: threading.Thread | None = None
-
-    def __len__(self):
-        return len(self.observations)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._run, name="paced-source", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        next_ns = time.monotonic_ns()
-        with self._cv:
-            for index, obs in enumerate(self.observations):
-                while not self._done and (wait_ns := next_ns - time.monotonic_ns()) > 0:
-                    self._cv.wait(wait_ns / 1e9)
-                if self._done:
-                    return
-                if self._pending is not None:
-                    self.drops += 1
-                self._pending = _Item(index, time.monotonic_ns(), obs)
-                next_ns = self._pending.ingress_ns + self.interval_ns
-                self._cv.notify_all()
-            self._done = True
-            self._cv.notify_all()
-
-    def close(self) -> None:
-        """End the stream now: the wait for the next emission returns at once."""
-        with self._cv:
-            self._done = True
-            self._cv.notify_all()
-
-    def next_item(self):
-        with self._cv:
-            while self._pending is None and not self._done:
-                self._cv.wait()
-            if self._pending is None:
-                return None
-            item = self._pending
-            self._pending = None
-            return item
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-
-class _ListSource:
-    """Pull-driven source: stamps ingress when the encoder pulls an item; nothing drops."""
-
-    drops = 0
-
-    def __init__(self, observations):
-        self._items = enumerate(observations)
-
-    def start(self) -> None:  # nothing runs behind a pulled source
-        pass
-
-    close = join = start
-
-    def next_item(self):
-        pulled = next(self._items, None)
-        return None if pulled is None else _Item(pulled[0], time.monotonic_ns(), pulled[1])
-
-
 @dataclass
 class PipelineStats:
     """Measured steady-state behavior of one pipeline run.
 
     Periods and latencies are in nanoseconds, computed over outputs after a
     two-item warm-up. ``items_processed`` counts all emitted outputs;
-    ``drops`` counts observations discarded at ingress; ``errors`` counts
-    items poisoned by a raising stage.
+    ``errors`` counts items poisoned by a raising stage.
     """
 
     period_mean_ns: float
@@ -234,32 +152,21 @@ class PipelineStats:
     latency_mean_ns: float
     latency_std_ns: float
     items_processed: int
-    drops: int
     errors: int = 0
 
-    CSV_COLUMNS = (
-        "agent_id",
-        "period_mean_ms",
-        "period_std_ms",
-        "latency_mean_ms",
-        "latency_std_ms",
-        "items",
-        "drops",
-    )
+    CSV_COLUMNS = ("period_mean_ms", "period_std_ms", "latency_mean_ms", "latency_std_ms", "items")
 
-    def to_csv_row(self, agent_id) -> list:
+    def to_csv_row(self) -> list:
         return [
-            agent_id,
             f"{self.period_mean_ns / 1e6:.3f}",
             f"{self.period_std_ns / 1e6:.3f}",
             f"{self.latency_mean_ns / 1e6:.3f}",
             f"{self.latency_std_ns / 1e6:.3f}",
             self.items_processed,
-            self.drops,
         ]
 
 
-def _compute_stats(records, drops: int, errors: int) -> PipelineStats:
+def _compute_stats(records, errors: int) -> PipelineStats:
     # records: (index, ingress_ns, egress_ns) in emission order
     measured = records[WARMUP_ITEMS:]
     latencies = np.array([e - i for _, i, e in measured], dtype=np.float64)
@@ -271,7 +178,6 @@ def _compute_stats(records, drops: int, errors: int) -> PipelineStats:
         latency_mean_ns=float(latencies.mean()) if latencies.size else 0.0,
         latency_std_ns=float(latencies.std()) if latencies.size else 0.0,
         items_processed=len(records),
-        drops=drops,
         errors=errors,
     )
 
@@ -291,21 +197,24 @@ def identity_stage(x):
 
 
 def _make_source(observations):
-    """The source for ``observations``.
+    """A pull function over ``observations`` that stamps ingress as the encoder pulls
+    an item, and returns None at the end.
 
-    An iterable is pulled lazily; only its first three items are drawn up
+    The iterable is pulled lazily; only its first three items are drawn up
     front, to check that the pipeline can fill.
     """
-    if isinstance(observations, PacedSource):
-        source, ready = observations, len(observations)
-    else:
-        rest = iter(observations)
-        head = list(itertools.islice(rest, 3))
-        source, ready = _ListSource(itertools.chain(head, rest)), len(head)
-    if ready < 3:
+    rest = iter(observations)
+    head = list(itertools.islice(rest, 3))
+    if len(head) < 3:
         raise ConfigError("observations",
-                          f"need at least 3 items to fill the pipeline, got {ready}")
-    return source
+                          f"need at least 3 items to fill the pipeline, got {len(head)}")
+    items = enumerate(itertools.chain(head, rest))
+
+    def next_item():
+        pulled = next(items, None)
+        return None if pulled is None else _Item(pulled[0], time.monotonic_ns(), pulled[1])
+
+    return next_item
 
 
 def _run_stages(stages, names, observations):
@@ -323,7 +232,7 @@ def _run_stages(stages, names, observations):
     failures: list = []
 
     def stage_loop(k):
-        inbox = source.next_item if k == 0 else slots[k - 1].take
+        inbox = source if k == 0 else slots[k - 1].take
         outbox = slots[k] if k < len(slots) else None
         while True:
             if outbox is not None:
@@ -357,13 +266,11 @@ def _run_stages(stages, names, observations):
             failures.append(exc)
             for slot in slots:
                 slot.close()
-            source.close()
 
     threads = [
         threading.Thread(target=runner, args=(k,), name=f"stage-{names[k]}")
         for k in range(len(slots))
     ]
-    source.start()
     for t in threads:
         t.start()
     runner(len(slots))
@@ -371,17 +278,15 @@ def _run_stages(stages, names, observations):
         t.join(timeout=600.0)
         if t.is_alive():
             raise RuntimeError(f"pipeline thread {t.name} failed to finish")
-    source.join()
     if failures:
         raise failures[0]
-    return outputs, _compute_stats(records, source.drops, errors[0])
+    return outputs, _compute_stats(records, errors[0])
 
 
 def run_pipeline(encoder, aggregator, decoder, observations):
     """Run the three stages concurrently; returns (outputs, PipelineStats).
 
-    ``observations`` is an iterable (pulled on demand, lossless) or a
-    :class:`PacedSource` (pushed at a fixed rate, keep-latest at ingress).
+    ``observations`` is an iterable, pulled on demand; nothing is dropped.
     Outputs preserve observation order.
     """
     return _run_stages((encoder, aggregator, decoder), _STAGE_NAMES, observations)

@@ -55,7 +55,7 @@ class TestConfigValidation:
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("NEUROMESH_SEED", "777")
-        cfg = validate_config({"task": "timing", "seed": 1})
+        cfg = validate_config({"task": "assignment", "seed": 1})
         assert cfg["seed"] == 777
 
     def test_missing_weight_file_is_a_config_error(self, tmp_path):
@@ -128,10 +128,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("task,field", [
         (task, field) for task, fields in {
             "assignment": ("control", "timing", "comms"),
-            "control": ("assignment", "timing", "comms", "sweep"),
-            "timing": ("team_size", "network", "aggregation", "assignment", "control",
-                       "comms", "sweep"),
-            "comms": ("team_size", "aggregation", "assignment", "control", "timing", "sweep"),
+            "control": ("assignment", "timing", "comms"),
+            "timing": ("seed", "team_size", "network", "aggregation", "assignment", "control",
+                       "comms"),
+            "comms": ("seed", "team_size", "aggregation", "assignment", "control", "timing"),
         }.items() for field in fields
     ])
     def test_field_the_task_does_not_read_is_rejected(self, task, field):
@@ -140,18 +140,14 @@ class TestConfigValidation:
             validate_config({"task": task, field: "x"})
         assert err.value.path == field
 
-    def test_a_grid_other_than_the_budget_is_unknown(self):
-        with pytest.raises(ConfigError, match="unknown field") as err:
-            validate_config({"task": "assignment", "sweep": {"team_sizes": [8]}})
-        assert err.value.path == "sweep.team_sizes"
-
     def test_unknown_top_level_field_keeps_its_message(self):
         with pytest.raises(ConfigError, match="unknown field") as err:
             validate_config({"task": "timing", "timeing": {}})
         assert err.value.path == "timeing"
 
     def test_task_config_holds_only_the_sections_it_reads(self):
-        assert set(validate_config({"task": "timing"})) == {"task", "seed", "output_dir", "timing"}
+        assert set(validate_config({"task": "assignment"})) == {
+            "task", "seed", "output_dir", "team_size", "network", "aggregation", "assignment"}
 
     def test_field_table_and_schema_agree(self):
         sections = set(SCHEMA_DOC) - set(COMMON_FIELDS)
@@ -458,7 +454,7 @@ class TestIndependentLosses:
         assert lo <= failed <= hi, f"{failed} of {self.TESTS} failed, expected {lo}..{hi}"
         assert f"failed {failed}/{self.TESTS} = " in capsys.readouterr().out
 
-    def test_every_budget_of_a_sweep_sees_the_same_losses(self, tmp_path):
+    def test_every_budget_of_a_grid_sees_the_same_losses(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {
             "task": "assignment",
@@ -466,10 +462,9 @@ class TestIndependentLosses:
             "team_size": 6,
             "network": {"loss_prob": 0.02},
             "aggregation": {"mode": "blocking"},
-            "assignment": {"n_tests": 30},
-            "sweep": {"message_budget_bytes": [8, 64]},
+            "assignment": {"n_tests": 30, "message_budget_bytes": [8, 64]},
         })
-        assert main(["sweep", cfg]) == 0
+        assert main(["run", cfg]) == 0
         failed = [[line.split(",")[-1] for line in read_csv_lines(out / name)[2:]]
                   for name in ("assignment_budget8.csv", "assignment_budget64.csv")]
         assert failed[0] == failed[1]
@@ -514,57 +509,98 @@ class TestIndependentActions:
 
 
 class TestSweep:
-    def test_assignment_budget_grid(self, tmp_path):
-        out = tmp_path / "out"
+    """A budget grid is one ``neuromesh run``, and the comms task sweeps team sizes."""
+
+    @staticmethod
+    def bodies(tmp_path, name, budget):
+        """{CSV name: body below the header} and the manifest of one lossy, jittered run."""
+        out = tmp_path / name
         cfg = write_config(tmp_path, {
             "task": "assignment",
             "output_dir": str(out),
-            "assignment": {"n_tests": 2},
-            "sweep": {"message_budget_bytes": [8, 64]},
+            "team_size": 6,
+            "network": {"loss_prob": 0.01, "jitter_ms": 3.0, "seed": 2},
+            "aggregation": {"mode": "blocking", "timeout_ms": 50.0},
+            "assignment": {"n_tests": 8, "message_budget_bytes": budget},
         })
-        assert main(["sweep", cfg]) == 0
-        assert (out / "assignment_budget8.csv").exists()
-        assert (out / "assignment_budget64.csv").exists()
+        assert main(["run", cfg]) == 0
+        bodies = {csv.name: csv.read_text().split("\n", 1)[1] for csv in out.glob("*.csv")}
+        return bodies, json.loads((out / "run_manifest.json").read_text())
 
-    def test_sweep_without_grid_is_an_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"task": "assignment"})
-        assert main(["sweep", cfg]) == 2
-        assert "sweep.message_budget_bytes" in capsys.readouterr().err
+    def test_assignment_budget_grid(self, tmp_path):
+        bodies, manifest = self.bodies(tmp_path, "grid", [8, 64])
+        names = ["assignment_budget8.csv", "assignment_budget64.csv"]
+        assert sorted(bodies) == sorted(names)
+        assert [Path(p).name for p in manifest["outputs"]] == names
 
-    @pytest.mark.parametrize("values", ["64", [2]])
+    def test_each_budget_of_a_grid_writes_the_body_of_its_own_run(self, tmp_path):
+        grid, _ = self.bodies(tmp_path, "grid", [8, 16, 64])
+        for budget in (8, 16, 64):
+            single, _ = self.bodies(tmp_path, f"single{budget}", budget)
+            assert list(single) == ["assignment.csv"]
+            assert grid[f"assignment_budget{budget}.csv"] == single["assignment.csv"]
+        assert grid["assignment_budget8.csv"] != grid["assignment_budget64.csv"]
+
+    @pytest.mark.parametrize("values", ["64", [2], [], [8, None], True])
     def test_malformed_grid_exits_2_with_its_path(self, tmp_path, capsys, values):
         cfg = write_config(tmp_path, {
             "task": "assignment",
             "output_dir": str(tmp_path / "out"),
-            "assignment": {"n_tests": 1},
-            "sweep": {"message_budget_bytes": values},
+            "assignment": {"n_tests": 1, "message_budget_bytes": values},
         })
-        assert main(["sweep", cfg]) == 2
-        assert "sweep.message_budget_bytes:" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert "assignment.message_budget_bytes:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,body,message", [
-        ("run", {"task": "comms", "network": {"topology": "full_mesh"},
-                 "comms": {"team_sizes": [3], "duration_s": 0.1}},
-         "network.topology: unknown field"),
-        ("run", {"task": "assignment", "assignment": {"n_goals": 5, "n_tests": 1}},
-         "assignment.n_goals: unknown field"),
-        ("sweep", {"task": "comms", "comms": {"scenario": "quality", "duration_s": 1.0},
-                   "sweep": {"team_sizes": [4]}},
-         "sweep: the comms task does not read this field"),
-    ])
-    def test_setting_without_effect_exits_2_with_its_path(self, tmp_path, capsys, command,
-                                                          body, message):
-        cfg = write_config(tmp_path, dict(body, output_dir=str(tmp_path / "out")))
-        assert main([command, cfg]) == 2
-        assert message in capsys.readouterr().err
-
-    def test_a_comms_config_has_no_sweep(self, tmp_path, capsys):
+    def test_a_repeated_budget_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, {"task": "comms", "output_dir": str(out),
-                                      "comms": {"team_sizes": [4], "duration_s": 0.1}})
-        assert main(["sweep", cfg]) == 2
-        assert "sweep: no sweep defined for task 'comms'" in capsys.readouterr().err
+        cfg = write_config(tmp_path, {
+            "task": "assignment",
+            "output_dir": str(out),
+            "assignment": {"n_tests": 1, "message_budget_bytes": [8, 16, 8]},
+        })
+        assert main(["run", cfg]) == 2
+        assert ("assignment.message_budget_bytes: repeats a budget: [8, 16, 8]"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ({"task": "comms", "network": {"topology": "full_mesh"},
+          "comms": {"team_sizes": [3], "duration_s": 0.1}},
+         "network.topology: unknown field"),
+        ({"task": "assignment", "assignment": {"n_goals": 5, "n_tests": 1}},
+         "assignment.n_goals: unknown field"),
+        ({"task": "assignment", "assignment": {"n_tests": 1},
+          "sweep": {"message_budget_bytes": [8, 64]}},
+         "sweep: unknown field"),
+        ({"task": "comms", "seed": 3, "comms": {"team_sizes": [3], "duration_s": 0.1}},
+         "seed: the comms task does not read this field"),
+    ])
+    def test_setting_without_effect_exits_2_with_its_path(self, tmp_path, capsys, body, message):
+        cfg = write_config(tmp_path, dict(body, output_dir=str(tmp_path / "out")))
+        assert main(["run", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_sweep_command_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"task": "assignment", "output_dir": str(tmp_path / "out"),
+                                      "assignment": {"message_budget_bytes": [8, 64]}})
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", cfg])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task,body,seed", [
+        ("assignment", {"seed": 5, "assignment": {"n_tests": 1}}, 5),
+        ("comms", {"comms": {"team_sizes": [2], "duration_s": 0.1}}, None),
+    ])
+    def test_the_manifest_seed_is_the_seed_the_task_reads(self, tmp_path, monkeypatch, task,
+                                                          body, seed):
+        monkeypatch.delenv("NEUROMESH_SEED", raising=False)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, dict(body, task=task,
+                                                        output_dir=str(out)))]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] == seed
 
     def test_comms_sweep_scenario_honors_link_loss(self, tmp_path):
         def delivered_mean(loss_prob):

@@ -67,7 +67,6 @@ PERTURB = {
     "comms.payload_bytes": 512,
     "comms.offered_hz": 400.0,
     "comms.duration_s": 0.6,
-    "sweep.message_budget_bytes": [8],
 }
 SELECTORS = ("aggregation.mode", "assignment.mode", "control.policy", "comms.scenario")
 
@@ -75,9 +74,6 @@ SELECTORS = ("aggregation.mode", "assignment.mode", "control.policy", "comms.sce
 EXEMPT = {
     **{(task, "output_dir"): "a path: it says where the outputs go, not what they hold"
        for task in ("assignment", "control", "comms")},
-    ("assignment", "sweep.message_budget_bytes"): "read by `neuromesh sweep`, not by `run`",
-    ("comms", "seed"): "comms seeds its mesh from network.seed, and the top-level seed "
-                       "seeds nothing else there (a finding in CHANGES.md)",
     **{("assignment", f"network.{key}"): ITEM_12
        for key in ("base_latency_ms", "jitter_ms", "per_node_bandwidth", "contention")},
     ("assignment", "aggregation.timeout_ms"): ITEM_12,

@@ -127,5 +127,37 @@ class TestVerdicts:
     def test_ties_count_for_neither_side(self):
         verdicts = self.verdicts([(100.0, 100.0)] * 10, [(0.2, 0.2)] * 9 + [(0.2, 0.1)])
         assert verdicts["units_per_s"] == {"verdict": "equal", "p": 1.0, "better": 0,
-                                           "worse": 0, "parent_iqr": 0.0}
+                                           "worse": 0, "interval": [0.0, 0.0], "parent_iqr": 0.0}
         assert verdicts["setup_s"]["verdict"] == "unresolved"  # 1 of 1: p = 1
+
+
+class TestBootstrapInterval:
+    """A verdict is resolved only when the sign test and the bootstrap interval of the
+    median log-ratio agree; synthetic pairs, nothing is run."""
+
+    def verdict(self, pairs, better="higher"):
+        old, new = zip(*pairs)
+        return load_paired().verdict(list(old), list(new), better)
+
+    def test_ten_of_ten_wins_is_resolved(self):
+        pairs = [(100.0, 100.0 * (1.02 + 0.01 * k)) for k in range(10)]
+        v = self.verdict(pairs)
+        assert v["verdict"] == "better" and v["p"] == 2 / 1024
+        assert 0 < v["interval"][0] <= v["interval"][1]
+
+    def test_seven_of_ten_wins_is_not_resolved(self):
+        pairs = [(100.0, 103.0)] * 7 + [(100.0, 97.0)] * 3
+        v = self.verdict(pairs)
+        assert v["verdict"] == "unresolved" and (v["better"], v["worse"]) == (7, 3)
+        assert v["interval"][0] < 0 < v["interval"][1]
+
+    def test_a_sign_test_win_whose_interval_reaches_zero_is_not_resolved(self):
+        # six wins and four ties: the sign test alone gives p = 2 / 64 = 0.031, but a
+        # resample median is 0 whenever six of its ten draws are ties (p = 0.17)
+        v = self.verdict([(100.0, 101.0)] * 6 + [(100.0, 100.0)] * 4)
+        assert v["p"] == 2 / 64 and v["interval"][0] == 0.0
+        assert v["verdict"] == "unresolved"
+
+    def test_a_value_at_or_below_zero_has_no_interval_and_no_resolved_verdict(self):
+        v = self.verdict([(0.0, 1.0)] * 10)
+        assert v["interval"] is None and v["better"] == 10 and v["verdict"] == "unresolved"

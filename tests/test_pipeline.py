@@ -1,12 +1,10 @@
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from neuromesh.errors import ConfigError
 from neuromesh.pipeline import (
-    PacedSource,
     PipelineStats,
     identity_stage,
     run_pipeline,
@@ -29,7 +27,6 @@ class TestOrderingAndEquivalence:
         for got, want in zip(outputs, items):
             assert np.array_equal(got, want)
         assert stats.items_processed == 3
-        assert stats.drops == 0
 
     def test_parallel_equals_sequential_for_deterministic_stages(self):
         def enc(x):
@@ -189,52 +186,14 @@ class TestStageDeath:
         assert not runner.is_alive(), "the run is still going 5 s after a stage died"
         assert len(raised) == 1
 
-    def test_dying_stage_stops_a_paced_source(self):
-        # item 1 is emitted at 100 ms; the source's other 18 items would take 1.8 s more
-        class StageDied(BaseException):
-            pass
-
-        def dies_on_item_1(x):
-            if int(x[0]) == 1:
-                raise StageDied
-            return x
-
-        source = PacedSource(tensors(20), interval_ns=100_000_000)
-        started = time.monotonic()
-        with pytest.raises(StageDied):
-            self.runner(dies_on_item_1, identity_stage, identity_stage, source)
-        assert time.monotonic() - started < 0.5
-        assert not source._thread.is_alive(), "the paced source still emits after the raise"
-
 
 class TestSequentialStageDeath(TestStageDeath):
     runner = staticmethod(run_sequential)
 
 
-class TestIngressBackpressure:
-    def test_paced_source_outrunning_encoder_drops_at_ingress(self):
-        # 2 ms source cadence vs 10 ms encoder: most items drop, survivors
-        # stay ordered, and the drop count is reported.
-        source = PacedSource(tensors(40), interval_ns=2_000_000)
-        stages = [with_delay(identity_stage, 0.010), identity_stage, identity_stage]
-        outputs, stats = run_pipeline(*stages, source)
-        assert stats.drops > 0
-        assert stats.drops + stats.items_processed == 40
-        indices = [int(o[0]) for o in outputs]
-        assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
-
-    def test_slow_source_never_drops(self):
-        source = PacedSource(tensors(6), interval_ns=5_000_000)
-        outputs, stats = run_pipeline(identity_stage, identity_stage, identity_stage, source)
-        assert stats.drops == 0
-        assert len(outputs) == 6
-
-
 class TestStatsCsv:
     def test_csv_row_shape(self):
-        stats = PipelineStats(30e6, 1e6, 60e6, 2e6, 50, 0)
-        row = stats.to_csv_row(agent_id=3)
-        assert row[0] == 3
+        stats = PipelineStats(30e6, 1e6, 60e6, 2e6, 50)
+        row = stats.to_csv_row()
         assert len(row) == len(PipelineStats.CSV_COLUMNS)
-        assert row[1] == "30.000"
+        assert row == ["30.000", "1.000", "60.000", "2.000", 50]
