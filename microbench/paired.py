@@ -25,7 +25,10 @@ summary as one JSON object.
 
 With ``--bench``, a block is a pair of whole ``bench/run.py --workload
 WORKLOAD --seed S --seconds T`` runs, one per checkout, each with that
-checkout's own ``bench/`` and in the same alternating order. Each run must
+checkout's own ``bench/`` and in the same alternating order. The two
+resolved roots must be equally long, or the command exits 2 before any
+run: the root is in every path a bench worker handles, and with hashing
+fixed its length alone moves the peak RSS by hundreds of KB. Each run must
 report ``correct``. The output gives each pair's ``units_per_s`` and their
 ratio CHANGE / PARENT, with the pair's other metrics, then each side's
 median, the parent runs' spread between quartiles, the median ratio and
@@ -339,6 +342,10 @@ def main(argv=None) -> int:
         if len(args.operands) != 2:
             parser.error("give two checkouts, PARENT and CHANGE, with --bench")
         args.parent, args.change = args.operands
+        lengths = [len(str(Path(root).resolve())) for root in args.operands]
+        if lengths[0] != lengths[1]:
+            parser.error("--bench needs checkout roots of equal length: PARENT resolves to "
+                         f"{lengths[0]} characters, CHANGE to {lengths[1]}")
         try:
             print(json.dumps(compare_bench(args)))
         except (RuntimeError, subprocess.TimeoutExpired) as exc:

@@ -32,7 +32,6 @@ class AggregationConfig:
     mode: str = "best_effort"  # blocking | best_effort
     timeout_ns: int = 500_000_000
     min_neighbors: int = 0
-    rounds: int = 1
 
     def __post_init__(self):
         if self.mode not in ("blocking", "best_effort"):
@@ -41,8 +40,6 @@ class AggregationConfig:
             raise ConfigError("aggregation.timeout_ms", "blocking mode needs a positive timeout")
         if self.min_neighbors < 0:
             raise ConfigError("aggregation.min_neighbors", "must be >= 0")
-        if self.rounds < 1:
-            raise ConfigError("aggregation.rounds", "at least one communication round")
 
 
 def reduce_aggregate(kind: str, self_feature, neighbors) -> np.ndarray:
@@ -241,8 +238,8 @@ def await_neighborhood(config: AggregationConfig, buf: NeighborBuffer, now_fn,
 
 
 def run_rounds(team, features: dict, config: AggregationConfig, aggregate_fn, now_fn,
-               advance=None) -> dict:
-    """Drive the agents in ``features`` through L exchange-and-aggregate rounds.
+               advance=None, rounds: int = 1) -> dict:
+    """Drive the agents in ``features`` through ``rounds`` exchange-and-aggregate rounds.
 
     Each round publishes every driven agent's feature tagged with the round
     index, then awaits each one's neighborhood for that round and folds it
@@ -251,8 +248,10 @@ def run_rounds(team, features: dict, config: AggregationConfig, aggregate_fn, no
     a whole team in lockstep over the simulator, and one agent per thread
     over a real transport passes one that sleeps. Returns agent_id -> feature.
     """
+    if rounds < 1:
+        raise ShapeError(f"run_rounds needs at least one round, got {rounds}")
     h = {aid: np.ascontiguousarray(f, dtype=DTYPE) for aid, f in features.items()}
-    for l in range(config.rounds):
+    for l in range(rounds):
         publish_features(team, h, l + 1, now_fn(), l)
         h = {
             aid: aggregate_fn(h[aid], [vec for _, vec in await_neighborhood(

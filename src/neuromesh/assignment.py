@@ -259,18 +259,19 @@ def quantize_message(feature, budget_bytes: int) -> tuple[bytes, np.ndarray]:
     Keeps the first floor(budget / 4) components, so any budget of at
     least 4x the dimension round-trips losslessly.
     """
-    payload, dim = _truncate(feature, budget_bytes)
-    return payload, dequantize_message(payload, dim)
-
-
-def _truncate(feature, budget_bytes: int) -> tuple[bytes, int]:
-    """``quantize_message``'s payload and the feature's dimension, without decoding."""
-    if budget_bytes < 4:
-        raise ShapeError(f"budget {budget_bytes} B cannot carry a single float32")
+    kept = _budget_floats(budget_bytes)
     vec = np.ascontiguousarray(feature, dtype=DTYPE)
     if vec.ndim != 1:
         raise ShapeError(f"feature must be 1-D, got shape {vec.shape}")
-    return vec[: budget_bytes // 4].astype("<f4").tobytes(), vec.shape[0]
+    payload = vec[:kept].astype("<f4").tobytes()
+    return payload, dequantize_message(payload, vec.shape[0])
+
+
+def _budget_floats(budget_bytes: int) -> int:
+    """How many float32 components a message of ``budget_bytes`` carries."""
+    if budget_bytes < 4:
+        raise ShapeError(f"budget {budget_bytes} B cannot carry a single float32")
+    return budget_bytes // 4
 
 
 def dequantize_message(payload: bytes, dim: int) -> np.ndarray:
@@ -295,10 +296,6 @@ class AssignmentModel:
     encoder: MlpSpec
     attention: AttentionSpec
     decoder: MlpSpec
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder.output_dim
 
     @staticmethod
     def random(n_goals: int, feature_dim: int = 24, heads: int = 3, layers: int = 2,
@@ -340,7 +337,7 @@ def run_assignment_scenario(
 ) -> AssignmentOutcome:
     """Run one decentralized assignment instance over the simulated mesh.
 
-    Each robot encodes its own cost row, publishes it (optionally truncated
+    Each robot encodes its own cost row, publishes it (optionally sliced
     to the message budget), aggregates what arrived, and picks a goal. The
     run is learned if and only if ``model`` is given: the attention
     aggregator fuses neighbor embeddings and the decoder's argmax picks the
@@ -353,9 +350,10 @@ def run_assignment_scenario(
 
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
-    lives only as long as this call. In an expert run each distinct received
-    payload is dequantized once, and one gather copies every robot's matrix
-    out of that one table.
+    lives only as long as this call. Each distinct received payload is
+    dequantized once, into one table that serves both modes: an expert run
+    gathers every robot's matrix out of it in one copy, and a learned run
+    attends over the rows each robot heard.
     """
     cost = _as_cost_matrix(costs)
     n = cost.shape[0]
@@ -368,17 +366,10 @@ def run_assignment_scenario(
     sim, team = build_sim_team(topology, medium, staleness_ns=10**12, seed=seed)
 
     own = cost.astype(DTYPE)  # row i: robot i's own cost row, in float32
-    if model is None:
-        features = dict(zip(topology.agents, own))
-    else:
-        features = dict(zip(topology.agents, mlp_forward(model.encoder, own)))
-    dim = next(iter(features.values())).shape[0]
-
-    sent = {a: features[a] for a in topology.agents if a not in silenced}
-    if message_budget_bytes is not None:
-        for a, vec in sent.items():
-            payload, _ = _truncate(vec, message_budget_bytes)
-            sent[a] = np.frombuffer(payload, dtype="<f4")
+    features = own if model is None else mlp_forward(model.encoder, own)
+    dim = features.shape[1]
+    kept = dim if message_budget_bytes is None else _budget_floats(message_budget_bytes)
+    sent = {a: features[i, :kept] for i, a in enumerate(topology.agents) if a not in silenced}
     publish_features(team, sent, 1, sim.now_ns, 0)
     sim.drain()  # one control tick: let the exchange land before aggregating
 
@@ -395,22 +386,25 @@ def run_assignment_scenario(
             failed=True, failure=str(exc),
         )
 
+    # One table row per distinct received payload object, after a zero row
+    # for the rows a robot never heard: the receivers of one broadcast share
+    # its decoded payload, so it is dequantized once per test. picks[i][j] is
+    # the row robot i heard from robot j, 0 if none.
+    index_of = {a: i for i, a in enumerate(topology.agents)}
+    rows, row_of, picks = [np.zeros(0, dtype=DTYPE)], {}, []
+    for a in topology.agents:
+        pick = [0] * n
+        for nid, vec in gathered[a]:
+            k = row_of.get(id(vec))
+            if k is None:  # ``rows`` keeps vec alive, so no other payload takes its id
+                k = row_of[id(vec)] = len(rows)
+                rows.append(vec)
+            pick[index_of[nid]] = k
+        picks.append(pick)
+    table = _dequantize_rows(rows, dim)
+
     if model is None:
-        # One table row per distinct received payload object, after a zero row
-        # for the rows a robot never heard: the receivers of one broadcast
-        # share its decoded payload, so it is dequantized once per test.
-        index_of = {a: i for i, a in enumerate(topology.agents)}
-        rows, row_of, picks = [np.zeros(0, dtype=DTYPE)], {}, []
-        for a in topology.agents:
-            pick = [0] * n
-            for nid, vec in gathered[a]:
-                k = row_of.get(id(vec))
-                if k is None:  # ``rows`` keeps vec alive, so no other payload takes its id
-                    k = row_of[id(vec)] = len(rows)
-                    rows.append(vec)
-                pick[index_of[nid]] = k
-            picks.append(pick)
-        table = _dequantize_rows(rows, dim).astype(cost.dtype)
+        table = table.astype(cost.dtype)
         # Robot i's matrix is slice i of one gathered (robots, n, n) block, with
         # its own row set in place; a large team gathers in bounded chunks.
         step = max(1, _GATHER_FLOATS // (n * dim))
@@ -421,14 +415,13 @@ def run_assignment_scenario(
             for k, local in enumerate(block):
                 choices.append(hungarian_solve(local, memo=memo).goals[lo + k])
     else:
-        for a in topology.agents:
-            block = _dequantize_rows([vec for _, vec in gathered[a]], dim)
-            if len(block):
-                h = attention_forward(model.attention, features[a], block)
-            else:
-                h = features[a]
-            logits = mlp_forward(model.decoder, h)
-            choices.append(int(np.argmax(logits)))
+        # Each robot attends over the rows it heard, in ascending neighbor id.
+        for i, pick in enumerate(picks):
+            heard = [k for k in pick if k]
+            h = features[i]
+            if heard:
+                h = attention_forward(model.attention, h, table[heard])
+            choices.append(int(np.argmax(mlp_forward(model.decoder, h))))
 
     covered = len(set(choices))
     cost_out = _total(cost, choices)

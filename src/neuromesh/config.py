@@ -76,12 +76,9 @@ def _check_unknown(section: dict, allowed, path: str, reads=None, task=None) -> 
         _expect(reads is None or key in reads, where, f"the {task} task does not read this field")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:  # abs() <= max rejects inf, nan and ints beyond float range
-    return _is_number(value) and abs(value) <= sys.float_info.max
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _number(minimum=None, maximum=None, above=None, integer=False, rate=False, ns=None):
@@ -172,8 +169,8 @@ def _random_or_rows(width=None):
         n = cfg["team_size"]
         shape = f"a {n}x{n} matrix of" if width is None else f"{n} entries of {width}"
         _expect(value == "random" or isinstance(value, list) and len(value) == n and all(
-            isinstance(row, list) and len(row) == (width or n) and all(map(_is_number, row))
-            for row in value), where, f"expected 'random' or {shape} numbers")
+            isinstance(row, list) and len(row) == (width or n) and all(map(_is_finite, row))
+            for row in value), where, f"expected 'random' or {shape} finite numbers")
         return value
     return check
 

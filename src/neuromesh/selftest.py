@@ -106,12 +106,12 @@ def _check_rounds_equivalence():
         features = {a: rng.uniform(-1, 1, size=8).astype(np.float32) for a in adj}
         for kind in ("mean", "sum"):
             for rounds in (1, 2):
-                cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=rounds)
+                cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
                 sim, team = aggregation.build_sim_team(topo)
                 got = aggregation.run_rounds(
                     team, features, cfg,
                     lambda h, feats, k=kind: aggregation.reduce_aggregate(k, h, feats),
-                    lambda: sim.now_ns, lambda: sim.run_for(aggregation.SIM_POLL_NS),
+                    lambda: sim.now_ns, lambda: sim.run_for(aggregation.SIM_POLL_NS), rounds=rounds,
                 )
                 want = aggregation.centralized_rounds(adj, features, kind, rounds)
                 for a in adj:

@@ -207,13 +207,12 @@ def test_criterion_4_decentralized_equals_centralized():
                         links={e: LinkModel(base_latency_ns=MS) for e in edges})
         for kind in ("mean", "sum"):
             for rounds in (1, 2, 3):
-                cfg = AggregationConfig(mode="blocking",
-                                        timeout_ns=10**9, rounds=rounds)
+                cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
                 sim, team = build_sim_team(topo)
                 got = run_rounds(
                     team, features, cfg,
                     lambda h, feats, k=kind: reduce_aggregate(k, h, feats),
-                    lambda: sim.now_ns, lambda: sim.run_for(SIM_POLL_NS),
+                    lambda: sim.now_ns, lambda: sim.run_for(SIM_POLL_NS), rounds=rounds,
                 )
                 want = centralized_rounds(adjacency, features, kind, rounds)
                 for a in adjacency:

@@ -14,6 +14,7 @@ from neuromesh.aggregation import (
     SIM_POLL_NS,
     AggregationConfig,
     ResolutionStatus,
+    await_neighborhood,
     build_sim_team,
     centralized_rounds,
     diff_sum_aggregate,
@@ -285,6 +286,15 @@ class TestResolveNeighborhood:
             resolve_neighborhood(cfg, buf, now_ns=200, waiting_since_ns=0)
         assert err.value.missing == [1, 3]
 
+    def test_blocking_await_with_nothing_to_advance_times_out_at_once(self):
+        # advance=None: nothing more can arrive, so the wait ends on its first poll
+        buf = NeighborBuffer([1, 2, 3])
+        fill_buffer(buf, [1, 3])
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
+        with pytest.raises(NeighborhoodTimeoutError, match=r"neighbors \[2\]") as err:
+            await_neighborhood(cfg, buf, lambda: 5)
+        assert err.value.missing == [2] and err.value.waited_ns == 0
+
     def test_blocking_ready_when_all_live(self):
         buf = NeighborBuffer([1, 2])
         fill_buffer(buf, [1, 2])
@@ -317,8 +327,8 @@ class TestResolveNeighborhood:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AggregationConfig(mode="blocking", timeout_ns=0)
-        with pytest.raises(ConfigError):
-            AggregationConfig(rounds=0)
+        with pytest.raises(ShapeError, match="at least one round"):
+            run_rounds({}, {}, AggregationConfig(), sum_fn, lambda: 0, rounds=0)
 
 
 def mean_fn(h, feats):
@@ -333,14 +343,14 @@ class TestRunRounds:
     def test_single_round_mean_over_star(self):
         buf = NeighborBuffer([1, 2])
         fill_buffer(buf, [1, 2])
-        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=1)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
         h = run_rounds({0: (lambda data: None, buf)}, {0: vec(3, 3)}, cfg, mean_fn,
                        lambda: 0)[0]
         assert np.array_equal(h, vec(2, 2))  # mean of (3,3), (1,1), (2,2)
 
     def test_no_neighbors_single_robot_identity(self):
         buf = NeighborBuffer([1, 2])
-        cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=1)
+        cfg = AggregationConfig(mode="best_effort", min_neighbors=0)
         f = vec(4.5, -1.5)
         team = {0: (lambda data: None, buf)}
         assert np.array_equal(run_rounds(team, {0: f}, cfg, mean_fn, lambda: 0)[0], f)
@@ -352,10 +362,10 @@ class TestRunRounds:
         adjacency = {0: [1], 1: [0, 2], 2: [1]}
         features = {0: vec(1.0), 1: vec(0.0), 2: vec(0.0)}
         topo = Topology(agents=[0, 1, 2], links={(0, 1): LinkModel(), (1, 2): LinkModel()})
-        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=2)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
         sim, team = build_sim_team(topo)
         got = run_rounds(team, features, cfg, sum_fn, lambda: sim.now_ns,
-                         lambda: sim.run_for(SIM_POLL_NS))
+                         lambda: sim.run_for(SIM_POLL_NS), rounds=2)
         want = centralized_rounds(adjacency, features, "sum", 2)
         assert float(got[0][0]) == 2.0
         for a in adjacency:
@@ -365,20 +375,21 @@ class TestRunRounds:
         # a round-1 round runner must ignore round-0 envelopes
         buf = NeighborBuffer([1])
         buf.insert(MessageEnvelope(1, 1, 0, 0, vec(9, 9)))
-        cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=1)
+        cfg = AggregationConfig(mode="best_effort", min_neighbors=0)
         res = resolve_neighborhood(cfg, buf, now_ns=0, round_index=1)
         assert res.status is ResolutionStatus.SINGLE_ROBOT
 
     def test_publish_and_advance_hooks(self):
         published = []
         buf = NeighborBuffer([1])
-        cfg = AggregationConfig(mode="best_effort", min_neighbors=0, rounds=2)
-        run_rounds({0: (published.append, buf)}, {0: vec(1, 1)}, cfg, sum_fn, lambda: 0)
+        cfg = AggregationConfig(mode="best_effort", min_neighbors=0)
+        run_rounds({0: (published.append, buf)}, {0: vec(1, 1)}, cfg, sum_fn, lambda: 0,
+                   rounds=2)
         assert [decode_envelope(data).round for data in published] == [0, 1]
 
     def test_blocking_run_rounds_times_out_on_wall_clock_by_default(self):
         buf = NeighborBuffer([1, 2])
-        cfg = AggregationConfig(mode="blocking", timeout_ns=20_000_000, rounds=1)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=20_000_000)
         with pytest.raises(NeighborhoodTimeoutError) as err:
             run_rounds({0: (lambda data: None, buf)}, {0: vec(1, 1)}, cfg, mean_fn,
                        time.monotonic_ns, lambda: time.sleep(0.001))
@@ -390,7 +401,7 @@ class TestRunRounds:
         sim, team = build_sim_team(topo)
         env = MessageEnvelope(1, 1, 0, 0, vec(4, 4))
         team[1][0](encode_envelope(env))
-        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9, rounds=1)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
         h = run_rounds(team, {0: vec(2, 2)}, cfg, mean_fn, lambda: sim.now_ns,
                        advance=lambda: sim.run_for(1_000_000))[0]
         assert np.array_equal(h, vec(3, 3))
@@ -445,11 +456,10 @@ class TestDecentralizedEqualsCentralized:
             found += 1
             topo = Topology(agents=list(range(n)),
                             links={e: LinkModel(base_latency_ns=1_000_000) for e in edges})
-            cfg = AggregationConfig(mode="blocking",
-                                    timeout_ns=10**9, rounds=3)
+            cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
             sim, team = build_sim_team(topo)
             got = run_rounds(team, features, cfg, sum_fn, lambda: sim.now_ns,
-                             lambda: sim.run_for(SIM_POLL_NS))
+                             lambda: sim.run_for(SIM_POLL_NS), rounds=3)
             want = centralized_rounds(adjacency, features, "sum", 3)
             for a in adjacency:
                 assert got[a].tobytes() == want[a].tobytes()
@@ -470,11 +480,10 @@ class TestDecentralizedEqualsCentralized:
                             links={e: LinkModel(base_latency_ns=2_000_000) for e in edges})
             for kind, fn in (("mean", mean_fn), ("sum", sum_fn)):
                 for rounds in (1, 2, 3):
-                    cfg = AggregationConfig(mode="blocking",
-                                            timeout_ns=10**9, rounds=rounds)
+                    cfg = AggregationConfig(mode="blocking", timeout_ns=10**9)
                     sim, team = build_sim_team(topo)
                     got = run_rounds(team, features, cfg, fn, lambda: sim.now_ns,
-                                     lambda: sim.run_for(SIM_POLL_NS))
+                                     lambda: sim.run_for(SIM_POLL_NS), rounds=rounds)
                     want = centralized_rounds(adjacency, features, kind, rounds)
                     for a in adjacency:
                         assert got[a].tobytes() == want[a].tobytes()

@@ -579,3 +579,39 @@ class TestSolvedMatrixPins:
                                                             robots_per_gather):
         monkeypatch.setattr(assignment_mod, "_GATHER_FLOATS", robots_per_gather * PIN_N * PIN_N)
         assert solved_matrices_pin(monkeypatch, case) == MATRIX_PINS[case]
+
+
+LEARNED_N = (3, 5, 8)
+LEARNED_BUDGETS = (None, 8, 40)
+LEARNED_LOSSES = (0.0, 0.3)
+LEARNED_MODES = ("blocking", "best_effort")
+# SHA-256 over (n, budget, loss, mode, choices, failed) of every learned
+# test below, in loop order: 36 cases of two tests each, on jittered links.
+LEARNED_CHOICES_PIN = "ce03d40af38f08e9fb9f65e00b2e2a08a8e3c79baa3dd76b8caeb8ca2024b106"
+
+
+def learned_choices_digest() -> str:
+    digest = hashlib.sha256()
+    for n in LEARNED_N:
+        model = AssignmentModel.random(n_goals=n, seed=7)
+        rng = np.random.default_rng(89)
+        matrices = [rng.uniform(1, 10, size=(n, n)).astype(F32) for _ in range(2)]
+        for budget in LEARNED_BUDGETS:
+            for loss in LEARNED_LOSSES:
+                link = LinkModel(base_latency_ns=2_000_000, jitter_stddev_ns=800_000.0,
+                                 loss_prob=loss)
+                for mode in LEARNED_MODES:
+                    agg = AggregationConfig(mode=mode, timeout_ns=20_000_000)
+                    for seed, costs in enumerate(matrices):
+                        out = run_assignment_scenario(
+                            costs, message_budget_bytes=budget, agg_config=agg,
+                            topology=Topology.full_mesh(range(n), link), model=model,
+                            seed=seed)
+                        digest.update(repr((n, budget, loss, mode, out.choices,
+                                            out.failed)).encode())
+    return digest.hexdigest()
+
+
+class TestLearnedChoicesPin:
+    def test_learned_choices_match_pin(self):
+        assert learned_choices_digest() == LEARNED_CHOICES_PIN

@@ -231,6 +231,37 @@ class TestCliRun:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("task,field,value", [
+        ("control", "initial_poses", [[0, 0, math.inf], [1, 1, 0], [2, 0, 0]]),
+        ("control", "goals", [[0, 1], [1, math.nan], [2, 2]]),
+        ("assignment", "costs", [[1, math.nan], [2, 3]]),
+    ], ids=["infinite-heading", "nan-goal", "nan-cost"])
+    def test_a_non_finite_inline_number_exits_2_at_load(self, tmp_path, capsys, task, field,
+                                                        value):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        team = {"team_size": 2} if task == "assignment" else {}
+        body = {"task": task, "output_dir": str(tmp_path / "out"), **team,
+                task: {"n_tests" if task == "assignment" else "n_runs": 1, field: value}}
+        assert main(["run", write_config(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert f"{task}.{field}: expected 'random' or" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_json_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"task": "comms",')
+        assert main(["run", str(path)]) == 2
+        assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+    def test_a_non_integer_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("NEUROMESH_SEED", "seven")
+        cfg = write_config(tmp_path, {"task": "assignment", "output_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert "NEUROMESH_SEED: not an integer: 'seven'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_timing_scenario_emits_parallel_and_sequential_rows(self, tmp_path):
         cfg = write_config(tmp_path, {
             "task": "timing",

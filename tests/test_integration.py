@@ -60,7 +60,7 @@ class TestPolicyStagesInsidePipeline:
             assert (a > 1.0).all()
 
 
-def run_threaded(team, features, cfg, aggregate_fn):
+def run_threaded(team, features, cfg, aggregate_fn, rounds=1):
     """One thread per agent, each driving its own rounds over the shared team."""
     results = {}
     errors = []
@@ -68,7 +68,7 @@ def run_threaded(team, features, cfg, aggregate_fn):
     def agent(aid):
         try:
             results.update(run_rounds(team, {aid: features[aid]}, cfg, aggregate_fn,
-                                      time.monotonic_ns, lambda: time.sleep(0.001)))
+                                      time.monotonic_ns, lambda: time.sleep(0.001), rounds))
         except Exception as exc:  # surfaced to the main thread
             errors.append(exc)
 
@@ -88,7 +88,7 @@ class TestLoopbackExchange:
         # agent's aggregation blocks; both must converge on the same mean
         base_port = 47450
         features = {0: np.array([2.0, 0.0], dtype=F32), 1: np.array([0.0, 4.0], dtype=F32)}
-        cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9, rounds=1)
+        cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9)
         with LoopbackTransport(0, [1], base_port=base_port) as t0, \
              LoopbackTransport(1, [0], base_port=base_port) as t1:
             team = build_team([t0, t1], staleness_ns=10**15)
@@ -112,11 +112,11 @@ class TestLoopbackExchange:
             ]
             for kind in ("mean", "sum", "max"):
                 for rounds in (1, 2, 3):
-                    cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9,
-                                            rounds=rounds)
+                    cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9)
                     team = build_team(transports, staleness_ns=10**15)
                     got = run_threaded(team, features, cfg,
-                                       lambda h, feats, k=kind: reduce_aggregate(k, h, feats))
+                                       lambda h, feats, k=kind: reduce_aggregate(k, h, feats),
+                                       rounds)
                     want = centralized_rounds(adjacency, features, kind, rounds)
                     for a in adjacency:
                         assert got[a].tobytes() == want[a].tobytes(), (kind, rounds, a)
@@ -143,10 +143,10 @@ class TestLoopbackExchange:
                 for a in adjacency
             ]
             for kind in ("mean", "max"):
-                cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9, rounds=3)
+                cfg = AggregationConfig(mode="blocking", timeout_ns=5 * 10**9)
                 team = build_team(transports, staleness_ns=10**15)
                 got = run_threaded(team, features, cfg,
-                                   lambda h, feats, k=kind: reduce_aggregate(k, h, feats))
+                                   lambda h, feats, k=kind: reduce_aggregate(k, h, feats), 3)
                 want = centralized_rounds(adjacency, features, kind, 3)
                 for a in adjacency:
                     assert got[a].tobytes() == want[a].tobytes(), (kind, a)

@@ -45,6 +45,18 @@ def test_unknown_parameter_id_names_the_known_ones():
     assert "parameter ids ['0', '20']" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_bench_roots_of_different_lengths_exit_2_before_any_run(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change1"
+    parent.mkdir()
+    change.mkdir()
+    proc = paired(parent, change, "--bench", "assign_expert", "--blocks", 1)
+    assert proc.returncode == 2
+    want = (f"PARENT resolves to {len(str(parent.resolve()))} characters, "
+            f"CHANGE to {len(str(change.resolve()))}")
+    assert want in proc.stderr and "Traceback" not in proc.stderr
+    assert set(tmp_path.rglob("*")) == {parent, change}  # neither root got a run's files
+
+
 def load_paired():
     spec = importlib.util.spec_from_file_location("microbench_paired", PAIRED)
     module = importlib.util.module_from_spec(spec)

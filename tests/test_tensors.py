@@ -262,6 +262,31 @@ class TestWeightFiles:
         with pytest.raises(WeightFormatError, match="truncated"):
             load_matrices(path)
 
+    @pytest.mark.parametrize("blob,message", [
+        (WEIGHTS_MAGIC + bytes([WEIGHTS_VERSION]), "shorter than its header"),
+        (WEIGHTS_MAGIC + bytes([WEIGHTS_VERSION + 1, 1]), "unsupported weight-file version"),
+        (WEIGHTS_MAGIC + bytes([WEIGHTS_VERSION, 1]) + bytes(7), "layer 0: truncated shape header"),
+    ], ids=["short-header", "unknown-version", "short-shape-header"])
+    def test_a_malformed_header_is_refused(self, tmp_path, blob, message):
+        path = tmp_path / "bad.mwts"
+        path.write_bytes(blob)
+        with pytest.raises(WeightFormatError, match=message):
+            load_matrices(path)
+
+    @pytest.mark.parametrize("layers,biases,message", [
+        (1, 2, "weights and biases count differ"),
+        (0, 0, r"layer count 0 outside \[1, 255\]"),
+        (256, 256, r"layer count 256 outside \[1, 255\]"),
+        ("vector", 1, "not a matrix plus row bias"),
+        ("short-bias", 1, "not a matrix plus row bias"),
+    ], ids=["count-mismatch", "no-layers", "too-many-layers", "vector-weight", "short-bias"])
+    def test_a_stack_that_is_not_layers_is_not_saved(self, tmp_path, layers, biases, message):
+        eye, zero = np.eye(4, dtype=np.float32), np.zeros(4, dtype=np.float32)
+        weights = {"vector": [zero], "short-bias": [eye]}.get(layers) or [eye] * layers
+        bias = [zero[:3]] if layers == "short-bias" else [zero] * biases
+        with pytest.raises(WeightFormatError, match=message):
+            save_matrices(tmp_path / "bad.mwts", weights, bias)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         spec = random_mlp([4, 4], seed=1)
         path = tmp_path / "extra.mwts"
