@@ -48,6 +48,13 @@ in the direction its ``better`` names, from two tests that must agree:
 The verdict is ``better`` or ``worse`` when the sign test says so and the
 interval lies wholly on that side of 0, ``equal`` when every pair ties, and
 ``unresolved`` otherwise. The JSON summary carries the verdicts.
+
+A metric whose values fall in two modes, as ``setup_s`` does on some hosts,
+is also reported by mode. The pooled values of both sides split at their
+widest gap; when that gap is wider than either cluster's own range and
+both clusters hold values from both sides, the output gives each mode's
+count and median per side, and the JSON summary carries them under
+``modes``.
 """
 
 from __future__ import annotations
@@ -250,17 +257,41 @@ def verdict(old, new, better: str) -> dict:
             "interval": interval, "parent_iqr": iqr(old)}
 
 
+def by_mode(old, new) -> list[dict] | None:
+    """Per mode, lowest first, each side's count and median, or None unless the pooled
+    values split at their widest gap into two clusters, each narrower than that gap
+    and each holding values from both sides."""
+    pooled = sorted([*old, *new])
+    gap, k = max((b - a, k) for k, (a, b) in enumerate(zip(pooled, pooled[1:])))
+    low, high = pooled[: k + 1], pooled[k + 1 :]
+    if gap <= max(low[-1] - low[0], high[-1] - high[0]):
+        return None
+    modes = []
+    for above in (False, True):
+        mode = {}
+        for side, values in (("parent", old), ("change", new)):
+            mine = [v for v in values if (v > low[-1]) == above]
+            if not mine:
+                return None
+            mode[side] = {"count": len(mine), "median": statistics.median(mine)}
+        modes.append(mode)
+    return modes
+
+
 def bench_summary(workload: str, pairs) -> dict:
     """Summary of (parent output, change output) pairs of ``bench/run.py`` runs.
 
     ``medians`` holds each metric's [parent, change] medians over the pairs,
-    and ``verdicts`` each end-to-end metric's :func:`verdict`.
+    ``verdicts`` each end-to-end metric's :func:`verdict`, and ``modes`` each
+    end-to-end metric's :func:`by_mode` report, for the metrics that have one.
     """
     runs = [(bench_metrics(p), bench_metrics(c)) for p, c in pairs]
     old = [p[BENCH_METRIC] for p, _ in runs]
     new = [c[BENCH_METRIC] for _, c in runs]
     ratios = [c / p for p, c in zip(old, new)]
     directions = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    sides = {name: ([p[name] for p, _ in runs], [c[name] for _, c in runs])
+             for name in directions if name in runs[0][0]}
     return {
         "workload": workload,
         "pairs": len(ratios),
@@ -272,8 +303,8 @@ def bench_summary(workload: str, pairs) -> dict:
         "won": sum(r > 1.0 for r in ratios),
         "medians": {name: [statistics.median(p[name] for p, _ in runs),
                            statistics.median(c[name] for _, c in runs)] for name in runs[0][0]},
-        "verdicts": {name: verdict([p[name] for p, _ in runs], [c[name] for _, c in runs], better)
-                     for name, better in directions.items() if name in runs[0][0]},
+        "verdicts": {name: verdict(*values, directions[name]) for name, values in sides.items()},
+        "modes": {name: mode for name, values in sides.items() if (mode := by_mode(*values))},
     }
 
 
@@ -314,6 +345,9 @@ def compare_bench(args) -> dict:
               f"{change:.6g}; change better in {v['better']}, worse in {v['worse']} of "
               f"{summary['pairs']} pairs, sign test p = {v['p']:.3f}, median log-ratio "
               f"interval {interval} (above 0 is better): {v['verdict']}")
+        for k, mode in enumerate(summary["modes"].get(name, ())):
+            print(f"  {name} {('low', 'high')[k]} mode: " + ", ".join(
+                f"{side} {m['count']} runs, median {m['median']:.6g}" for side, m in mode.items()))
     return summary
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import (
-    SIM_POLL_NS,
-    AggregationConfig,
-    await_neighborhood,
-    build_sim_team,
-    publish_features,
-)
+from .aggregation import AggregationConfig, build_sim_team, publish_features, resolve_neighborhood
 from .errors import InsufficientNeighborsError, NeighborhoodTimeoutError, ShapeError
 from .netsim import MediumModel, Topology
 from .tensors import (
@@ -342,7 +336,10 @@ def run_assignment_scenario(
     run is learned if and only if ``model`` is given: the attention
     aggregator fuses neighbor embeddings and the decoder's argmax picks the
     goal. With no model the run is expert, and the "aggregation" is
-    assembling the full cost matrix and solving it. Conflicting picks
+    assembling the full cost matrix and solving it. ``agg_config.timeout_ns``
+    is the decision deadline in both modes, counted from the publish: there
+    a blocking robot that lacks a neighbor's envelope times out, and a
+    best-effort robot reads what has landed. Conflicting picks
     count as uncovered goals, never as errors; a blocking-mode timeout or
     too few live neighbors marks the whole run failed. ``seed`` seeds the
     mesh's loss and jitter streams, one per sending robot (see
@@ -363,22 +360,22 @@ def run_assignment_scenario(
         raise ShapeError(f"{len(topology.agents)} agents but cost matrix has {n} rows")
     silenced = set(silenced)
 
-    sim, team = build_sim_team(topology, medium, staleness_ns=10**12, seed=seed)
+    sim, team = build_sim_team(topology, medium, staleness_ns=agg_config.timeout_ns, seed=seed)
 
     own = cost.astype(DTYPE)  # row i: robot i's own cost row, in float32
     features = own if model is None else mlp_forward(model.encoder, own)
     dim = features.shape[1]
     kept = dim if message_budget_bytes is None else _budget_floats(message_budget_bytes)
     sent = {a: features[i, :kept] for i, a in enumerate(topology.agents) if a not in silenced}
-    publish_features(team, sent, 1, sim.now_ns, 0)
-    sim.drain()  # one control tick: let the exchange land before aggregating
+    publish_features(team, sent, 1, 0, 0)  # a fresh mesh publishes at time 0
+    deadline = agg_config.timeout_ns  # also the buffers' staleness: every envelope is live there
+    sim.run_until(deadline)
 
     memo: dict = {}
     cost_opt = hungarian_solve(cost, memo=memo).total_cost
     choices: list[int] = []
-    now, advance = (lambda: sim.now_ns), (lambda: sim.run_for(SIM_POLL_NS))
     try:
-        gathered = {a: await_neighborhood(agg_config, team[a][1], now, advance)
+        gathered = {a: resolve_neighborhood(agg_config, team[a][1], deadline, waiting_since_ns=0)
                     for a in topology.agents}
     except (NeighborhoodTimeoutError, InsufficientNeighborsError) as exc:
         return AssignmentOutcome(
@@ -394,7 +391,7 @@ def run_assignment_scenario(
     rows, row_of, picks = [np.zeros(0, dtype=DTYPE)], {}, []
     for a in topology.agents:
         pick = [0] * n
-        for nid, vec in gathered[a]:
+        for nid, vec in gathered[a].features:
             k = row_of.get(id(vec))
             if k is None:  # ``rows`` keeps vec alive, so no other payload takes its id
                 k = row_of[id(vec)] = len(rows)

@@ -229,7 +229,8 @@ SECTIONS = {
     "aggregation": {
         "mode": (_AGG.mode, _choice("blocking", "best_effort"), "'blocking' | 'best_effort'"),
         "timeout_ms": (_AGG.timeout_ns / 1e6, _number(above=0, ns=1e6),
-                       "float > 0 wait timeout, below 2**63 ns"),
+                       "float > 0, below 2**63 ns: assignment's decision deadline, counted "
+                       "from the publish in both modes; control's blocking wait timeout"),
         "min_neighbors": (_AGG.min_neighbors, _integer(0), "int in [0, team_size - 1]"),
     },
     "assignment": {

@@ -284,21 +284,21 @@ def identity_mlp(dim: int, layers: int = 1) -> MlpSpec:
 
 
 def save_matrices(path, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
-    """Write a matrix stack in the MWTS layout."""
+    """Write a matrix stack in the MWTS layout; a stack refused leaves ``path`` as it was."""
     if len(weights) != len(biases):
         raise WeightFormatError("weights and biases count differ")
     if not 1 <= len(weights) <= 255:
         raise WeightFormatError(f"layer count {len(weights)} outside [1, 255]")
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in zip(weights, biases)]
+    for w, b in layers:
+        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
+            raise WeightFormatError(
+                f"layer shapes {w.shape}/{b.shape} are not a matrix plus row bias"
+            )
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<BB", WEIGHTS_VERSION, len(weights)))
-        for w, b in zip(weights, biases):
-            w = as_tensor(w)
-            b = as_tensor(b)
-            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-                raise WeightFormatError(
-                    f"layer shapes {w.shape}/{b.shape} are not a matrix plus row bias"
-                )
+        for w, b in layers:
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
             fh.write(w.astype("<f4").tobytes())
             fh.write(b.astype("<f4").tobytes())

@@ -20,8 +20,9 @@ from neuromesh.assignment import (
     sr_metric,
     tcp_metric,
 )
-from neuromesh.errors import ShapeError
-from neuromesh.netsim import LinkModel, Topology
+from neuromesh.errors import NeighborhoodTimeoutError, ShapeError
+from neuromesh.netsim import DEFAULT_BANDWIDTH_BPS, LinkModel, MediumModel, Topology
+from neuromesh.wire import header_size
 
 F32 = np.float32
 
@@ -446,6 +447,77 @@ class TestAssignmentScenario:
             out = run_assignment_scenario(costs)
             pairs.append((out.cost_out, out.cost_opt))
         assert tcp_metric(pairs) == 0.0
+
+
+def landing_times(topology, bandwidth, contention, floats):
+    """(sender, receiver) -> delivery ns of one expert publish at time 0 on lossless,
+    jitter-free links: sender j sends to its peers in ascending id through one radio,
+    so its k-th message lands at the end of k airtimes plus the link latency."""
+    size = header_size(1) + 4 * floats
+    if contention == "shared_medium" and len(topology.agents) > 1:
+        bandwidth /= len(topology.agents)  # every robot of a connected team transmits
+    airtime = round(size * 1e9 / bandwidth)
+    return {(j, i): k * airtime + topology.links[min(i, j), max(i, j)].base_latency_ns
+            for j in topology.agents for k, i in enumerate(topology.neighbors(j), 1)}
+
+
+class TestDecisionDeadline:
+    """``timeout_ns`` is the decision deadline, counted from the publish, in both modes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), latency_ns=st.integers(0, 40_000_000),
+           bandwidth=st.sampled_from([5_000, 60_000, 6_000_000]),
+           contention=st.sampled_from(["none", "shared_medium"]), data=st.data())
+    def test_a_blocking_test_fails_iff_a_delivery_lands_after_the_deadline(
+            self, n, latency_ns, bandwidth, contention, data):
+        topology = Topology.full_mesh(range(n), LinkModel(base_latency_ns=latency_ns))
+        landings = landing_times(topology, bandwidth, contention, n)
+        timeout = data.draw(st.integers(1, 2 * max(landings.values()) + 1), label="timeout_ns")
+        costs = np.random.default_rng(n).uniform(1, 10, size=(n, n))
+        out = run_assignment_scenario(
+            costs, agg_config=AggregationConfig(mode="blocking", timeout_ns=timeout),
+            topology=topology, medium=MediumModel(bandwidth, contention))
+        late = {i: sorted(j for j in range(n) if j != i and landings[j, i] > timeout)
+                for i in range(n)}
+        first = next((i for i in range(n) if late[i]), None)
+        assert out.failed == (first is not None)
+        if first is not None:  # the first robot left waiting reports the whole wait
+            assert out.failure == str(NeighborhoodTimeoutError(late[first], timeout))
+
+    @pytest.mark.parametrize("contention", ["none", "shared_medium"])
+    def test_the_last_delivery_meets_a_deadline_it_lands_on(self, contention):
+        n = 5
+        topology = Topology.full_mesh(range(n), LinkModel(base_latency_ns=3_000_000))
+        last = max(landing_times(topology, 60_000, contention, n).values())
+        costs = np.random.default_rng(5).uniform(1, 10, size=(n, n))
+        failed = [run_assignment_scenario(
+            costs, agg_config=AggregationConfig(mode="blocking", timeout_ns=timeout),
+            topology=topology, medium=MediumModel(60_000, contention)).failed
+            for timeout in (last - 1, last)]
+        assert failed == [True, False]
+
+    def test_an_envelope_is_still_live_at_a_long_deadline(self):
+        costs = np.random.default_rng(79).uniform(1, 10, size=(4, 4))
+        out = run_assignment_scenario(
+            costs, agg_config=AggregationConfig(mode="blocking", timeout_ns=10**13))  # 10,000 s
+        assert not out.failed and out.cost_out == out.cost_opt
+
+    def test_a_best_effort_robot_reads_exactly_what_landed_by_the_deadline(self, monkeypatch):
+        n, deadline = 5, 9_000_000
+        topology = Topology(range(n), {(a, b): LinkModel(base_latency_ns=(3 * a + b) * 1_000_000)
+                                       for a in range(n) for b in range(a + 1, n)})
+        landings = landing_times(topology, DEFAULT_BANDWIDTH_BPS, "none", n)
+        log = SolveLog(monkeypatch)
+        costs = np.random.default_rng(73).uniform(1, 10, size=(n, n))
+        out = run_assignment_scenario(costs, agg_config=AggregationConfig(timeout_ns=deadline),
+                                      topology=topology)
+        assert not out.failed
+        # matrix 0 is the optimum's; robot i's matrix holds a zero row for each robot unheard
+        heard = [{j for j, row in enumerate(np.frombuffer(m).reshape(n, n)) if row.any()} - {i}
+                 for i, m in enumerate(log.matrices[1:])]
+        want = [{j for j in range(n) if j != i and landings[j, i] <= deadline} for i in range(n)]
+        assert heard == want
+        assert 0 < sum(map(len, want)) < n * (n - 1)  # some envelopes landed, some did not
 
 
 class SolveLog:

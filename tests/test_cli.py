@@ -458,6 +458,18 @@ class TestFailuresAreOutcomes:
         assert len(rows) == 3
         assert all(row[-1] == "1" for row in rows)
 
+    @pytest.mark.parametrize("timeout_ms,failed", [(0.001, "1"), (500.0, "0")])
+    def test_a_blocking_deadline_before_the_link_latency_fails_every_test(
+            self, tmp_path, timeout_ms, failed):
+        out = tmp_path / "out"
+        body = {"task": "assignment", "team_size": 5, "output_dir": str(out),
+                "network": {"base_latency_ms": 400.0},
+                "aggregation": {"mode": "blocking", "timeout_ms": timeout_ms},
+                "assignment": {"n_tests": 4}}
+        assert main(["run", write_config(tmp_path, body)]) == 0
+        rows = [line.split(",") for line in read_csv_lines(out / "assignment.csv")[2:]]
+        assert [row[-1] for row in rows] == [failed] * 4
+
 
 class TestIndependentLosses:
     """Each test of a run draws over a mesh seeded for that test, so losses are independent."""

@@ -173,3 +173,38 @@ class TestBootstrapInterval:
     def test_a_value_at_or_below_zero_has_no_interval_and_no_resolved_verdict(self):
         v = self.verdict([(0.0, 1.0)] * 10)
         assert v["interval"] is None and v["better"] == 10 and v["verdict"] == "unresolved"
+
+
+# setup_s as one host reads it: each run lands near 0.19 s or near 0.246 s.
+BIMODAL_PARENT = [0.190, 0.185, 0.245, 0.192, 0.250, 0.188, 0.241, 0.197, 0.190, 0.249]
+BIMODAL_CHANGE = [0.247, 0.191, 0.186, 0.252, 0.194, 0.243, 0.189, 0.195, 0.246, 0.184]
+
+
+class TestByMode:
+    """A metric whose pooled values split into two clusters on both sides is reported by
+    mode; synthetic lists, nothing is run."""
+
+    def test_a_bimodal_list_is_reported_by_mode(self):
+        modes = load_paired().by_mode(BIMODAL_PARENT, BIMODAL_CHANGE)
+        counts = [{side: m["count"] for side, m in mode.items()} for mode in modes]
+        assert counts == [{"parent": 6, "change": 6}, {"parent": 4, "change": 4}]
+        medians = [mode[side]["median"] for mode in modes for side in ("parent", "change")]
+        assert medians == pytest.approx([0.190, 0.190, 0.247, 0.2465])
+
+    @pytest.mark.parametrize("old,new", [
+        ([0.190 + 0.002 * k for k in range(10)], [0.191 + 0.002 * k for k in range(10)]),
+        ([0.19, 0.20, 0.21, 0.22, 0.30], [0.195, 0.205, 0.215, 0.225, 0.235]),  # one outlier
+        ([5.0] * 6, [5.0] * 6),
+    ], ids=["even-spread", "one-outlier", "all-equal"])
+    def test_a_unimodal_list_is_not(self, old, new):
+        assert load_paired().by_mode(old, new) is None
+
+    def test_two_clusters_that_are_the_two_sides_are_a_shift_not_modes(self):
+        assert load_paired().by_mode([0.19, 0.185, 0.192], [0.245, 0.25, 0.241]) is None
+
+    def test_the_json_summary_carries_the_modes_of_each_bimodal_metric(self):
+        pairs = [(outputs(100.0, sp), outputs(100.0 + k, sc))
+                 for k, (sp, sc) in enumerate(zip(BIMODAL_PARENT, BIMODAL_CHANGE))]
+        summary = load_paired().bench_summary("assign_expert", pairs)
+        assert list(summary["modes"]) == ["setup_s"]
+        assert json.loads(json.dumps(summary))["modes"]["setup_s"][1]["parent"]["count"] == 4

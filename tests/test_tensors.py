@@ -286,6 +286,20 @@ class TestWeightFiles:
         bias = [zero[:3]] if layers == "short-bias" else [zero] * biases
         with pytest.raises(WeightFormatError, match=message):
             save_matrices(tmp_path / "bad.mwts", weights, bias)
+        assert not (tmp_path / "bad.mwts").exists()
+
+    @pytest.mark.parametrize("bad,error", [
+        ("short-bias", WeightFormatError), ("non-finite", ShapeError),
+    ])
+    def test_a_refused_stack_leaves_an_existing_file_as_it_was(self, tmp_path, bad, error):
+        path = tmp_path / "kept.mwts"
+        save_mlp(path, random_mlp([4, 4, 2], seed=1))
+        before = path.read_bytes()
+        eye, zero = np.eye(4, dtype=np.float32), np.zeros(4, dtype=np.float32)
+        last = (eye, zero[:3]) if bad == "short-bias" else (np.full((4, 4), np.nan), zero)
+        with pytest.raises(error):  # the first layer is good; the last one is refused
+            save_matrices(path, [eye, last[0]], [zero, last[1]])
+        assert path.read_bytes() == before
 
     def test_trailing_bytes_rejected(self, tmp_path):
         spec = random_mlp([4, 4], seed=1)
