@@ -11,6 +11,7 @@ which is what makes decentralized and centralized outputs bit-identical.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,9 @@ class AggregationConfig:
     def __post_init__(self):
         if self.mode not in ("blocking", "best_effort"):
             raise ConfigError("aggregation.mode", f"unknown mode {self.mode!r}")
-        if self.mode == "blocking" and self.timeout_ns <= 0:
-            raise ConfigError("aggregation.timeout_ms", "blocking mode needs a positive timeout")
+        # the deadline in both modes, and the buffers' staleness: a positive whole ns count
+        if not isinstance(self.timeout_ns, numbers.Integral) or self.timeout_ns <= 0:
+            raise ConfigError("aggregation.timeout_ms", "needs a positive whole number of ns")
         if self.min_neighbors < 0:
             raise ConfigError("aggregation.min_neighbors", "must be >= 0")
 

@@ -360,7 +360,8 @@ def run_assignment_scenario(
         raise ShapeError(f"{len(topology.agents)} agents but cost matrix has {n} rows")
     silenced = set(silenced)
 
-    sim, team = build_sim_team(topology, medium, staleness_ns=agg_config.timeout_ns, seed=seed)
+    deadline = int(agg_config.timeout_ns)  # also the staleness: every envelope is live there
+    sim, team = build_sim_team(topology, medium, staleness_ns=deadline, seed=seed)
 
     own = cost.astype(DTYPE)  # row i: robot i's own cost row, in float32
     features = own if model is None else mlp_forward(model.encoder, own)
@@ -368,7 +369,6 @@ def run_assignment_scenario(
     kept = dim if message_budget_bytes is None else _budget_floats(message_budget_bytes)
     sent = {a: features[i, :kept] for i, a in enumerate(topology.agents) if a not in silenced}
     publish_features(team, sent, 1, 0, 0)  # a fresh mesh publishes at time 0
-    deadline = agg_config.timeout_ns  # also the buffers' staleness: every envelope is live there
     sim.run_until(deadline)
 
     memo: dict = {}

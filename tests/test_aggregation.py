@@ -325,8 +325,10 @@ class TestResolveNeighborhood:
             resolve_neighborhood(cfg, buf, now_ns=0)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            AggregationConfig(mode="blocking", timeout_ns=0)
+        for mode in ("blocking", "best_effort"):
+            for timeout_ns in (0, -1, 1.5):
+                with pytest.raises(ConfigError, match="positive whole number"):
+                    AggregationConfig(mode=mode, timeout_ns=timeout_ns)
         with pytest.raises(ShapeError, match="at least one round"):
             run_rounds({}, {}, AggregationConfig(), sum_fn, lambda: 0, rounds=0)
 

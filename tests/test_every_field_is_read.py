@@ -9,9 +9,9 @@ the config's selector value does not read it. ``EXEMPT`` names every other
 field with its reason; an exempt field must still move nothing, so an
 exemption ends as soon as the field starts to count.
 
-A selector field (``SELECTORS``) is covered by the bases themselves: two
-bases that differ in it must write different bodies. ``timing`` is out of
-scope, because its CSV body holds host wall-clock measurements.
+A selector field (``SELECTORS``) is covered by pairs: a base, and the same
+base with only that selector changed, must write different bodies. ``timing``
+is out of scope, because its CSV body holds host wall-clock measurements.
 """
 
 import contextlib
@@ -133,13 +133,15 @@ def bases(weights):
     }
 
 
-# Pairs of bases that differ in one selector: each pair must write different bodies.
+# A base and one selector field of it set to another value: the two runs must write
+# different bodies. The partner is built from the base by ``with_selector``, so that
+# the pair differs in the selector alone, as far as the rule table lets it.
 SELECTOR_PAIRS = [
-    ("assignment-expert-blocking", "assignment-learned-blocking"),  # assignment.mode
-    ("assignment-expert-blocking", "assignment-expert-best_effort"),  # aggregation.mode
-    ("control-learned-blocking", "control-learned-best_effort"),  # aggregation.mode
-    ("control-scripted", "control-learned-best_effort"),  # control.policy
-    ("comms-sweep", "comms-quality"),  # comms.scenario
+    ("assignment-expert-blocking", "assignment.mode", "learned"),
+    ("assignment-expert-blocking", "aggregation.mode", "best_effort"),
+    ("control-learned-blocking", "aggregation.mode", "best_effort"),
+    ("control-scripted", "control.policy", "learned"),
+    ("comms-sweep", "comms.scenario", "quality"),
 ]
 
 
@@ -152,19 +154,36 @@ def field_paths(task):
     return [path for path in paths if path not in SELECTORS]
 
 
+def weight_set(cfg, name, weights):
+    """The weight set ``name`` ('base' or 'other') of the kind ``cfg`` reads."""
+    if cfg["task"] == "control":
+        return dict(weights["control", name])
+    return dict(weights[f"assignment{cfg['team_size']}", name], heads=2)
+
+
 def perturbed(base, path, weights):
     cfg = copy.deepcopy(base)
-    value = PERTURB[path]
-    if path.endswith(".weights"):
-        kind = "control" if base["task"] == "control" else f"assignment{base['team_size']}"
-        value = dict(weights[kind, "other"])
-        if kind != "control":
-            value["heads"] = 2
+    value = weight_set(base, "other", weights) if path.endswith(".weights") else PERTURB[path]
     if path == "team_size" and base.get("assignment", {}).get("mode") == "learned":
         # the learned model's encoder reads team_size costs, so the weights follow it
         cfg["assignment"]["weights"] = dict(weights["assignment4", "base"], heads=2)
     section, _, key = path.rpartition(".")
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
+
+
+def with_selector(base, path, value, weights):
+    """``base`` with the selector at ``path`` set to ``value``, less each field READ_WHEN
+    refuses under that value, plus the base weights that a learned value requires."""
+    cfg = copy.deepcopy(base)
+    section, key = path.split(".")
+    cfg.setdefault(section, {})[key] = value
+    for field, (selector, needed) in READ_WHEN[cfg["task"]].items():
+        if selector == path and needed != value:
+            where, _, name = field.rpartition(".")
+            (cfg.get(where, {}) if where else cfg).pop(name, None)
+    if value == "learned":
+        cfg[section]["weights"] = weight_set(cfg, "base", weights)
     return cfg
 
 
@@ -207,9 +226,10 @@ def test_each_field_moves_a_csv_body_or_is_refused(base_name, weights, tmp_path)
     assert not quiet, f"{base_name}: accepted but moved no CSV body: {quiet}"
 
 
-@pytest.mark.parametrize("first,second", SELECTOR_PAIRS)
-def test_each_selector_moves_a_csv_body(first, second, weights, tmp_path):
-    configs = bases(weights)
-    outputs = [run(configs[name], tmp_path, name) for name in (first, second)]
-    assert [status for status, _, _ in outputs] == [0, 0]
+@pytest.mark.parametrize("base_name,path,value", SELECTOR_PAIRS)
+def test_each_selector_moves_a_csv_body(base_name, path, value, weights, tmp_path):
+    base = bases(weights)[base_name]
+    outputs = [run(cfg, tmp_path, name) for name, cfg in
+               (("base", base), ("partner", with_selector(base, path, value, weights)))]
+    assert [status for status, _, _ in outputs] == [0, 0], outputs[1][1]
     assert outputs[0][2] != outputs[1][2]
