@@ -68,11 +68,11 @@ def _total(cost: np.ndarray, goals) -> float:
 
 
 def _augmenting_path_duals(cost: np.ndarray):
-    """Solve min-cost assignment; returns (column_match, u, v) potentials.
+    """Solve min-cost assignment; returns (row4col, col4row, u, v).
 
-    p[j] is the row matched to column j, both 1-indexed (p[0], u[0] and v[0]
-    are padding), and the potentials satisfy cost[i][j] - u[i] - v[j] >= 0
-    with equality on matched pairs.
+    row4col[j] is the row matched to column j and col4row[i] the column
+    matched to row i, all 0-indexed; the potentials satisfy
+    cost[i][j] - u[i] - v[j] >= 0 with equality on matched pairs.
 
     Three steps. Column reduction, as in LAPJV (Jonker & Volgenant, Computing
     38, 1987), sets v[j] to the minimum of column j with u = 0 and, scanning
@@ -134,7 +134,7 @@ def _augmenting_path_duals(cost: np.ndarray):
             col4row[i], j = j, col4row[i]
             if i == start:
                 break
-    return [0] + [i + 1 for i in row4col], np.array([0.0] + u), np.array([0.0] + v)
+    return row4col, col4row, np.array(u), np.array(v)
 
 
 def _reroute(tight, goal: list[int], owner: list[int], i: int, start: int, via: dict) -> bool:
@@ -184,15 +184,13 @@ def hungarian_solve(costs, *, memo: dict | None = None) -> Assignment:
 
 def _solve(cost: np.ndarray) -> Assignment:
     """``hungarian_solve`` on a validated, non-empty matrix."""
-    p, u, v = _augmenting_path_duals(cost)
+    owner, goal, u, v = _augmenting_path_duals(cost)  # the solver's own tight matching
     tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
-    mask = cost - u[1:, None] - v[None, 1:] <= tol
+    mask = cost - u[:, None] - v <= tol
     # row-major: the rows ascend, and so do the columns within each row
     arc_rows, arc_cols = (a.tolist() for a in np.nonzero(mask))
     ends = [bisect_right(arc_rows, i) for i in range(cost.shape[0])]
     tight = [arc_cols[a:b] for a, b in zip([0] + ends, ends)]
-    owner = [r - 1 for r in p[1:]]  # start from the solver's own tight matching
-    goal = np.argsort(owner).tolist()
     for i, cols in enumerate(tight):
         via = {i: -1}
         for j in cols:
@@ -347,7 +345,7 @@ def run_assignment_scenario(
 
     Within one call, robots that hold the same matrix share one solve: every
     robot still calls ``hungarian_solve``, and all calls share one memo that
-    lives only as long as this call. Each distinct received payload is
+    lives only as long as this call. Each sender's payload is
     dequantized once, into one table that serves both modes: an expert run
     gathers every robot's matrix out of it in one copy, and a learned run
     attends over the rows each robot heard.
@@ -383,18 +381,18 @@ def run_assignment_scenario(
             failed=True, failure=str(exc),
         )
 
-    # One table row per distinct received payload object, after a zero row
-    # for the rows a robot never heard: the receivers of one broadcast share
-    # its decoded payload, so it is dequantized once per test. picks[i][j] is
-    # the row robot i heard from robot j, 0 if none.
+    # One table row per sender heard, after a zero row for the rows a robot
+    # never heard: each sender publishes once per test, so its payload is
+    # dequantized once. picks[i][j] is the row robot i heard from robot j, 0
+    # if none.
     index_of = {a: i for i, a in enumerate(topology.agents)}
     rows, row_of, picks = [np.zeros(0, dtype=DTYPE)], {}, []
     for a in topology.agents:
         pick = [0] * n
         for nid, vec in gathered[a].features:
-            k = row_of.get(id(vec))
-            if k is None:  # ``rows`` keeps vec alive, so no other payload takes its id
-                k = row_of[id(vec)] = len(rows)
+            k = row_of.get(nid)
+            if k is None:
+                k = row_of[nid] = len(rows)
                 rows.append(vec)
             pick[index_of[nid]] = k
         picks.append(pick)

@@ -397,8 +397,10 @@ def closed_form_link_throughput(team_size: int, payload_bytes: int, offered_hz: 
 
     Each node offers ``offered_hz`` messages to each of its N-1 peers; its
     radio serializes at the effective bandwidth, so the per-link rate is
-    min(offered, bandwidth / ((N-1) * wire_bytes)).
+    min(offered, bandwidth / ((N-1) * wire_bytes)). A team below 2 has no link.
     """
+    if team_size < 2:
+        raise MeasurementError(f"team size {team_size} has no link; need >= 2 agents")
     wire = payload_bytes + ENVELOPE_OVERHEAD_BYTES
     bandwidth = medium.effective_bandwidth(team_size)
     return min(offered_hz, bandwidth / ((team_size - 1) * wire))
@@ -422,7 +424,8 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     measurement window covers the second half of the run (steady state),
     shifted by the link's base latency. Every mesh link uses ``link``, and
     each team size's simulator is seeded with ``seed``. Each row carries
-    the closed-form oracle value times ``1 - loss_prob``.
+    the closed-form oracle value times ``1 - loss_prob``; a team size below
+    2 raises ``MeasurementError`` before that size runs.
     """
     medium = medium or MediumModel()
     link = link or LinkModel()
@@ -431,6 +434,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
     wire_bytes = payload_bytes + ENVELOPE_OVERHEAD_BYTES
     blob = bytes(wire_bytes)
     for n in team_sizes:
+        oracle = closed_form_link_throughput(n, payload_bytes, offered_hz, medium)
         agents = list(range(n))
         topo = Topology.full_mesh(agents, link)
         sim = MeshSimulator(topo, medium, seed=seed)
@@ -461,8 +465,7 @@ def scalability_sweep(team_sizes, payload_bytes: int = 128, offered_hz: float = 
                 offered_hz=offered_hz,
                 delivered_mean=mean,
                 delivered_std=math.sqrt(var),
-                oracle_value=closed_form_link_throughput(n, payload_bytes, offered_hz, medium)
-                * (1.0 - link.loss_prob),
+                oracle_value=oracle * (1.0 - link.loss_prob),
             )
         )
     return rows

@@ -28,7 +28,7 @@ All multi-byte fields are little-endian.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,8 +39,6 @@ DTYPE = np.float32
 
 WEIGHTS_MAGIC = b"MWTS"
 WEIGHTS_VERSION = 1
-
-_ACTIVATIONS = ("relu", "none")
 
 
 def as_tensor(values, dtype=DTYPE) -> np.ndarray:
@@ -72,17 +70,14 @@ class MlpSpec:
     """Weights of a fully connected network.
 
     ``weights[l]`` has shape (layer_dims[l+1], layer_dims[l]); ``biases[l]``
-    has length layer_dims[l+1]. ``activation`` applies to hidden layers only;
-    the final layer is always affine.
+    has length layer_dims[l+1]. ReLU follows every hidden layer; the final
+    layer is affine.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}")
         if len(self.weights) < 1:
             raise ShapeError("an MLP needs at least one layer")
         if len(self.weights) != len(self.biases):
@@ -135,12 +130,11 @@ def mlp_forward(spec: MlpSpec, x) -> np.ndarray:
         raise ShapeError(f"mlp input has length {h.shape[-1]}, expected {spec.input_dim}")
     h = h.astype(np.float64)
     layers = spec.layers64
-    relu = spec.activation == "relu"
     last = len(layers) - 1
     for l, (wt, b) in enumerate(layers):
         h = h @ wt
         h += b
-        if relu and l < last:
+        if l < last:
             np.maximum(h, 0.0, out=h)
     return h.astype(DTYPE)
 
@@ -163,36 +157,36 @@ class AttentionSpec:
     """Multi-head scaled dot-product attention weights.
 
     Per layer, four (model_dim x model_dim) projections: query, key, value,
-    output. Queries come from the self feature, keys/values from each
-    context vector; the layer-l output becomes the query of layer l+1,
-    while keys/values are always projected from the original context.
+    output; ``model_dim`` is read from ``wq[0]``. Queries come from the self
+    feature, keys/values from each context vector; the layer-l output
+    becomes the query of layer l+1, while keys/values are always projected
+    from the original context.
     """
 
     heads: int
-    model_dim: int
-    wq: list[np.ndarray] = field(default_factory=list)
-    wk: list[np.ndarray] = field(default_factory=list)
-    wv: list[np.ndarray] = field(default_factory=list)
-    wo: list[np.ndarray] = field(default_factory=list)
+    wq: list[np.ndarray]
+    wk: list[np.ndarray]
+    wv: list[np.ndarray]
+    wo: list[np.ndarray]
 
     def __post_init__(self):
         if self.heads < 1:
             raise ShapeError("attention needs at least one head")
-        if self.model_dim % self.heads != 0:
-            raise ShapeError(
-                f"model_dim {self.model_dim} not divisible by {self.heads} heads"
-            )
         if not (len(self.wq) == len(self.wk) == len(self.wv) == len(self.wo) >= 1):
             raise ShapeError("attention needs matching q/k/v/o projections per layer")
-        for name, mats in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            for l, m in enumerate(mats):
-                m = as_tensor(m)
-                if m.shape != (self.model_dim, self.model_dim):
-                    raise ShapeError(
-                        f"{name}[{l}] has shape {m.shape}, expected "
-                        f"({self.model_dim}, {self.model_dim})"
-                    )
-                mats[l] = m
+        self.wq, self.wk, self.wv, self.wo = (
+            [as_tensor(m) for m in mats] for mats in (self.wq, self.wk, self.wv, self.wo))
+        d = self.wq[0].shape[0] if self.wq[0].ndim else 0  # a 0-d wq[0] fails below
+        for name in ("wq", "wk", "wv", "wo"):
+            for l, m in enumerate(getattr(self, name)):
+                if m.shape != (d, d):
+                    raise ShapeError(f"{name}[{l}] has shape {m.shape}, expected ({d}, {d})")
+        if d % self.heads != 0:
+            raise ShapeError(f"model_dim {d} not divisible by {self.heads} heads")
+
+    @property
+    def model_dim(self) -> int:
+        return self.wq[0].shape[0]
 
     @property
     def layers(self) -> int:
@@ -252,7 +246,7 @@ def attention_forward(spec: AttentionSpec, query, context: list) -> np.ndarray:
     return out.astype(DTYPE)
 
 
-def random_mlp(layer_dims: list[int], seed: int, activation: str = "relu") -> MlpSpec:
+def random_mlp(layer_dims: list[int], seed: int) -> MlpSpec:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in)."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -261,7 +255,7 @@ def random_mlp(layer_dims: list[int], seed: int, activation: str = "relu") -> Ml
             (rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)).astype(DTYPE)
         )
         biases.append((rng.standard_normal(fan_out) * 0.01).astype(DTYPE))
-    return MlpSpec(weights, biases, activation)
+    return MlpSpec(weights, biases)
 
 
 def random_attention(model_dim: int, heads: int, layers: int, seed: int) -> AttentionSpec:
@@ -273,14 +267,12 @@ def random_attention(model_dim: int, heads: int, layers: int, seed: int) -> Atte
             for _ in range(layers)
         ]
 
-    return AttentionSpec(heads=heads, model_dim=model_dim, wq=mats(), wk=mats(), wv=mats(), wo=mats())
+    return AttentionSpec(heads=heads, wq=mats(), wk=mats(), wv=mats(), wo=mats())
 
 
-def identity_mlp(dim: int, layers: int = 1) -> MlpSpec:
-    """Identity network, handy for tests and identity-mapping stages."""
-    eye = np.eye(dim, dtype=DTYPE)
-    zero = np.zeros(dim, dtype=DTYPE)
-    return MlpSpec([eye.copy() for _ in range(layers)], [zero.copy() for _ in range(layers)], "none")
+def identity_mlp(dim: int) -> MlpSpec:
+    """Identity network, one affine layer: handy for tests and identity-mapping stages."""
+    return MlpSpec([np.eye(dim, dtype=DTYPE)], [np.zeros(dim, dtype=DTYPE)])
 
 
 def save_matrices(path, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
@@ -337,10 +329,6 @@ def load_matrices(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def save_mlp(path, spec: MlpSpec) -> None:
-    """Write a ReLU network; the format records no activation, and ``load_mlp``
-    builds ReLU, so any other activation would load back as a different network."""
-    if spec.activation != "relu":
-        raise WeightFormatError(f"MWTS files hold ReLU networks only, got {spec.activation!r}")
     save_matrices(path, spec.weights, spec.biases)
 
 
@@ -367,5 +355,5 @@ def load_attention(path, heads: int) -> AttentionSpec:
     if not mats or len(mats) % 4:
         raise WeightFormatError(
             f"expected 4 projection matrices per attention layer, got {len(mats)}")
-    return AttentionSpec(heads=heads, model_dim=mats[0].shape[0], wq=mats[0::4],
-                         wk=mats[1::4], wv=mats[2::4], wo=mats[3::4])
+    return AttentionSpec(heads=heads, wq=mats[0::4], wk=mats[1::4], wv=mats[2::4],
+                         wo=mats[3::4])

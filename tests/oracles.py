@@ -20,7 +20,7 @@ def naive_mlp_forward(spec, x):
             for c in range(cols):
                 acc += float(w[r, c]) * h[c]
             out.append(acc)
-        if l < last and spec.activation == "relu":
+        if l < last:
             out = [v if v > 0.0 else 0.0 for v in out]
         h = out
     return h

@@ -115,14 +115,14 @@ class TestDualCertificate:
     @settings(max_examples=300, deadline=None)
     def test_duals_certify_the_matching(self, kind, n, seed):
         cost = certificate_matrix(kind, n, seed)
-        p, u, v = _augmenting_path_duals(cost)
-        assert len(p) == len(u) == len(v) == n + 1
-        assert sorted(p[1:]) == list(range(1, n + 1))
+        row4col, col4row, u, v = _augmenting_path_duals(cost)
+        assert len(row4col) == len(col4row) == len(u) == len(v) == n
+        assert sorted(row4col) == list(range(n))
+        assert all(col4row[i] == j for j, i in enumerate(row4col))
         tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
-        reduced = cost - u[1:, None] - v[None, 1:]
+        reduced = cost - u[:, None] - v
         assert reduced.min() >= -tol
-        rows = np.asarray(p[1:]) - 1
-        assert np.abs(reduced[rows, np.arange(n)]).max() <= tol
+        assert np.abs(reduced[row4col, np.arange(n)]).max() <= tol
 
 
 # SHA-256 over the goal vectors of pin_matrices(), recorded with the

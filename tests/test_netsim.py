@@ -799,6 +799,13 @@ class TestScalabilitySweep:
 
         assert delivered_mean(200 * MS) == delivered_mean(0) > 0
 
+    @pytest.mark.parametrize("sizes", [[1], [0], [4, 1]])
+    def test_a_team_without_a_link_is_a_measurement_error(self, sizes):
+        with pytest.raises(MeasurementError, match="need >= 2 agents"):
+            scalability_sweep(sizes, duration_s=0.1)
+        with pytest.raises(MeasurementError, match="need >= 2 agents"):
+            closed_form_link_throughput(min(sizes), 128, 200.0, MediumModel())
+
     def test_closed_form_oracle_shape(self):
         medium = MediumModel(contention="shared_medium")
         wire = 128 + ENVELOPE_OVERHEAD_BYTES

@@ -38,7 +38,7 @@ class TestMlpForward:
         assert np.array_equal(out, np.array([1.5, -2.0], dtype=np.float32))
 
     def test_single_affine_layer(self):
-        spec = MlpSpec([np.array([[2.0, 0.0], [0.0, 3.0]])], [np.array([1.0, 1.0])], "none")
+        spec = MlpSpec([np.array([[2.0, 0.0], [0.0, 3.0]])], [np.array([1.0, 1.0])])
         out = mlp_forward(spec, [1.0, 1.0])
         assert np.array_equal(out, np.array([3.0, 4.0], dtype=np.float32))
 
@@ -111,7 +111,7 @@ class TestSoftplusShift:
 def _identity_attention(dim, heads=1, layers=1):
     eye = np.eye(dim, dtype=np.float32)
     return AttentionSpec(
-        heads=heads, model_dim=dim,
+        heads=heads,
         wq=[eye.copy() for _ in range(layers)], wk=[eye.copy() for _ in range(layers)],
         wv=[eye.copy() for _ in range(layers)], wo=[eye.copy() for _ in range(layers)],
     )
@@ -173,7 +173,7 @@ class TestAttentionForward:
         dim = 6
         eye = np.eye(dim, dtype=np.float32)
         spec = AttentionSpec(
-            heads=1, model_dim=dim,
+            heads=1,
             wq=[rng.normal(size=(dim, dim)).astype(np.float32)],
             wk=[rng.normal(size=(dim, dim)).astype(np.float32)],
             wv=[rng.normal(size=(dim, dim)).astype(np.float32)],
@@ -190,6 +190,22 @@ class TestAttentionForward:
         with pytest.raises(ShapeError, match="divisible"):
             random_attention(model_dim=10, heads=3, layers=1, seed=0)
 
+    def test_model_dim_is_read_from_the_matrices(self):
+        spec = _identity_attention(6, heads=3)
+        assert (spec.model_dim, spec.head_dim) == (6, 2)
+        with pytest.raises(ShapeError, match=r"wk\[0\] has shape \(6, 4\), expected \(6, 6\)"):
+            AttentionSpec(heads=1, wq=[np.eye(6)], wk=[np.ones((6, 4))], wv=[np.eye(6)],
+                          wo=[np.eye(6)])
+
+    def test_the_caller_lists_are_left_alone(self):
+        mine = [np.eye(2)]  # float64, so the spec must convert
+        spec = AttentionSpec(heads=1, wq=mine, wk=[np.eye(2)], wv=[np.eye(2)], wo=[np.eye(2)])
+        x = np.ones(2, dtype=np.float32)
+        attention_forward(spec, x, [x])
+        assert spec.wq is not mine
+        assert spec.wq[0].dtype == np.float32 and not spec.wq[0].flags.writeable
+        assert mine[0].dtype == np.float64 and mine[0].flags.writeable
+
 
 class TestWeightFiles:
     def test_mlp_round_trip(self, tmp_path):
@@ -202,16 +218,12 @@ class TestWeightFiles:
         for b1, b2 in zip(spec.biases, loaded.biases):
             assert np.array_equal(b1, b2)
 
-    def test_a_non_relu_network_is_not_saved(self, tmp_path):
-        # the format records no activation and loads ReLU: this identity network
-        # maps [-1, 2, -3] to itself, but would load back mapping it to [0, 2, 0]
-        spec = identity_mlp(3, layers=2)
-        x = np.array([-1.0, 2.0, -3.0], dtype=np.float32)
-        assert np.array_equal(mlp_forward(spec, x), x)
+    def test_the_identity_network_round_trips(self, tmp_path):
+        # one affine layer, so negative entries pass through before and after
         path = tmp_path / "identity.mwts"
-        with pytest.raises(WeightFormatError, match="ReLU networks only"):
-            save_mlp(path, spec)
-        assert not path.exists()
+        save_mlp(path, identity_mlp(3))
+        x = np.array([-1.0, 2.0, -3.0], dtype=np.float32)
+        assert np.array_equal(mlp_forward(load_mlp(path), x), x)
 
     def test_attention_round_trip(self, tmp_path):
         spec = random_attention(model_dim=8, heads=2, layers=2, seed=5)
